@@ -2,10 +2,12 @@
 
 find_roots runs an Aberth-Ehrlich iteration from a deterministic ring of
 initial guesses (fixed irrational angular offset, no randomness), polishes by
-Newton on the original polynomial plus one extended-precision pass, and
-clusters near-coincident roots into multiplicities.  alpha_points converts a
-spec to its alpha-polynomial, solves, classifies sectors, and returns
-modulus-sorted points.
+Newton on the scaled polynomial, and clusters near-coincident roots into
+multiplicities.  Simple roots then take Newton steps on the original
+coefficients with a compensated (twice-working-precision) Horner residual, all
+roots at once; multiple roots take modified-Newton steps in 50-digit mpmath.
+alpha_points converts a spec to its alpha-polynomial, solves, classifies
+sectors, and returns modulus-sorted points.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import mpmath as mp
 import numpy as np
 
 from .functions import (
@@ -159,8 +160,12 @@ def _newton_polish(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray, steps: int = 
     return u
 
 
-def _cluster(roots: np.ndarray, cluster_tol: float) -> list[list[int]]:
-    n = len(roots)
+def _components(near: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph whose adjacency is the upper triangle of `near`.
+
+    Members ascend within a group; groups are listed by their smallest member.
+    """
+    n = len(near)
     parent = list(range(n))
 
     def find(i):
@@ -169,16 +174,17 @@ def _cluster(roots: np.ndarray, cluster_tol: float) -> list[list[int]]:
             i = parent[i]
         return i
 
-    thresh = math.sqrt(cluster_tol)
-    for i in range(n):
-        for j in range(i + 1, n):
-            scale = 1.0 + abs(roots[i] + roots[j]) / 2
-            if abs(roots[i] - roots[j]) < thresh * scale:
-                parent[find(i)] = find(j)
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        parent[find(i)] = find(j)
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     return list(groups.values())
+
+
+def _cluster(roots: np.ndarray, cluster_tol: float) -> list[list[int]]:
+    scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
+    return _components(np.abs(roots[:, None] - roots[None, :]) < math.sqrt(cluster_tol) * scale)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -209,28 +215,119 @@ def _accuracy_radius(sc: np.ndarray, dsc: np.ndarray, u: complex) -> float:
 
 def _subsplit(sc: np.ndarray, dsc: np.ndarray, members_scaled: list[complex]) -> list[list[int]]:
     """Partition a distance-cluster by indistinguishability of its members."""
-    n = len(members_scaled)
-    acc = [_accuracy_radius(sc, dsc, u) for u in members_scaled]
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(members_scaled[i] - members_scaled[j]) <= 4.0 * (acc[i] + acc[j]):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
+    u = np.array(members_scaled)
+    acc = np.array([_accuracy_radius(sc, dsc, x) for x in members_scaled])
+    return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
 
 
-def _extended_polish(coeffs: np.ndarray, center: complex, nu: int) -> complex:
-    """One fixed extended-precision pass: a few modified-Newton steps in mpmath."""
+_SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitting constant for 53-bit doubles
+_DUPLICATE_TOL = 1e-8  # simple roots closer than this (relative) are one root found twice
+_MAX_POLISH_STEPS = 4  # roots of a close pair can need more than two steps
+_UNSETTLED = 1e-12  # a last polish step above this (relative) did not converge
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, a_hi, a_lo, b, b_hi, b_lo):
+    """(x, y) with x = fl(a*b) and x + y = a*b exactly (Dekker)."""
+    x = a * b
+    return x, a_lo * b_lo - (((x - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _two_sum(a, b):
+    """(s, t) with s = fl(a+b) and s + t = a+b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _compensated_newton_step(cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Newton corrections q(u)/q'(u) for q_j(u) = 2^f_j p(2^e_j u), one root per entry of u.
+
+    cf holds the ascending coefficients of p as (re, im) rows.  The scaled
+    coefficient c_i 2^(e_j i + f_j) is formed column by column, exactly, so
+    q_j is the caller's polynomial.  q(u) comes from compensated Horner
+    (Graillat, Langlois & Louvet 2009; complex error-free transformations as
+    in Graillat & Menissier-Morain 2012): about as accurate as Horner in
+    twice the working precision.  q'(u) is plain Horner, run alongside.
+    Complex numbers are (m, 2) float rows so each real operation covers both
+    parts; .view(complex) reads a row as one complex number.
+    """
+    m = len(u)
+    n = len(cf) - 1
+    uf = u.view(float).reshape(m, 2)  # (x, y)
+    iu = np.stack([-uf[:, 1], uf[:, 0]], axis=1)  # (-y, x)
+    u_hi, u_lo = _split(uf)
+    iu_hi, iu_lo = _split(iu)
+    k = e * n + f
+    s = np.ldexp(cf[n], k[:, None])
+    err = np.zeros(m, complex)
+    der = np.zeros(m, complex)
+    for i in range(n - 1, -1, -1):
+        der = der * u + s.view(complex)[:, 0]
+        k -= e
+        s_hi, s_lo = _split(s)
+        # s*u = re(s)*(x, y) + im(s)*(-y, x), each product and the sum exactly
+        a, ea = _two_prod(s[:, :1], s_hi[:, :1], s_lo[:, :1], uf, u_hi, u_lo)
+        b, eb = _two_prod(s[:, 1:], s_hi[:, 1:], s_lo[:, 1:], iu, iu_hi, iu_lo)
+        p, ep = _two_sum(a, b)
+        s, es = _two_sum(p, np.ldexp(cf[i], k[:, None]))
+        err = err * u + (ea + eb + ep + es).view(complex)[:, 0]
+    return (s.view(complex)[:, 0] + err) / der
+
+
+def _polish_simple(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on the original coefficients for every simple root at once.
+
+    Each root is scaled by its own power of two, z = 2^e u with |u| ~ 1, and
+    its polynomial by another, 2^f, so that its largest term c_i 2^(e i) is
+    about 1: no scaled coefficient column overflows and none that matters
+    goes subnormal.  Powers of two are exact, so the polynomial solved is the
+    caller's bit for bit.  Two steps, then up to _MAX_POLISH_STEPS for roots
+    whose last step is still above rounding level.  Returns the polished
+    roots and the size of each root's last step relative to |u|.
+    """
+    cf = coeffs.view(float).reshape(-1, 2)
+    mags = np.abs(coeffs)
+    idx = np.flatnonzero(mags)
+    logs = np.log2(mags[idx])
+    e = np.round(np.log2(np.abs(z))).astype(np.int64)
+    top = np.full(len(z), -np.inf)
+    for i, lg in zip(idx, logs):
+        top = np.maximum(top, lg + e * i)
+    f = -np.round(top).astype(np.int64)
+    u = np.ldexp(z.view(float).reshape(-1, 2), -e[:, None]).view(complex)[:, 0]
+    last = np.zeros(len(z))
+    todo = np.arange(len(z))
+    for step in range(_MAX_POLISH_STEPS):
+        with np.errstate(all="ignore"):
+            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo])
+            w[~np.isfinite(w)] = 0.0
+            u[todo] -= w
+            last[todo] = np.abs(w) / np.abs(u[todo])
+        if step >= 1:
+            keep = last[todo] > _EPS
+            todo = todo[keep]
+            if not len(todo):
+                break
+    return np.ldexp(u.view(float).reshape(-1, 2), e[:, None]).view(complex)[:, 0], last
+
+
+def _extended_polish(coeffs: np.ndarray, centers: list[complex], nus: list[int]) -> list[complex]:
+    """A few modified-Newton steps in 50-digit mpmath for each multiple root.
+
+    Near a multiple root the compensated residual no longer pins the centre
+    down; these are rare (the paper's double points), so the slow path is
+    kept for them alone, and mpmath is imported only here.
+    """
+    import mpmath as mp
+
+    out = []
     with mp.workdps(_POLISH_DPS):
         cs = [mp.mpc(c) for c in coeffs]
         ds = [i * cs[i] for i in range(1, len(cs))]
@@ -241,17 +338,19 @@ def _extended_polish(coeffs: np.ndarray, center: complex, nu: int) -> complex:
                 acc = acc * x + cf
             return acc
 
-        x = mp.mpc(center)
-        for _ in range(4):
-            pv = ev(cs, x)
-            dv = ev(ds, x)
-            if dv == 0:
-                break
-            step = nu * pv / dv
-            x = x - step
-            if abs(step) <= mp.mpf(10) ** (-_POLISH_DPS + 6) * (1 + abs(x)):
-                break
-        return complex(x)
+        for center, nu in zip(centers, nus):
+            x = mp.mpc(center)
+            for _ in range(4):
+                pv = ev(cs, x)
+                dv = ev(ds, x)
+                if dv == 0:
+                    break
+                step = nu * pv / dv
+                x = x - step
+                if abs(step) <= mp.mpf(10) ** (-_POLISH_DPS + 6) * (1 + abs(x)):
+                    break
+            out.append(complex(x))
+    return out
 
 
 def find_roots(
@@ -264,7 +363,8 @@ def find_roots(
     """All complex roots of an ascending coefficient list, with multiplicities.
 
     Deterministic: fixed initial ring, fixed iteration schedule.  Clusters
-    whose multiplicity exceeds max_multiplicity (when given) raise SolverError.
+    whose multiplicity exceeds max_multiplicity (when given), and iterates
+    that do not polish onto a simple root of their own, raise SolverError.
     Sum of multiplicities equals the (stripped) degree.
     """
     sc, lam, m0 = _strip_and_scale(coeffs)
@@ -286,22 +386,53 @@ def find_roots(
     roots = u * lam
     groups = _cluster(roots, cluster_tol)
 
-    original = np.asarray(coeffs, complex)
-    original = original[np.argmax(original != 0):] if m0 else original
+    original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + n + 1])
+    found: list[tuple[list[int], complex]] = []
     for idx in groups:
         subgroups = [idx]
         if len(idx) >= 2:
             # keep close but genuinely distinguishable simple roots separate
             scaled = [complex(u[i]) for i in idx]
             subgroups = [[idx[i] for i in sub] for sub in _subsplit(sc, dsc, scaled)]
-        for sub in subgroups:
-            members = tuple(complex(roots[i]) for i in sub)
-            nu = len(sub)
-            center = complex(np.mean([roots[i] for i in sub]))
-            radius = max((abs(m - center) for m in members), default=0.0)
-            refined = _extended_polish(original, center, nu)
-            out.append(RootCluster(refined, members, nu, radius))
+        found += [(sub, complex(np.mean([roots[i] for i in sub]))) for sub in subgroups]
+
+    centers = np.array([center for _, center in found])
+    sizes = np.array([len(sub) for sub, _ in found])
+    simple = np.flatnonzero((sizes == 1) & np.isfinite(centers) & (centers != 0))
+    if len(simple):
+        centers[simple], last = _polish_simple(original, centers[simple])
+        _check_simple(centers[simple], last)
+    multiple = np.flatnonzero(sizes > 1)
+    if len(multiple):
+        centers[multiple] = _extended_polish(original, centers[multiple].tolist(), sizes[multiple].tolist())
+    for (sub, center), refined in zip(found, centers):
+        members = tuple(complex(roots[i]) for i in sub)
+        radius = max(abs(m - center) for m in members)
+        out.append(RootCluster(complex(refined), members, len(sub), radius))
     return _finish(out, max_multiplicity)
+
+
+def _check_simple(z: np.ndarray, last: np.ndarray) -> None:
+    """Raise SolverError when an iterate polished as a simple root is not a root of its own.
+
+    Either its last Newton step is still far above rounding level, or it
+    settled within _DUPLICATE_TOL of another simple root.  Reporting it would
+    count one root twice and lose another.
+    """
+    az = np.abs(z)
+    gap = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gap, np.inf)
+    near = gap.argmin(axis=1)
+    nearest = gap[np.arange(len(z)), near]
+    bad = np.flatnonzero((last > _UNSETTLED) | (nearest <= _DUPLICATE_TOL * np.maximum(az, az[near])))
+    if not len(bad):
+        return
+    j = bad[np.argmax(last[bad])]
+    message = f"iterate at {z[j]:.17g} is not a simple root of its own: last polish step {last[j]:.2g} of |z|"
+    if len(z) > 1:
+        i = near[j]
+        message += f"; nearest simple root {z[i]:.17g} is {nearest[j] / az[j]:.2g} of |z| away"
+    raise SolverError(message, residuals=[last[j]])
 
 
 def _finish(clusters: list[RootCluster], max_multiplicity: int | None) -> list[RootCluster]:

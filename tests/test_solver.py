@@ -1,16 +1,31 @@
+import cmath
+import math
+import os
+import subprocess
+import sys
+
+import mpmath as mp
 import numpy as np
 import pytest
 
+import alphasectors
 from alphasectors import (
     SeriesFunction,
+    QSeriesSpec,
     SolverError,
     StructuredFunction,
     alpha_points,
+    disturbed_exp_coeffs,
     evaluate_G,
     find_roots,
+    partial_theta_coeffs,
+    sokal_poly_coeffs,
     to_polynomial,
     unit_rotation,
 )
+from alphasectors.cli import FIG2_A, FIG2_B, FIG3_SPEC
+from alphasectors.functions import alpha_polynomial
+from alphasectors.solver import DEGREE_CAP
 
 from helpers import random_alpha_generic, random_structured
 
@@ -58,6 +73,17 @@ def test_find_roots_close_pair_not_merged():
     assert abs(got[0] - r1) < 1e-10 and abs(got[1] - r2) < 1e-10
 
 
+def test_find_roots_close_pairs_settle():
+    # a pair 1e-6 apart is slow to polish; some of these need a third
+    # Newton step and must not be mistaken for a root found twice
+    rng = np.random.default_rng(2026)
+    for _ in range(20):
+        base = rng.normal(size=12) + 1j * rng.normal(size=12)
+        roots = np.append(base, base[0] * (1 + 1e-6))
+        clusters = find_roots(np.poly(roots)[::-1])
+        assert sum(cl.multiplicity for cl in clusters) == 13
+
+
 def test_find_roots_reconstruction():
     rng = np.random.default_rng(42)
     for _ in range(25):
@@ -72,6 +98,13 @@ def test_find_roots_reconstruction():
         rebuilt = rebuilt * coeffs[-1]
         scale = np.max(np.abs(coeffs))
         assert np.max(np.abs(rebuilt - coeffs)) <= 1e-8 * scale
+
+
+def test_find_roots_strided_input():
+    # np.poly lists coefficients descending; reversing gives a negative-stride view
+    clusters = find_roots(np.poly([1.0, 2.0, 3j])[::-1])
+    got = sorted((cl.center for cl in clusters), key=abs)
+    assert all(abs(g - w) < 1e-12 for g, w in zip(got, [1.0, 2.0, 3j]))
 
 
 def test_find_roots_deterministic():
@@ -215,3 +248,113 @@ def test_exponential_growth_series_route():
     inside = sum(1 for pt in zeros if 0.05 < pt.modulus < radius * 0.999)
     assert count == inside
     assert verify_generic_interlacing(zeros, alpha, spec).passed
+
+
+def _mp_polish(coeffs, center: complex, nu: int) -> complex:
+    """Reference: the 50-digit mpmath polish every root took before the compensated one."""
+    with mp.workdps(50):
+        cs = [mp.mpc(c) for c in coeffs]
+        ds = [i * cs[i] for i in range(1, len(cs))]
+
+        def ev(poly, x):
+            acc = mp.mpc(0)
+            for cf in reversed(poly):
+                acc = acc * x + cf
+            return acc
+
+        x = mp.mpc(center)
+        for _ in range(4):
+            pv = ev(cs, x)
+            dv = ev(ds, x)
+            if dv == 0:
+                break
+            step = nu * pv / dv
+            x = x - step
+            if abs(step) <= mp.mpf(10) ** (-50 + 6) * (1 + abs(x)):
+                break
+        return complex(x)
+
+
+def _mp_abs_value(coeffs, z: complex, derivative: bool = False) -> float:
+    """|p(z)| (or |p'(z)|) evaluated in 50 digits, so rounding plays no part."""
+    with mp.workdps(50):
+        acc = mp.mpc(0)
+        for i in range(len(coeffs) - 1, -1 if not derivative else 0, -1):
+            acc = acc * z + (i if derivative else 1) * mp.mpc(coeffs[i])
+        return float(abs(acc))
+
+
+def _random_poly(seed: int, degree: int):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+
+
+_THIRDS = [cmath.exp(1j * math.pi * t) for t in (1 / 3, 1 / 2, 2 / 3)]
+
+# name -> (ascending coefficients, roots to compare: "all", "far" or a stride)
+DIFFERENTIAL_CASES = {
+    "fig1": lambda: (alpha_polynomial(FIG1, -1 - 1j), "all"),
+    **{f"fig2a-{i}": (lambda a=a: (alpha_polynomial(FIG2_A, a), "all")) for i, a in enumerate(_THIRDS)},
+    **{f"fig2b-{i}": (lambda a=a: (alpha_polynomial(FIG2_B, a), "all")) for i, a in enumerate(_THIRDS)},
+    "fig3-1j": lambda: (alpha_polynomial(FIG3_SPEC, 1j), "all"),
+    "fig3-0.2j": lambda: (alpha_polynomial(FIG3_SPEC, 0.2j), "all"),
+    "theta": lambda: (partial_theta_coeffs(0.7j, 64), "all"),
+    "dexp": lambda: (disturbed_exp_coeffs(1j, 40), "all"),
+    # roots at |z| ~ 1e11-1e13: without each root's own power-of-two scale
+    # the polish leaves some binomial ones 50-200 ulp off
+    "far-theta": lambda: (partial_theta_coeffs(0.5j, 64), "far"),
+    "far-binomial": lambda: (QSeriesSpec("sokal-poly", 0.6j, 64).coefficients(), "far"),
+    **{f"random-{d}": (lambda d=d: (_random_poly(100 + d, d), max(1, d // 12))) for d in (16, 48, 96, 160, 256)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_compensated_polish_matches_extended_precision(name):
+    coeffs, pick = DIFFERENTIAL_CASES[name]()
+    coeffs = np.asarray(coeffs, complex)
+    simple = [cl for cl in find_roots(coeffs) if cl.multiplicity == 1 and cl.center != 0]
+    if pick == "far":
+        simple = [cl for cl in simple if abs(cl.center) > 1e11]
+        assert len(simple) >= 6
+    elif pick != "all":
+        simple = simple[::pick]
+    assert simple
+    for cl in simple:
+        # a simple cluster's one member is the iterate both polishes start from
+        ref = _mp_polish(coeffs, cl.members[0], 1)
+        ulp = np.spacing(abs(ref))
+        assert abs(cl.center - ref) <= 4 * ulp, (cl.center, ref)
+        # no worse than the reference, or than a root one ulp from exact
+        floor = _mp_abs_value(coeffs, ref, derivative=True) * ulp
+        assert _mp_abs_value(coeffs, cl.center) <= max(_mp_abs_value(coeffs, ref), floor)
+
+
+def test_find_roots_at_degree_cap():
+    coeffs = _random_poly(512, DEGREE_CAP)
+    clusters = find_roots(coeffs)
+    assert sum(cl.multiplicity for cl in clusters) == DEGREE_CAP
+    # convolving 512 linear factors is unstable, so compare p with its
+    # product form c_n prod (w - z_j) at points of a circle instead
+    roots = np.repeat([cl.center for cl in clusters], [cl.multiplicity for cl in clusters])
+    w = 1.5 * np.exp(2j * np.pi * (np.arange(16) + 0.5) / 16)
+    product = coeffs[-1] * np.prod(w[:, None] - roots[None, :], axis=1)
+    assert np.max(np.abs(product / np.polyval(coeffs[::-1], w) - 1)) <= 1e-10
+
+
+def test_root_found_twice_is_a_solver_error():
+    # the binomial q-polynomial at q = 0.7i, N = 80: Aberth leaves a spurious
+    # iterate 5e-4 from the root 0.00113766...-0.14653106...i, and Newton
+    # drags it onto that root, so one root would be returned twice and
+    # another lost (60-digit mp.polyroots has no second root within 0.14)
+    coeffs = sokal_poly_coeffs(0.7j, 80)
+    with pytest.raises(SolverError, match="not a simple root of its own") as exc:
+        find_roots(coeffs)
+    assert str(exc.value).count("0.00113766216") == 2
+
+
+def test_import_leaves_mpmath_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(alphasectors.__file__)))
+    code = "import sys, alphasectors, alphasectors.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
