@@ -19,11 +19,11 @@ from .functions import (
     PoleProximity,
     SeriesFunction,
     StructuredFunction,
+    alpha_polynomial,
     evaluate_G,
     evaluate_R,
     exponential_alpha_series,
     normalization_constant,
-    to_polynomial,
     truncate_series,
 )
 from .solver import RootCluster, SolverError, alpha_points, find_roots
@@ -71,6 +71,7 @@ __all__ = [
     "VerificationReport",
     "Violation",
     "alpha_points",
+    "alpha_polynomial",
     "classify_sector",
     "count_in_contour",
     "disturbed_exp_coeffs",
@@ -92,7 +93,6 @@ __all__ = [
     "solve_linear_congruence",
     "split_even_odd",
     "theta_split_check",
-    "to_polynomial",
     "truncate_series",
     "unit_rotation",
     "verify_first_location",

@@ -29,7 +29,7 @@ from .checks import (
     verify_k2_distribution,
     verify_real_power_case,
 )
-from .functions import SeriesFunction, StructuredFunction, truncate_series
+from .functions import SeriesFunction, StructuredFunction, factor_moduli, truncate_series
 from .qseries import QSeriesSpec, disturbed_exp_coeffs, partial_theta_coeffs
 from .sectors import real_direction_index
 from .solver import alpha_points
@@ -46,15 +46,19 @@ def _fmt(x: float) -> str:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j").replace(" ", ""))
+        z = complex(text.strip().replace("i", "j").replace(" ", ""))
     except ValueError as exc:
-        raise SystemExit(f"error: cannot parse complex number {text!r}") from exc
+        raise SystemExit(f"error: --alpha: cannot parse complex number {text!r}") from exc
+    if not cmath.isfinite(z):
+        raise SystemExit(f"error: --alpha: {text!r} is not a finite complex number")
+    return z
 
 
 def _complex_from_json(obj, where: str) -> complex:
     if isinstance(obj, (int, float)):
         return complex(obj)
-    if isinstance(obj, dict) and set(obj) <= {"re", "im"}:
+    parts_are_numbers = isinstance(obj, dict) and all(isinstance(v, (int, float)) for v in obj.values())
+    if parts_are_numbers and set(obj) <= {"re", "im"}:
         return complex(obj.get("re", 0.0), obj.get("im", 0.0))
     raise SystemExit(f"error: field {where}: expected a number or {{'re':..,'im':..}}")
 
@@ -76,20 +80,25 @@ def parse_spec_file(path: str) -> StructuredFunction | SeriesFunction:
 
 
 def spec_from_dict(data: dict, where: str = "<spec>") -> StructuredFunction | SeriesFunction:
+    if not isinstance(data, dict):
+        raise SystemExit(f"error: {where}: a spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("type")
     if kind == "rational":
         kwargs = {}
-        for name in ("p", "k"):
-            if name not in data:
-                raise SystemExit(f"error: {where}: missing required field {name!r}")
-            kwargs[name] = int(data[name])
-        for name in ("a", "b", "c", "d"):
-            vals = data.get(name, [])
-            if not isinstance(vals, list):
-                raise SystemExit(f"error: {where}: field {name!r} must be a list")
-            kwargs[name] = tuple(float(v) for v in vals)
-        for name in ("A", "A0"):
-            kwargs[name] = float(data.get(name, 0.0))
+        try:
+            for name in ("p", "k"):
+                if name not in data:
+                    raise SystemExit(f"error: {where}: missing required field {name!r}")
+                kwargs[name] = int(data[name])
+            for name in ("a", "b", "c", "d"):
+                vals = data.get(name, [])
+                if not isinstance(vals, list):
+                    raise SystemExit(f"error: {where}: field {name!r} must be a list")
+                kwargs[name] = tuple(float(v) for v in vals)
+            for name in ("A", "A0"):
+                kwargs[name] = float(data.get(name, 0.0))
+        except (TypeError, ValueError) as exc:
+            raise SystemExit(f"error: {where}: field {name!r}: {exc}") from None
         try:
             return StructuredFunction(**kwargs)
         except ValueError as exc:
@@ -118,11 +127,10 @@ def spec_from_dict(data: dict, where: str = "<spec>") -> StructuredFunction | Se
 
 def _family_source(qspec: QSeriesSpec) -> list[complex]:
     """Coefficients up to degree N+10, the headroom the certifier needs."""
-    wide = QSeriesSpec(qspec.family, qspec.q, qspec.N + 10)
     if qspec.family == "sokal-poly":
         # exact polynomial: pad with zeros, trivially certified
-        return QSeriesSpec(qspec.family, qspec.q, qspec.N).coefficients() + [0j] * 10
-    return wide.coefficients()
+        return qspec.coefficients() + [0j] * 10
+    return QSeriesSpec(qspec.family, qspec.q, qspec.N + 10).coefficients()
 
 
 def spec_to_dict(spec: StructuredFunction | SeriesFunction) -> dict:
@@ -200,10 +208,7 @@ def render_svg(points, spec, k: int, size: int = 640) -> str:
     circles = []
     if isinstance(spec, StructuredFunction):
         k = spec.k
-        circles += [(a ** (1.0 / k), "#2d7dd2") for a in spec.a]
-        circles += [(b ** (1.0 / k), "#d22d2d") for b in spec.b]
-        circles += [(c ** (-1.0 / k), "#2d7dd2") for c in spec.c]
-        circles += [(d ** (-1.0 / k), "#d22d2d") for d in spec.d]
+        circles = [(r, "#d22d2d" if is_pole else "#2d7dd2") for r, is_pole in factor_moduli(spec)]
         extent = max([extent] + [r for r, _ in circles])
     extent *= 1.15
     half = size / 2
@@ -241,15 +246,11 @@ def render_svg(points, spec, k: int, size: int = 640) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _solve(spec, alpha, radius, tol):
-    return alpha_points(spec, alpha, radius, tol=tol)
-
-
 def cmd_solve(args) -> int:
     spec = parse_spec_file(args.spec)
     alpha = _parse_complex(args.alpha)
     radius = _resolve_radius(spec, args.radius)
-    points = _solve(spec, alpha, radius, args.tol)
+    points = alpha_points(spec, alpha, radius, tol=args.tol)
     for i, pt in enumerate(points):
         print(
             f"{i}: z = {_fmt(pt.value.real)} {'+' if pt.value.imag >= 0 else '-'} "
@@ -306,7 +307,7 @@ def cmd_verify(args) -> int:
     alpha = _parse_complex(args.alpha)
     radius = _resolve_radius(spec, args.radius)
     try:
-        points = _solve(spec, alpha, radius, args.tol)
+        points = alpha_points(spec, alpha, radius, tol=args.tol)
         reports = _verify_reports(spec, alpha, points, args.theorem)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
@@ -432,7 +433,7 @@ def _rotated_zero_points(series: SeriesFunction, radius: float, tol: float):
     return zeros, rotated
 
 
-def _demo_series(family: str, q: complex, n_trunc: int, source, tol: float):
+def _demo_series(family: str, n_trunc: int, source, tol: float):
     src = SeriesFunction(tuple(source))
     series = truncate_series(src, n_trunc, 1e-9)
     radius = series.trust_radius
@@ -445,28 +446,12 @@ def _demo_series(family: str, q: complex, n_trunc: int, source, tol: float):
         sign_of_p=-1,
         notes=(f"{family}: zeros rotated by exp(i pi/4); trust radius {radius:.6g}",),
     )
-    return series, zeros, [rep]
-
-
-def _demo_theta(tol: float):
-    q = 0.7j
-    series, zeros, reports = _demo_series(
-        "partial-theta", q, 64, partial_theta_coeffs(q, 74), tol
-    )
-    return zeros, reports, series
-
-
-def _demo_dexp(tol: float):
-    q = 1j
-    series, zeros, reports = _demo_series(
-        "disturbed-exp", q, 40, disturbed_exp_coeffs(q, 50), tol
-    )
-    return zeros, reports, series
+    return zeros, [rep], series
 
 
 def run_demo(name: str, outdir: str = ".", tol: float | None = None) -> int:
-    tol = _default_tol() if tol is None else tol
     """Execute a bundled fixture end to end; nonzero exit on any failure."""
+    tol = _default_tol() if tol is None else tol
     if name == "fig1":
         points, reports, spec = _demo_fig1(tol)
     elif name == "fig2a":
@@ -476,9 +461,9 @@ def run_demo(name: str, outdir: str = ".", tol: float | None = None) -> int:
     elif name == "fig3":
         points, reports, spec = _demo_fig3(tol)
     elif name == "theta":
-        points, reports, spec = _demo_theta(tol)
+        points, reports, spec = _demo_series("partial-theta", 64, partial_theta_coeffs(0.7j, 74), tol)
     elif name == "dexp":
-        points, reports, spec = _demo_dexp(tol)
+        points, reports, spec = _demo_series("disturbed-exp", 40, disturbed_exp_coeffs(1j, 50), tol)
     else:
         raise SystemExit(f"error: unknown demo {name!r}; choose from {DEMO_NAMES}")
     os.makedirs(outdir, exist_ok=True)

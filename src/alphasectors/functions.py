@@ -12,6 +12,13 @@ constant factors, (1 + z^k/a_nu) etc., differs from this by the positive-or-
 negative real constant returned by normalization_constant(); the theorem
 predictors divide alpha by that constant before any sector arithmetic.
 
+Every evaluation reads one factor table, built once per spec: rows
+(value, is_pole, on_reciprocal_side) in a, b, c, d order, standing for the
+factors (x + a), 1/(x - b), (x + c), 1/(x - d) with x = z^k on the first two
+lists and x = z^-k on the last two.  The scalar and array evaluators, the log
+derivative, normalization_constant, the polynomial builders, the pole-band
+test and the zero/pole moduli (factor_moduli) all loop over those rows only.
+
 SeriesFunction holds a Maclaurin truncation of an entire target together with
 a certified trust radius; roots inside the trust radius are accepted as roots
 of the full function at the configured tolerance.
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +58,7 @@ class StructuredFunction:
     d: tuple[float, ...] = ()
     A: float = 0.0
     A0: float = 0.0
+    factors: tuple[tuple[float, bool, bool], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
@@ -69,6 +77,8 @@ class StructuredFunction:
             raise ValueError("growth constants A, A0 must be nonnegative")
         if self.A == 0 and self.A0 == 0 and not (self.a or self.b or self.c or self.d):
             raise ValueError("degenerate model: identically z^p")
+        lists = ((self.a, False, False), (self.b, True, False), (self.c, False, True), (self.d, True, True))
+        object.__setattr__(self, "factors", tuple((v, pole, recip) for vals, pole, recip in lists for v in vals))
 
     @property
     def is_rational(self) -> bool:
@@ -120,18 +130,48 @@ def normalization_constant(spec: StructuredFunction) -> float:
 
     G(z) = kappa * G_unit(z) where G_unit uses (1 + z^k/a_nu) style factors and
     is positive on the positive semi-axis.  kappa = prod(a) prod(c) * (-1)^(|b|+|d|)
-    / (prod(b) prod(d)); it is negative exactly when |b|+|d| is odd.
+    / (prod(b) prod(d)); it is negative exactly when |b|+|d| is odd.  Zero rows
+    are multiplied in before pole rows are divided out.
     """
     kappa = 1.0
-    for x in spec.a:
-        kappa *= x
-    for x in spec.c:
-        kappa *= x
-    for x in spec.b:
-        kappa /= -x
-    for x in spec.d:
-        kappa /= -x
+    for v, is_pole, _ in sorted(spec.factors, key=lambda row: row[1]):
+        kappa = kappa / -v if is_pole else kappa * v
     return kappa
+
+
+def factor_moduli(spec: StructuredFunction) -> list[tuple[float, bool]]:
+    """(modulus, is_pole) of the circle |z| = a^(1/k), b^(1/k), c^(-1/k) or d^(-1/k) of each row."""
+    return [(v ** ((-1.0 if recip else 1.0) / spec.k), is_pole) for v, is_pole, recip in spec.factors]
+
+
+def pole_in_band(spec: StructuredFunction, w: complex, pole_tol: float) -> tuple[float, bool, bool] | None:
+    """The first pole row, b rows then d rows, whose factor at w = z^k is within pole_tol * value of 0."""
+    wi = 1.0 / w if spec.d else None
+    for row in spec.factors:
+        v, is_pole, recip = row
+        if is_pole and abs((wi if recip else w) - v) <= pole_tol * v:
+            return row
+    return None
+
+
+def _product(spec: StructuredFunction, w, val, exp):
+    """val * exp(A w + A0/w) * every factor of the table at w = z^k.
+
+    The same operations in the same order on Python complex numbers (exp =
+    cmath.exp) and on numpy arrays (exp = np.exp).  A pole row subtracts its
+    value, x - b, instead of adding -b: the sum would turn a -0.0 imaginary
+    part of x into +0.0.
+    """
+    if spec.A or spec.A0:
+        expo = spec.A * w
+        if spec.A0:
+            expo = expo + spec.A0 / w
+        val = val * exp(expo)
+    wi = 1.0 / w if spec.c or spec.d else None
+    for v, is_pole, recip in spec.factors:
+        x = wi if recip else w
+        val = val / (x - v) if is_pole else val * (x + v)
+    return val
 
 
 def evaluate_G(spec: StructuredFunction, z: complex, pole_tol: float = DEFAULT_POLE_TOL) -> complex:
@@ -145,28 +185,10 @@ def evaluate_G(spec: StructuredFunction, z: complex, pole_tol: float = DEFAULT_P
         raise ValueError("z must be nonzero")
     zk = z**spec.k
     val = z**spec.p
-    if spec.A or spec.A0:
-        expo = spec.A * zk
-        if spec.A0:
-            expo += spec.A0 / zk
-        val *= cmath.exp(expo)
-    for a in spec.a:
-        val *= zk + a
-    for b in spec.b:
-        den = zk - b
-        if abs(den) <= pole_tol * b:
-            raise PoleProximity(z, b ** (1.0 / spec.k))
-        val /= den
-    if spec.c or spec.d:
-        zmk = 1.0 / zk
-        for c in spec.c:
-            val *= zmk + c
-        for d in spec.d:
-            den = zmk - d
-            if abs(den) <= pole_tol * d:
-                raise PoleProximity(z, d ** (-1.0 / spec.k))
-            val /= den
-    return val
+    pole = pole_in_band(spec, zk, pole_tol)
+    if pole is not None:
+        raise PoleProximity(z, pole[0] ** ((-1.0 if pole[2] else 1.0) / spec.k))
+    return _product(spec, zk, val, cmath.exp)
 
 
 def evaluate_R(spec: StructuredFunction, w: complex, pole_tol: float = DEFAULT_POLE_TOL) -> complex:
@@ -187,99 +209,58 @@ def evaluate_R(spec: StructuredFunction, w: complex, pole_tol: float = DEFAULT_P
         theta = -theta
     root = abs(w) ** (1.0 / spec.k) * cmath.exp(1j * theta / spec.k)
     val = root**spec.p
-    if spec.A or spec.A0:
-        expo = spec.A * w
-        if spec.A0:
-            expo += spec.A0 / w
-        val *= cmath.exp(expo)
-    for a in spec.a:
-        val *= w + a
-    for b in spec.b:
-        den = w - b
-        if abs(den) <= pole_tol * b:
-            raise PoleProximity(w, complex(b))
-        val /= den
-    if spec.c or spec.d:
-        wi = 1.0 / w
-        for c in spec.c:
-            val *= wi + c
-        for d in spec.d:
-            den = wi - d
-            if abs(den) <= pole_tol * d:
-                raise PoleProximity(w, 1.0 / d)
-            val /= den
-    return val
+    pole = pole_in_band(spec, w, pole_tol)
+    if pole is not None:
+        raise PoleProximity(w, 1.0 / pole[0] if pole[2] else complex(pole[0]))
+    return _product(spec, w, val, cmath.exp)
 
 
-def _poly_from_shifts(shifts: tuple[float, ...], sign: float) -> np.ndarray:
-    """Ascending coefficients of prod_j (sign*shift_j + w)."""
-    out = np.array([1.0 + 0j])
-    for s in shifts:
-        out = np.convolve(out, np.array([sign * s, 1.0], complex))
-    return out
+def _factor_groups(spec: StructuredFunction) -> dict[tuple[bool, bool], np.ndarray]:
+    """Ascending coefficients in w of each factor group, keyed (is_pole, on_reciprocal_side).
+
+    The groups are prod(w + a), prod(w - b), prod(1 + c w) and prod(1 - d w),
+    each built on its own; an empty group is [1].
+    """
+    groups = {(pole, recip): np.array([1.0 + 0j]) for pole in (False, True) for recip in (False, True)}
+    for v, is_pole, recip in spec.factors:
+        shift = -v if is_pole else v
+        pair = [1.0, shift] if recip else [shift, 1.0]
+        groups[is_pole, recip] = np.convolve(groups[is_pole, recip], np.array(pair, complex))
+    return groups
 
 
 def _inflate(coeffs_w: np.ndarray, k: int, shift: int, size: int) -> np.ndarray:
-    """Map sum c_j w^j to sum c_j z^(jk + shift) in an ascending array of length size."""
+    """Map sum c_j w^j to sum c_j z^(jk + shift): ascending, length size, higher powers dropped."""
     out = np.zeros(size, complex)
-    for j, cj in enumerate(coeffs_w):
-        out[j * k + shift] = cj
+    m = min(len(out[shift::k]), len(coeffs_w))
+    out[shift::k][:m] = coeffs_w[:m]
     return out
-
-
-def to_polynomial(spec: StructuredFunction, alpha: complex) -> np.ndarray:
-    """Ascending coefficients of P(z) = z^max(p,0) prod(z^k + a) - alpha z^max(-p,0) prod(z^k - b).
-
-    The root set of P equals the alpha-set of the (pure rational) spec; there
-    is never a root at the origin since gcd(|p|, k) = 1 forces p != 0.
-    """
-    if not spec.is_rational or spec.c or spec.d:
-        raise ValueError("to_polynomial requires A = A0 = 0 and empty c, d lists")
-    alpha = complex(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    num = _poly_from_shifts(spec.a, +1.0)
-    den = _poly_from_shifts(spec.b, -1.0)
-    k = spec.k
-    size = max(max(spec.p, 0) + k * len(spec.a), max(-spec.p, 0) + k * len(spec.b)) + 1
-    P = _inflate(num, k, max(spec.p, 0), size)
-    P -= alpha * _inflate(den, k, max(-spec.p, 0), size)
-    return P
 
 
 def alpha_polynomial(spec: StructuredFunction, alpha: complex) -> np.ndarray:
-    """Polynomial whose nonzero roots are the alpha-set; supports c, d factors.
+    """Polynomial whose nonzero roots are the alpha-set of a rational spec (A = A0 = 0).
 
-    Clearing z^-k factors multiplies both sides of G(z) = alpha by powers of z,
-    which can only introduce spurious roots at the origin; those are stripped
-    here.  Requires A = A0 = 0.
+    Without c, d factors this is P(z) = z^max(p,0) prod(z^k + a) - alpha
+    z^max(-p,0) prod(z^k - b), which never vanishes at the origin since
+    gcd(|p|, k) = 1 forces p != 0.  Clearing z^-k factors multiplies both
+    sides of G(z) = alpha by powers of z, which can only introduce spurious
+    roots at the origin; those are stripped here.
     """
     if not spec.is_rational:
         raise ValueError("polynomial conversion requires a rational spec (A = A0 = 0)")
-    if not spec.c and not spec.d:
-        return to_polynomial(spec, alpha)
     alpha = complex(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     k = spec.k
-    num = np.convolve(_poly_from_shifts(spec.a, +1.0), _scaled_unit(spec.c, +1.0))
-    den = np.convolve(_poly_from_shifts(spec.b, -1.0), _scaled_unit(spec.d, -1.0))
-    s1 = max(spec.p, 0) + k * len(spec.d)
-    s2 = max(-spec.p, 0) + k * len(spec.c)
+    groups = _factor_groups(spec)
+    num, den = groups[False, False], groups[True, False]
+    if spec.c or spec.d:
+        num = np.convolve(num, groups[False, True])
+        den = np.convolve(den, groups[True, True])
+    s1 = max(spec.p, 0) + k * (len(groups[True, True]) - 1)
+    s2 = max(-spec.p, 0) + k * (len(groups[False, True]) - 1)
     size = max(s1 + k * (len(num) - 1), s2 + k * (len(den) - 1)) + 1
-    P = _inflate(num, k, s1, size) - alpha * _inflate(den, k, s2, size)
-    lead = 0
-    while lead < len(P) - 1 and P[lead] == 0:
-        lead += 1
-    return P[lead:]
-
-
-def _scaled_unit(shifts: tuple[float, ...], sign: float) -> np.ndarray:
-    """Ascending coefficients of prod_j (1 + sign*shift_j*w)."""
-    out = np.array([1.0 + 0j])
-    for s in shifts:
-        out = np.convolve(out, np.array([1.0, sign * s], complex))
-    return out
+    return np.trim_zeros(_inflate(num, k, s1, size) - alpha * _inflate(den, k, s2, size), "f")
 
 
 def exponential_alpha_series(spec: StructuredFunction, alpha: complex, N: int) -> SeriesFunction:
@@ -299,7 +280,8 @@ def exponential_alpha_series(spec: StructuredFunction, alpha: complex, N: int) -
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
     k = spec.k
-    num = _poly_from_shifts(spec.a, +1.0)
+    groups = _factor_groups(spec)
+    num = groups[False, False]
     if spec.A:
         terms = (N - max(spec.p, 0)) // k
         expo = np.zeros(terms + 1, complex)
@@ -308,16 +290,8 @@ def exponential_alpha_series(spec: StructuredFunction, alpha: complex, N: int) -
             expo[j] = term
             term *= spec.A / (j + 1)
         num = np.convolve(num, expo)
-    den = _poly_from_shifts(spec.b, -1.0)
-    out = np.zeros(N + 1, complex)
-    for j, cj in enumerate(num):
-        idx = max(spec.p, 0) + k * j
-        if idx <= N:
-            out[idx] += cj
-    for j, cj in enumerate(den):
-        idx = max(-spec.p, 0) + k * j
-        if idx <= N:
-            out[idx] -= alpha * cj
+    den = groups[True, False]
+    out = _inflate(num, k, max(spec.p, 0), N + 1) - alpha * _inflate(den, k, max(-spec.p, 0), N + 1)
     return SeriesFunction(tuple(out))
 
 
@@ -331,22 +305,7 @@ def eval_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, complex)
     zk = z**spec.k
     val = z ** float(spec.p) if spec.p >= 0 else 1.0 / z ** float(-spec.p)
-    if spec.A or spec.A0:
-        expo = spec.A * zk
-        if spec.A0:
-            expo = expo + spec.A0 / zk
-        val = val * np.exp(expo)
-    for a in spec.a:
-        val = val * (zk + a)
-    for b in spec.b:
-        val = val / (zk - b)
-    if spec.c or spec.d:
-        zmk = 1.0 / zk
-        for c in spec.c:
-            val = val * (zmk + c)
-        for d in spec.d:
-            val = val / (zmk - d)
-    return val
+    return _product(spec, zk, val, np.exp)
 
 
 def log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
@@ -360,17 +319,14 @@ def log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
         out = out + spec.A * k * zk1
     if spec.A0:
         out = out - spec.A0 * k / (zk * z)
-    for a in spec.a:
-        out = out + k * zk1 / (zk + a)
-    for b in spec.b:
-        out = out - k * zk1 / (zk - b)
+    dzk = k * zk1
+    zmk = dzmk = None
     if spec.c or spec.d:
         zmk = 1.0 / zk
-        dz = -k * zmk / z  # d/dz z^-k
-        for c in spec.c:
-            out = out + dz / (zmk + c)
-        for d in spec.d:
-            out = out - dz / (zmk - d)
+        dzmk = -k * zmk / z  # d/dz z^-k
+    for v, is_pole, recip in spec.factors:
+        x, dx = (zmk, dzmk) if recip else (zk, dzk)
+        out = out - dx / (x - v) if is_pole else out + dx / (x + v)
     return out
 
 

@@ -25,6 +25,7 @@ from .functions import (
     StructuredFunction,
     alpha_polynomial,
     evaluate_G,
+    pole_in_band,
 )
 from .sectors import DEFAULT_ANGLE_TOL, classify_sector, phase
 
@@ -88,29 +89,36 @@ def _strip_and_scale(coeffs) -> tuple[np.ndarray, float, int]:
     return sc, math.exp(loglam), m0
 
 
-def _newton_corrections(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """P(u)/P'(u) for the scaled polynomial, via reversed Horner when |u| > 1."""
+def _newton_terms(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, D) with P(u)/P'(u) = N/D for the scaled polynomial.
+
+    Plain Horner inside the unit circle.  Outside it, reversed Horner on
+    P(u) = u^n Q(v), v = 1/u, Q ascending = reversed(sc): N = u Q(v) and
+    D = n Q(v) - v Q'(v), so no power of u is ever formed.
+    """
     n = len(sc) - 1
-    out = np.empty_like(u)
+    num = np.empty_like(u)
+    den = np.empty_like(u)
     small = np.abs(u) <= 1.0
     if small.any():
         us = u[small]
-        pv = np.polyval(sc[::-1], us)
-        dv = np.polyval(dsc[::-1], us)
-        dv = np.where(dv == 0, 1e-300, dv)
-        out[small] = pv / dv
+        num[small] = np.polyval(sc[::-1], us)
+        den[small] = np.polyval(dsc[::-1], us)
     big = ~small
     if big.any():
         ub = u[big]
         v = 1.0 / ub
-        # P(u) = u^n Q(v) with Q ascending = reversed(sc)
         qv = np.polyval(sc, v)
         dq = np.arange(1, n + 1) * sc[::-1][1:]
-        dqv = np.polyval(dq[::-1], v)
-        den = n * qv - v * dqv
-        den = np.where(den == 0, 1e-300, den)
-        out[big] = ub * qv / den
-    return out
+        num[big] = ub * qv
+        den[big] = n * qv - v * np.polyval(dq[::-1], v)
+    return num, den
+
+
+def _newton_corrections(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """P(u)/P'(u) for the scaled polynomial."""
+    num, den = _newton_terms(sc, dsc, u)
+    return num / np.where(den == 0, 1e-300, den)
 
 
 def _aberth(sc: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
@@ -190,33 +198,19 @@ def _cluster(roots: np.ndarray, cluster_tol: float) -> list[list[int]]:
 _EPS = float(np.finfo(float).eps)
 
 
-def _accuracy_radius(sc: np.ndarray, dsc: np.ndarray, u: complex) -> float:
-    """Newton uncertainty radius (|P| + rounding noise) / |P'| at u.
-
-    Below this distance two iterates cannot be told apart: a converged member
-    of a multiple root sits within it of the center, while genuinely distinct
-    simple roots separate by much more than their radii.
-    """
-    n = len(sc) - 1
-    au = abs(u)
-    if au <= 1.0:
-        pv = complex(np.polyval(sc[::-1], u))
-        dv = complex(np.polyval(dsc[::-1], u))
-        noise = _EPS * n * float(np.polyval(np.abs(sc)[::-1], au))
-        return (abs(pv) + noise) / max(abs(dv), 1e-300)
-    v = 1.0 / u
-    qv = complex(np.polyval(sc, v))
-    dq = np.arange(1, n + 1) * sc[::-1][1:]
-    dqv = complex(np.polyval(dq[::-1], v))
-    den = n * qv - v * dqv
-    noise = _EPS * n * float(np.polyval(np.abs(sc), abs(v)))
-    return au * (abs(qv) + noise) / max(abs(den), 1e-300)
-
-
 def _subsplit(sc: np.ndarray, dsc: np.ndarray, members_scaled: list[complex]) -> list[list[int]]:
-    """Partition a distance-cluster by indistinguishability of its members."""
+    """Partition a distance-cluster by indistinguishability of its members.
+
+    Each member gets the Newton uncertainty radius (|P| + rounding noise) / |P'|,
+    the noise being n eps sum |c_i| |u|^i, formed like N.  Below this distance
+    two iterates cannot be told apart: a converged member of a multiple root
+    sits within it of the center, while genuinely distinct simple roots
+    separate by much more than their radii.
+    """
     u = np.array(members_scaled)
-    acc = np.array([_accuracy_radius(sc, dsc, x) for x in members_scaled])
+    num, den = _newton_terms(sc, dsc, u)
+    bound = _newton_terms(np.abs(sc), np.abs(dsc), np.abs(u))[0]
+    acc = (np.abs(num) + _EPS * (len(sc) - 1) * bound) / np.maximum(np.abs(den), 1e-300)
     return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
 
 
@@ -447,12 +441,6 @@ def _finish(clusters: list[RootCluster], max_multiplicity: int | None) -> list[R
     return clusters
 
 
-def _series_residual(coeffs: np.ndarray, alpha: complex, z: complex) -> float:
-    shifted = coeffs.copy()
-    shifted[0] -= alpha
-    return abs(complex(np.polyval(shifted[::-1], z)))
-
-
 def alpha_points(
     spec: StructuredFunction | SeriesFunction,
     alpha: complex,
@@ -501,14 +489,15 @@ def alpha_points(
         if abs(z) > radius:
             continue
         if isinstance(spec, SeriesFunction):
-            residual = _series_residual(np.asarray(spec.coeffs, complex), alpha, z)
+            residual = abs(complex(np.polyval(P[::-1], z)))  # P is the series shifted by alpha
         else:
             try:
                 residual = abs(evaluate_G(spec, z, pole_tol=DEFAULT_POLE_TOL) - alpha)
             except PoleProximity:
                 failures.append(cl)
                 continue
-            if residual > tol * (1 + abs(alpha)) and _far_from_poles(spec, z):
+            # a large residual 1e-3 (relative) or more from every pole is a failed root
+            if residual > tol * (1 + abs(alpha)) and pole_in_band(spec, z**spec.k, 1e-3) is None:
                 failures.append(cl)
                 continue
         sector, boundary = classify_sector(z, k_eff, angle_tol)
@@ -521,14 +510,3 @@ def alpha_points(
         )
     pts.sort(key=lambda pt: (pt.modulus, pt.argument))
     return pts
-
-
-def _far_from_poles(spec: StructuredFunction, z: complex, margin: float = 1e-3) -> bool:
-    zk = z**spec.k
-    for b in spec.b:
-        if abs(zk - b) < margin * b:
-            return False
-    for d in spec.d:
-        if abs(1.0 / zk - d) < margin * d:
-            return False
-    return True

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .functions import SeriesFunction, StructuredFunction, eval_many, log_derivative_many
+from .functions import SeriesFunction, StructuredFunction, eval_many, factor_moduli, log_derivative_many
 
 ROUND_GUARD = 0.25
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -122,16 +122,8 @@ def _singular_radii_on_ray(spec, s: int, r_in: float, r_out: float) -> list[floa
     """Radii in (r_in, r_out) where F has a pole or zero on the ray angle s*pi/k."""
     if isinstance(spec, SeriesFunction):
         return []
-    k = spec.k
-    rad: list[float] = []
-    if s % 2 == 0:  # z^k > 0 on even rays: poles b, 1/d
-        rad += [b ** (1.0 / k) for b in spec.b]
-        rad += [d ** (-1.0 / k) for d in spec.d]
-    else:  # z^k < 0 on odd rays: zeros -a, -1/c
-        rad += [a ** (1.0 / k) for a in spec.a]
-        rad += [c ** (-1.0 / k) for c in spec.c]
-    rad = sorted({r for r in rad if r_in < r < r_out})
-    return rad
+    # z^k > 0 on even rays, where the poles b, 1/d sit; z^k < 0 on odd rays, the zeros -a, -1/c
+    return sorted({r for r, is_pole in factor_moduli(spec) if is_pole == (s % 2 == 0) and r_in < r < r_out})
 
 
 def _certified_detour_radius(
@@ -235,19 +227,10 @@ def _poles_inside(spec, region: AnnularSector) -> int:
     if isinstance(spec, SeriesFunction):
         return 0
     k = spec.k
-    count = 0
-    radii = [b ** (1.0 / k) for b in spec.b] + [d ** (-1.0 / k) for d in spec.d]
-    for rho in radii:
-        if not (region.r_in < rho < region.r_out):
-            continue
-        if region.full:
-            count += k
-            continue
-        for t in range(k):
-            delta = (2 * t - region.s_from) % (2 * k)
-            if 1 <= delta <= region.span - 1:
-                count += 1
-    return count
+    inside = sum(1 for rho, is_pole in factor_moduli(spec) if is_pole and region.r_in < rho < region.r_out)
+    if region.full:
+        return inside * k
+    return inside * sum(1 for t in range(k) if 1 <= (2 * t - region.s_from) % (2 * k) <= region.span - 1)
 
 
 def count_in_contour(spec, alpha: complex, region: AnnularSector, quad_tol: float = 1e-6) -> int:

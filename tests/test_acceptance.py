@@ -15,6 +15,7 @@ from alphasectors import (
     SeriesFunction,
     StructuredFunction,
     alpha_points,
+    alpha_polynomial,
     disturbed_exp_coeffs,
     evaluate_G,
     evaluate_R,
@@ -27,7 +28,6 @@ from alphasectors import (
     sokal_poly_coeffs,
     solve_linear_congruence,
     theta_split_check,
-    to_polynomial,
     truncate_series,
     unit_rotation,
     verify_first_location,
@@ -70,7 +70,7 @@ class Budget:
 
 def test_criterion_1_fig1_polynomial():
     with Budget("criterion-1 fig1 algebraic fixture", 0.1):
-        P = to_polynomial(FIG1, -1 - 1j)
+        P = alpha_polynomial(FIG1, -1 - 1j)
         want = np.zeros(10, complex)
         want[0] = 0.4
         want[1] = 5 * (1 + 1j)

@@ -84,6 +84,25 @@ def test_solve_empty_result_header_only(tmp_path):
     assert csv_path.read_text().strip() == "index,re,im,modulus,sector,boundary,multiplicity,residual"
 
 
+@pytest.mark.parametrize(
+    "payload, alpha, field",
+    [
+        ({"type": "rational", "p": "x", "k": 3, "a": [1]}, "1", "field 'p'"),
+        ({"type": "rational", "p": 1, "k": 3, "a": ["q"]}, "1", "field 'a'"),
+        ([FIG1_JSON], "1", "JSON object"),
+        ({"type": "series", "family": "partial-theta", "q": {"re": "nan"}, "N": 16}, "0", "field q"),
+        ({"type": "series", "coeffs": [1, {"re": "nan"}], "trust_radius": 1}, "0", "field coeffs[1]"),
+        (FIG1_JSON, "nan", "--alpha"),
+    ],
+    ids=["p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan"],
+)
+def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, alpha, field):
+    spec_path = write_spec(tmp_path, payload)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--spec", spec_path, f"--alpha={alpha}", "--radius", "2"])
+    assert field in str(exc.value)
+
+
 def test_verify_exit_status_and_report(tmp_path):
     spec_path = write_spec(tmp_path, FIG1_JSON)
     report = tmp_path / "report.json"

@@ -12,11 +12,10 @@ from alphasectors import (
     evaluate_G,
     evaluate_R,
     normalization_constant,
-    to_polynomial,
     truncate_series,
     unit_rotation,
 )
-from alphasectors.functions import alpha_polynomial
+from alphasectors.functions import DEFAULT_POLE_TOL, alpha_polynomial, eval_many, log_derivative_many
 from alphasectors.qseries import partial_theta_coeffs
 
 FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
@@ -137,7 +136,7 @@ def test_R_halfcircle_modulus_monotonicity():
 
 
 def test_to_polynomial_fig1_caption():
-    P = to_polynomial(FIG1, -1 - 1j)
+    P = alpha_polynomial(FIG1, -1 - 1j)
     want = np.zeros(10, complex)
     want[0] = 0.4
     want[1] = 5 * (1 + 1j)
@@ -155,7 +154,7 @@ def test_to_polynomial_fig1_caption():
 
 
 def test_to_polynomial_fig3_expansion():
-    P = to_polynomial(FIG3, 1j)
+    P = alpha_polynomial(FIG3, 1j)
     # z(z^2+3) - i(z^2-1)(z^2-5) = -i z^4 + z^3 + 6i z^2 + 3 z - 5i
     want = np.array([-5j, 3, 6j, 1, -1j])
     assert np.allclose(P, want, rtol=1e-14, atol=0)
@@ -163,16 +162,16 @@ def test_to_polynomial_fig3_expansion():
 
 def test_to_polynomial_simple_case():
     spec = StructuredFunction(p=1, k=2, a=(1.0,), b=())
-    P = to_polynomial(spec, 1.0)
+    P = alpha_polynomial(spec, 1.0)
     assert np.array_equal(P, np.array([-1, 1, 0, 1], complex))
 
 
 def test_to_polynomial_rejects_nonrational():
     spec = StructuredFunction(p=1, k=2, a=(1.0,), A=1.0)
     with pytest.raises(ValueError):
-        to_polynomial(spec, 1.0)
+        alpha_polynomial(spec, 1.0)
     with pytest.raises(ValueError):
-        to_polynomial(FIG1, 0.0)
+        alpha_polynomial(FIG1, 0.0)
 
 
 def test_alpha_polynomial_with_laurent_factors():
@@ -223,3 +222,291 @@ def test_truncated_exponential_has_no_certified_zeros():
     assert series.trust_radius > 0
     pts = alpha_points(series, 0.0, min(series.trust_radius, 5.0), k=2)
     assert pts == []
+
+
+# ---------------------------------------------------------------------------
+# differential test of the factor table against the factor loops it replaced:
+# verbatim copies of each evaluator as it read when it wrote out its own
+# a/b/c/d loops (names prefixed with ref)
+# ---------------------------------------------------------------------------
+
+
+def ref_normalization_constant(spec: StructuredFunction) -> float:
+    """Real constant relating the monic-factor model to the unit-constant form.
+
+    G(z) = kappa * G_unit(z) where G_unit uses (1 + z^k/a_nu) style factors and
+    is positive on the positive semi-axis.  kappa = prod(a) prod(c) * (-1)^(|b|+|d|)
+    / (prod(b) prod(d)); it is negative exactly when |b|+|d| is odd.
+    """
+    kappa = 1.0
+    for x in spec.a:
+        kappa *= x
+    for x in spec.c:
+        kappa *= x
+    for x in spec.b:
+        kappa /= -x
+    for x in spec.d:
+        kappa /= -x
+    return kappa
+
+
+def ref_evaluate_G(spec: StructuredFunction, z: complex, pole_tol: float = DEFAULT_POLE_TOL) -> complex:
+    """Evaluate the structured function at a nonzero point.
+
+    Raises PoleProximity when z^k (or z^-k) falls within pole_tol relative
+    distance of a pole parameter, instead of returning a large number.
+    """
+    z = complex(z)
+    if z == 0:
+        raise ValueError("z must be nonzero")
+    zk = z**spec.k
+    val = z**spec.p
+    if spec.A or spec.A0:
+        expo = spec.A * zk
+        if spec.A0:
+            expo += spec.A0 / zk
+        val *= cmath.exp(expo)
+    for a in spec.a:
+        val *= zk + a
+    for b in spec.b:
+        den = zk - b
+        if abs(den) <= pole_tol * b:
+            raise PoleProximity(z, b ** (1.0 / spec.k))
+        val /= den
+    if spec.c or spec.d:
+        zmk = 1.0 / zk
+        for c in spec.c:
+            val *= zmk + c
+        for d in spec.d:
+            den = zmk - d
+            if abs(den) <= pole_tol * d:
+                raise PoleProximity(z, d ** (-1.0 / spec.k))
+            val /= den
+    return val
+
+
+def ref_evaluate_R(spec: StructuredFunction, w: complex, pole_tol: float = DEFAULT_POLE_TOL) -> complex:
+    """Single-valued branch function on the closed upper half-plane.
+
+    R(w) = root^p * exp(A w + A0/w) * prod(w + a)/prod(w - b) * prod(1/w + c)/prod(1/w - d)
+    with root = |w|^(1/k) exp(i Arg w / k), Arg w in [0, pi].  Holomorphic off
+    the poles, positive on the positive semi-axis, and R(z^k) = G(z) whenever
+    z is the branch root of w.
+    """
+    w = complex(w)
+    if w == 0:
+        raise ValueError("w must be nonzero")
+    if w.imag < 0:
+        raise ValueError("R is defined on the closed upper half-plane only")
+    theta = math.atan2(w.imag, w.real)
+    if theta < 0:  # only reachable via imag == -0.0 on the negative axis
+        theta = -theta
+    root = abs(w) ** (1.0 / spec.k) * cmath.exp(1j * theta / spec.k)
+    val = root**spec.p
+    if spec.A or spec.A0:
+        expo = spec.A * w
+        if spec.A0:
+            expo += spec.A0 / w
+        val *= cmath.exp(expo)
+    for a in spec.a:
+        val *= w + a
+    for b in spec.b:
+        den = w - b
+        if abs(den) <= pole_tol * b:
+            raise PoleProximity(w, complex(b))
+        val /= den
+    if spec.c or spec.d:
+        wi = 1.0 / w
+        for c in spec.c:
+            val *= wi + c
+        for d in spec.d:
+            den = wi - d
+            if abs(den) <= pole_tol * d:
+                raise PoleProximity(w, 1.0 / d)
+            val /= den
+    return val
+
+
+def ref_poly_from_shifts(shifts: tuple[float, ...], sign: float) -> np.ndarray:
+    """Ascending coefficients of prod_j (sign*shift_j + w)."""
+    out = np.array([1.0 + 0j])
+    for s in shifts:
+        out = np.convolve(out, np.array([sign * s, 1.0], complex))
+    return out
+
+
+def ref_inflate(coeffs_w: np.ndarray, k: int, shift: int, size: int) -> np.ndarray:
+    """Map sum c_j w^j to sum c_j z^(jk + shift) in an ascending array of length size."""
+    out = np.zeros(size, complex)
+    for j, cj in enumerate(coeffs_w):
+        out[j * k + shift] = cj
+    return out
+
+
+def ref_to_polynomial(spec: StructuredFunction, alpha: complex) -> np.ndarray:
+    """Ascending coefficients of P(z) = z^max(p,0) prod(z^k + a) - alpha z^max(-p,0) prod(z^k - b).
+
+    The root set of P equals the alpha-set of the (pure rational) spec; there
+    is never a root at the origin since gcd(|p|, k) = 1 forces p != 0.
+    """
+    if not spec.is_rational or spec.c or spec.d:
+        raise ValueError("to_polynomial requires A = A0 = 0 and empty c, d lists")
+    alpha = complex(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    num = ref_poly_from_shifts(spec.a, +1.0)
+    den = ref_poly_from_shifts(spec.b, -1.0)
+    k = spec.k
+    size = max(max(spec.p, 0) + k * len(spec.a), max(-spec.p, 0) + k * len(spec.b)) + 1
+    P = ref_inflate(num, k, max(spec.p, 0), size)
+    P -= alpha * ref_inflate(den, k, max(-spec.p, 0), size)
+    return P
+
+
+def ref_alpha_polynomial(spec: StructuredFunction, alpha: complex) -> np.ndarray:
+    """Polynomial whose nonzero roots are the alpha-set; supports c, d factors.
+
+    Clearing z^-k factors multiplies both sides of G(z) = alpha by powers of z,
+    which can only introduce spurious roots at the origin; those are stripped
+    here.  Requires A = A0 = 0.
+    """
+    if not spec.is_rational:
+        raise ValueError("polynomial conversion requires a rational spec (A = A0 = 0)")
+    if not spec.c and not spec.d:
+        return ref_to_polynomial(spec, alpha)
+    alpha = complex(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    k = spec.k
+    num = np.convolve(ref_poly_from_shifts(spec.a, +1.0), ref_scaled_unit(spec.c, +1.0))
+    den = np.convolve(ref_poly_from_shifts(spec.b, -1.0), ref_scaled_unit(spec.d, -1.0))
+    s1 = max(spec.p, 0) + k * len(spec.d)
+    s2 = max(-spec.p, 0) + k * len(spec.c)
+    size = max(s1 + k * (len(num) - 1), s2 + k * (len(den) - 1)) + 1
+    P = ref_inflate(num, k, s1, size) - alpha * ref_inflate(den, k, s2, size)
+    lead = 0
+    while lead < len(P) - 1 and P[lead] == 0:
+        lead += 1
+    return P[lead:]
+
+
+def ref_scaled_unit(shifts: tuple[float, ...], sign: float) -> np.ndarray:
+    """Ascending coefficients of prod_j (1 + sign*shift_j*w)."""
+    out = np.array([1.0 + 0j])
+    for s in shifts:
+        out = np.convolve(out, np.array([1.0, sign * s], complex))
+    return out
+
+
+def ref_eval_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
+    """G at an array of nonzero points; no pole-band checks."""
+    z = np.asarray(z, complex)
+    zk = z**spec.k
+    val = z ** float(spec.p) if spec.p >= 0 else 1.0 / z ** float(-spec.p)
+    if spec.A or spec.A0:
+        expo = spec.A * zk
+        if spec.A0:
+            expo = expo + spec.A0 / zk
+        val = val * np.exp(expo)
+    for a in spec.a:
+        val = val * (zk + a)
+    for b in spec.b:
+        val = val / (zk - b)
+    if spec.c or spec.d:
+        zmk = 1.0 / zk
+        for c in spec.c:
+            val = val * (zmk + c)
+        for d in spec.d:
+            val = val / (zmk - d)
+    return val
+
+
+def ref_log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
+    """G'/G at an array of nonzero points (closed form, no pole banding)."""
+    z = np.asarray(z, complex)
+    k = spec.k
+    zk = z**k
+    zk1 = z ** (k - 1)
+    out = spec.p / z
+    if spec.A:
+        out = out + spec.A * k * zk1
+    if spec.A0:
+        out = out - spec.A0 * k / (zk * z)
+    for a in spec.a:
+        out = out + k * zk1 / (zk + a)
+    for b in spec.b:
+        out = out - k * zk1 / (zk - b)
+    if spec.c or spec.d:
+        zmk = 1.0 / zk
+        dz = -k * zmk / z  # d/dz z^-k
+        for c in spec.c:
+            out = out + dz / (zmk + c)
+        for d in spec.d:
+            out = out - dz / (zmk - d)
+    return out
+
+
+def _random_spec(rng, growth=True):
+    while True:
+        k = int(rng.integers(2, 41))
+        p = int(rng.choice([x for x in range(-7, 8) if x and math.gcd(abs(x), k) == 1]))
+        lists = [tuple(float(v) for v in np.exp(rng.uniform(-1.5, 1.5, int(rng.integers(0, n + 1))))) for n in (5, 5, 3, 3)]
+        A, A0 = (float(rng.choice([0.0, 0.3])) if growth else 0.0 for _ in range(2))
+        if any(lists) or A or A0:
+            return StructuredFunction(p, k, *lists, A=A, A0=A0)
+
+
+def _probe_points(rng, spec):
+    """Random points, points on the negative real axis (signed zero imaginary
+    parts), and points on, inside and just outside each pole's band and margin."""
+    k = spec.k
+    pts = [complex(*rng.normal(size=2)) for _ in range(6)]
+    pts += [complex(-0.8, 0.0), complex(-1.3, -0.0)]
+    for w0 in list(spec.b) + [1.0 / d for d in spec.d]:
+        for delta in (0.0, 0.3e-9, -0.3e-9, 3e-9, -3e-9, 0.5e-3, 2e-3):
+            turn = cmath.exp(2j * math.pi * int(rng.integers(0, k)) / k)
+            pts.append(w0 ** (1.0 / k) * turn * (1 + delta / k * cmath.exp(1j * rng.uniform(0, 2 * math.pi))))
+    return [z for z in pts if z != 0]
+
+
+def _outcome(fn, *args):
+    """Bytes of the result, or of the z and pole a PoleProximity carries."""
+    try:
+        with np.errstate(all="ignore"):
+            out = fn(*args)
+        return ("value", type(out).__name__, np.asarray(out).tobytes())
+    except PoleProximity as exc:
+        return ("pole", type(exc.pole).__name__, np.asarray(exc.z).tobytes(), np.asarray(exc.pole).tobytes())
+    except (ArithmeticError, ValueError) as exc:
+        return (type(exc).__name__,)
+
+
+def test_factor_table_matches_the_written_out_loops_bitwise():
+    rng = np.random.default_rng(2027)
+    pole_outcomes = 0
+    for _ in range(80):
+        spec = _random_spec(rng)
+        assert _outcome(normalization_constant, spec) == _outcome(ref_normalization_constant, spec)
+        zs = _probe_points(rng, spec)
+        for z in zs:
+            for tol in (DEFAULT_POLE_TOL, 1e-3):
+                got = _outcome(evaluate_G, spec, z, tol)
+                assert got == _outcome(ref_evaluate_G, spec, z, tol), (spec, z, tol)
+                pole_outcomes += got[0] == "pole"
+            w = z**spec.k
+            w = complex(w.real, abs(w.imag)) if w.imag != 0 else w
+            assert _outcome(evaluate_R, spec, w) == _outcome(ref_evaluate_R, spec, w), (spec, w)
+        arr = np.array(zs)
+        assert _outcome(eval_many, spec, arr) == _outcome(ref_eval_many, spec, arr)
+        assert _outcome(log_derivative_many, spec, arr) == _outcome(ref_log_derivative_many, spec, arr)
+    assert pole_outcomes > 100
+
+
+def test_polynomial_builder_matches_the_written_out_loops_bitwise():
+    rng = np.random.default_rng(2028)
+    for _ in range(300):
+        spec = _random_spec(rng, growth=False)
+        alpha = complex(*rng.normal(size=2))
+        assert _outcome(alpha_polynomial, spec, alpha) == _outcome(ref_alpha_polynomial, spec, alpha)
+        if not spec.c and not spec.d:
+            assert _outcome(alpha_polynomial, spec, alpha) == _outcome(ref_to_polynomial, spec, alpha)

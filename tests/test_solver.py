@@ -20,7 +20,6 @@ from alphasectors import (
     find_roots,
     partial_theta_coeffs,
     sokal_poly_coeffs,
-    to_polynomial,
     unit_rotation,
 )
 from alphasectors.cli import FIG2_A, FIG2_B, FIG3_SPEC
