@@ -33,7 +33,7 @@ from .functions import SeriesFunction, StructuredFunction, factor_moduli, trunca
 from .qseries import QSeriesSpec, disturbed_exp_coeffs, partial_theta_coeffs
 from .sectors import real_direction_index
 from .solver import alpha_points
-from .winding import sector_census
+from .winding import InconclusiveRegion, sector_census
 
 
 def _default_tol() -> float:
@@ -52,6 +52,25 @@ def _parse_complex(text: str) -> complex:
     if not cmath.isfinite(z):
         raise SystemExit(f"error: --alpha: {text!r} is not a finite complex number")
     return z
+
+
+def _radius_flag(text: str, flag: str, allow_zero: bool = False) -> float:
+    """A finite radius from a command-line flag; a SystemExit naming the flag otherwise."""
+    try:
+        r = float(text)
+    except ValueError:
+        raise SystemExit(f"error: {flag}: cannot parse radius {text!r}") from None
+    if not math.isfinite(r) or r < 0 or (r == 0 and not allow_zero):
+        need = "non-negative" if allow_zero else "positive"
+        raise SystemExit(f"error: {flag}: radius must be finite and {need}, got {text!r}")
+    return r
+
+
+def _scalar_field(data: dict, name: str, cast, default, where: str):
+    try:
+        return cast(data.get(name, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SystemExit(f"error: {where}: field {name!r}: {exc}") from None
 
 
 def _complex_from_json(obj, where: str) -> complex:
@@ -97,7 +116,7 @@ def spec_from_dict(data: dict, where: str = "<spec>") -> StructuredFunction | Se
                 kwargs[name] = tuple(float(v) for v in vals)
             for name in ("A", "A0"):
                 kwargs[name] = float(data.get(name, 0.0))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SystemExit(f"error: {where}: field {name!r}: {exc}") from None
         try:
             return StructuredFunction(**kwargs)
@@ -109,16 +128,22 @@ def spec_from_dict(data: dict, where: str = "<spec>") -> StructuredFunction | Se
                 qspec = QSeriesSpec(
                     data["family"],
                     _complex_from_json(data.get("q"), "q"),
-                    int(data.get("N", 0)),
+                    _scalar_field(data, "N", int, 0, where),
                 )
             except (ValueError, KeyError) as exc:
                 raise SystemExit(f"error: {where}: {exc}")
-            src = _family_source(qspec)
-            return truncate_series(SeriesFunction(tuple(src)), qspec.N, data.get("tail_tol", 1e-9))
-        if "coeffs" in data:
-            coeffs = [_complex_from_json(c, f"coeffs[{i}]") for i, c in enumerate(data["coeffs"])]
+            tail_tol = _scalar_field(data, "tail_tol", float, 1e-9, where)
             try:
-                return SeriesFunction(tuple(coeffs), float(data.get("trust_radius", 0.0)))
+                return truncate_series(SeriesFunction(tuple(_family_source(qspec))), qspec.N, tail_tol)
+            except ValueError as exc:
+                raise SystemExit(f"error: {where}: {exc}")
+        if "coeffs" in data:
+            if not isinstance(data["coeffs"], list):
+                raise SystemExit(f"error: {where}: field 'coeffs' must be a list")
+            coeffs = [_complex_from_json(c, f"coeffs[{i}]") for i, c in enumerate(data["coeffs"])]
+            trust_radius = _scalar_field(data, "trust_radius", float, 0.0, where)
+            try:
+                return SeriesFunction(tuple(coeffs), trust_radius)
             except ValueError as exc:
                 raise SystemExit(f"error: {where}: {exc}")
         raise SystemExit(f"error: {where}: series spec needs 'family' or 'coeffs'")
@@ -266,7 +291,7 @@ def _resolve_radius(spec, radius_arg: str) -> float:
         if isinstance(spec, SeriesFunction):
             return spec.trust_radius
         raise SystemExit("error: --radius trust is only meaningful for series specs")
-    return float(radius_arg)
+    return _radius_flag(radius_arg, "--radius")
 
 
 def _emit_config(args, spec) -> dict:
@@ -354,7 +379,17 @@ def _verify_reports(spec, alpha, points, theorem):
 def cmd_census(args) -> int:
     spec = parse_spec_file(args.spec)
     alpha = _parse_complex(args.alpha)
-    counts = sector_census(spec, alpha, args.rin, args.rout, quad_tol=args.tol)
+    # a series may be counted from the origin; a structured spec has a pole or zero there
+    r_in = _radius_flag(args.rin, "--rin", allow_zero=isinstance(spec, SeriesFunction))
+    r_out = _radius_flag(args.rout, "--rout")
+    if r_in >= r_out:
+        raise SystemExit(f"error: --rin {args.rin} must be below --rout {args.rout}")
+    try:
+        counts = sector_census(spec, alpha, r_in, r_out, quad_tol=args.tol)
+    except InconclusiveRegion as exc:
+        raise SystemExit(f"error: census slice Q{exc.slice_index}, edge {exc.edge}: {exc}") from None
+    except ValueError as exc:  # the flags are valid; only a series' trust radius is left to exceed
+        raise SystemExit(f"error: --rout: {exc}")
     for s, n in enumerate(counts):
         print(f"Q{s},{n}")
     print(f"total,{sum(counts)}")
@@ -523,8 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="argument-principle sector census")
     common(p)
-    p.add_argument("--rin", type=float, required=True)
-    p.add_argument("--rout", type=float, required=True)
+    p.add_argument("--rin", required=True, help="inner radius")
+    p.add_argument("--rout", required=True, help="outer radius")
     p.set_defaults(func=cmd_census)
 
     p = sub.add_parser("demo", help="run a bundled fixture end to end")

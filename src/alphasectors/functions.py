@@ -352,7 +352,7 @@ def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFu
     """
     if N < 1:
         raise ValueError("truncation degree must be >= 1")
-    if tail_tol <= 0:
+    if not tail_tol > 0:  # also refuses NaN
         raise ValueError("tail_tol must be positive")
     src = np.asarray(series.coeffs, complex)
     if len(src) < N + _TAIL_EXTRA + 1:

@@ -1,17 +1,24 @@
 """Argument-principle counting of alpha-points over annular-sector contours.
 
 Independent of the polynomial solver: the integrand F'/(F - alpha) is built
-from closed-form evaluation of the spec, integrated by adaptive Gauss-Legendre
-panels.  Poles of F sit on the even boundary rays (z^k real positive), so
-radial contour edges take small semicircular detours that bulge into the
-region, excluding the pole; poles strictly inside a region are added back
-analytically from the known parameter lists.
+from closed-form evaluation of the spec.  A region's boundary is cut into
+edge pieces, lines and circles, and its integral is a signed sum of its
+pieces (the edge decomposition of Delves & Lyness, Math. Comp. 21 (1967), and
+Kravanja & Van Barel, LNM 1727 (2000)); a census integrates every edge once,
+each ray serving the two sectors it separates.  One adaptive 12-point
+Gauss-Legendre loop refines all pieces together, many panels per call.
+
+Poles of F sit on the even boundary rays (z^k real positive), so a ray takes
+small semicircular detours around them, one bulging into each region it
+bounds, with radii certified free of alpha-points; poles strictly inside a
+region are added back analytically from the known parameter lists.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,15 +26,25 @@ from .functions import SeriesFunction, StructuredFunction, eval_many, factor_mod
 
 ROUND_GUARD = 0.25
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_MAX_DEPTH = 24  # halvings of a panel; at this depth it is accepted whatever its error
+_CHUNK = 256  # panels per integrand call; bounds the memory of one step
 
 
 class InconclusiveRegion(RuntimeError):
-    """The winding integral did not resolve to an integer within the guard."""
+    """The winding integral did not resolve to an integer within the guard.
 
-    def __init__(self, message: str, value: float | None = None, slice_index: int | None = None):
+    `slice_index` is the census slice at fault (None outside a census) and
+    `edge` names the contour piece, e.g. "ray 3", "arc r=1.5" or
+    "detour r=0.36 on ray 0".
+    """
+
+    def __init__(
+        self, message: str, value: float | None = None, slice_index: int | None = None, edge: str | None = None
+    ):
         super().__init__(message)
         self.value = value
         self.slice_index = slice_index
+        self.edge = edge
 
 
 @dataclass(frozen=True)
@@ -69,6 +86,21 @@ class AnnularSector:
         return self.theta_from + self.span * math.pi / self.k
 
 
+class _Piece(NamedTuple):
+    """Edge piece z = p + q t (a line) or z = p + q e^{it} (a circle), t from t0 to t1.
+
+    `label` is the first region using it (a census slice, or None).
+    """
+
+    p: complex
+    q: complex
+    t0: float
+    t1: float
+    circle: bool
+    edge: str
+    label: int | None
+
+
 def _integrand(spec, alpha: complex):
     if isinstance(spec, SeriesFunction):
         c = np.asarray(spec.coeffs, complex)
@@ -88,34 +120,63 @@ def _integrand(spec, alpha: complex):
     return fn
 
 
-def _adaptive(fn, z_of_t, dz_of_t, t0: float, t1: float, tol: float, depth: int = 0) -> tuple[complex, float]:
-    """Adaptive 12-point Gauss-Legendre with halving error estimate."""
+def _integrate(fn, pieces: list[_Piece], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Adaptive 12-point Gauss-Legendre on every piece at once.
 
-    def panel(a, b):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        t = mid + half * _GL_NODES
-        z = z_of_t(t)
-        return half * np.sum(_GL_WEIGHTS * fn(z) * dz_of_t(t))
+    A panel at depth d is accepted when the sum of its halves is within
+    tol / 2^d of it, or at d = _MAX_DEPTH; otherwise each half is pending at
+    depth d + 1, with the value just computed as its `whole`.  A step splits
+    the _CHUNK // 2 deepest pending panels in one integrand call: level by
+    level while they fit in one call, and never more than about
+    _MAX_DEPTH * _CHUNK pending, however many are rejected.  Returns each
+    piece's integral and error estimate, summed over its accepted panels.
+    A non-finite panel raises InconclusiveRegion at once.
+    """
+    p = np.array([pc.p for pc in pieces], complex)
+    q = np.array([pc.q for pc in pieces], complex)
+    circle = np.array([pc.circle for pc in pieces], bool)
 
-    whole = panel(t0, t1)
-    tm = 0.5 * (t0 + t1)
-    halves = panel(t0, tm) + panel(tm, t1)
-    err = abs(halves - whole)
-    if err <= tol or depth >= 24:
-        return halves, err
-    left, el = _adaptive(fn, z_of_t, dz_of_t, t0, tm, tol / 2, depth + 1)
-    right, er = _adaptive(fn, z_of_t, dz_of_t, tm, t1, tol / 2, depth + 1)
-    return left + right, el + er
+    def panels(i, a, b):
+        half = 0.5 * (b - a)
+        t = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
+        on_circle = circle[i]
+        e = t.astype(complex)
+        e[on_circle] = np.exp(1j * t[on_circle])
+        z = p[i, None] + q[i, None] * e
+        dz = np.where(on_circle[:, None], (1j * q[i])[:, None] * e, q[i, None])
+        vals = half * np.sum(_GL_WEIGHTS * fn(z.ravel()).reshape(z.shape) * dz, axis=1)
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            piece = pieces[i[np.argmax(bad)]]
+            raise InconclusiveRegion(f"integrand not finite on {piece.edge}", slice_index=piece.label, edge=piece.edge)
+        return vals
 
-
-def _arc(fn, r: float, th0: float, th1: float, tol: float) -> tuple[complex, float]:
-    def z_of_t(t):
-        return r * np.exp(1j * t)
-
-    def dz_of_t(t):
-        return 1j * r * np.exp(1j * t)
-
-    return _adaptive(fn, z_of_t, dz_of_t, th0, th1, tol)
+    value = np.zeros(len(pieces), complex)
+    err = np.zeros(len(pieces))
+    # the pending panels, deepest last: piece, interval, whole, depth
+    idx = np.arange(len(pieces))
+    ta = np.array([pc.t0 for pc in pieces], float)
+    tb = np.array([pc.t1 for pc in pieces], float)
+    whole = np.concatenate([panels(*(x[lo : lo + _CHUNK] for x in (idx, ta, tb))) for lo in range(0, idx.size, _CHUNK)])
+    depth = np.zeros(idx.size, int)
+    while idx.size:
+        cut = max(idx.size - _CHUNK // 2, 0)
+        i, a, b, w, d = (x[cut:] for x in (idx, ta, tb, whole, depth))
+        m = 0.5 * (a + b)
+        left, right = np.split(panels(np.concatenate([i, i]), np.concatenate([a, m]), np.concatenate([m, b])), 2)
+        halves = left + right
+        e = np.abs(halves - w)
+        done = (e <= tol * 0.5**d) | (d >= _MAX_DEPTH)
+        np.add.at(value, i[done], halves[done])
+        np.add.at(err, i[done], e[done])
+        more = ~done
+        i, a, m, b, d = i[more], a[more], m[more], b[more], d[more] + 1
+        idx = np.concatenate([idx[:cut], i, i])
+        ta = np.concatenate([ta[:cut], a, m])
+        tb = np.concatenate([tb[:cut], m, b])
+        whole = np.concatenate([whole[:cut], left[more], right[more]])
+        depth = np.concatenate([depth[:cut], d, d])
+    return value, err
 
 
 def _singular_radii_on_ray(spec, s: int, r_in: float, r_out: float) -> list[float]:
@@ -126,10 +187,8 @@ def _singular_radii_on_ray(spec, s: int, r_in: float, r_out: float) -> list[floa
     return sorted({r for r, is_pole in factor_moduli(spec) if is_pole == (s % 2 == 0) and r_in < r < r_out})
 
 
-def _certified_detour_radius(
-    spec, alpha: complex, center: complex, eps0: float, is_pole: bool
-) -> float:
-    """Largest detour radius <= eps0 certified free of alpha-points.
+def _certified_detour_radius(spec, alpha: complex, center: complex, eps0: float, is_pole: bool) -> float | None:
+    """Largest detour radius <= eps0 certified free of alpha-points, or None.
 
     By the maximum principle, |F| > |alpha| on the probe circle certifies the
     whole disk when F has only the central pole inside (apply it to 1/F), and
@@ -146,76 +205,70 @@ def _certified_detour_radius(
             if np.max(vals) < 0.25 * abs(alpha):
                 return eps
         eps /= 4.0
-    raise InconclusiveRegion(
-        f"cannot certify a detour around the on-contour singularity at {center:.6g}"
-    )
+    return None
 
 
-def _radial_with_detours(
-    fn, spec, alpha: complex, angle: float, s_ray: int, r_a: float, r_b: float, tol: float
-) -> tuple[complex, float]:
-    """Integrate along the ray segment from r_a to r_b at the given angle.
+def _contours(spec, alpha: complex, regions) -> tuple[list[_Piece], list[list[tuple[int, float]]]]:
+    """Edge pieces of the regions' boundaries, and each region's signed terms.
 
-    Semicircular detours around on-ray singular radii bulge to the left of the
-    travel direction, i.e. into the region the contour encloses, so boundary
-    poles are excluded from the count.  Each detour radius is certified free
-    of alpha-points by a max-modulus probe.
+    `regions` holds (label, AnnularSector) pairs; the label (the census slice,
+    or None) goes into any InconclusiveRegion.  A ray is cut into straight
+    pieces once, integrated outward; a region on its counterclockwise side
+    takes them with sign +1, one on its clockwise side with sign -1.  Each
+    detour is a semicircle bulging into one region, traversed in that
+    region's direction of travel.
     """
-    direction = 1.0 if r_b > r_a else -1.0
-    lo, hi = min(r_a, r_b), max(r_a, r_b)
-    sing = _singular_radii_on_ray(spec, s_ray, lo, hi)
-    u = complex(math.cos(angle), math.sin(angle))
+    pieces: list[_Piece] = []
+    terms: list[list[tuple[int, float]]] = []
+    rays: dict[tuple, tuple[list[int], list[tuple[float, float]]]] = {}
 
-    def seg(ra, rb):
-        def z_of_t(t):
-            return t * u
+    def add(piece: _Piece) -> int:
+        pieces.append(piece)
+        return len(pieces) - 1
 
-        def dz_of_t(t):
-            return np.full_like(t, u, dtype=complex)
+    def ray(label, region: AnnularSector, s: int, sign: float) -> list[tuple[int, float]]:
+        angle = s * math.pi / region.k
+        u = complex(math.cos(angle), math.sin(angle))
+        key = (s, region.k, region.r_in, region.r_out)
+        if key not in rays:
+            sing = _singular_radii_on_ray(spec, s, region.r_in, region.r_out)
+            gaps = [region.r_in] + sing + [region.r_out]
+            detours = []
+            for i, rho in enumerate(sing):
+                gap = min(rho - gaps[i], gaps[i + 2] - rho)
+                eps0 = min(0.25 * gap, 0.01 * (1.0 + rho))
+                eps = _certified_detour_radius(spec, alpha, rho * u, eps0, s % 2 == 0)
+                if eps is None:
+                    raise InconclusiveRegion(
+                        f"cannot certify a detour around the on-contour singularity at {rho * u:.6g}",
+                        slice_index=label,
+                        edge=f"detour r={rho:.6g} on ray {s}",
+                    )
+                detours.append((rho, eps))
+            bounds = [region.r_in] + [r for rho, eps in detours for r in (rho - eps, rho + eps)] + [region.r_out]
+            straight = [add(_Piece(0j, u, a, b, False, f"ray {s}", label)) for a, b in zip(bounds[::2], bounds[1::2])]
+            rays[key] = straight, detours
+        straight, detours = rays[key]
+        travel = sign * u
+        psi = math.atan2(travel.imag, travel.real)
+        out = [(j, sign) for j in straight]
+        for rho, eps in detours:
+            # from entry to exit, passing left of travel, i.e. into the region
+            detour = _Piece(rho * u, eps, psi + math.pi, psi, True, f"detour r={rho:.6g} on ray {s}", label)
+            out.append((add(detour), 1.0))
+        return out
 
-        return _adaptive(fn, z_of_t, dz_of_t, ra, rb, tol)
-
-    if not sing:
-        return seg(r_a, r_b)
-
-    is_pole = s_ray % 2 == 0
-    gaps = [lo] + sing + [hi]
-    eps_each = {}
-    for i, rho in enumerate(sing):
-        gap = min(rho - gaps[i], gaps[i + 2] - rho)
-        eps0 = min(0.25 * gap, 0.01 * (1.0 + rho))
-        eps_each[rho] = _certified_detour_radius(spec, alpha, rho * u, eps0, is_pole)
-
-    total = 0j
-    err = 0.0
-    order = sing if direction > 0 else sing[::-1]
-    cur = r_a
-    for rho in order:
-        eps = eps_each[rho]
-        entry = rho - direction * eps
-        exit_ = rho + direction * eps
-        val, e = seg(cur, entry)
-        total += val
-        err += e
-        # half-circle around rho*u from entry to exit, passing left of travel
-        center = rho * u
-        dirvec = direction * u
-        psi = math.atan2(dirvec.imag, dirvec.real)
-
-        def z_of_t(t, center=center, eps=eps):
-            return center + eps * np.exp(1j * t)
-
-        def dz_of_t(t, eps=eps):
-            return 1j * eps * np.exp(1j * t)
-
-        val, e = _adaptive(fn, z_of_t, dz_of_t, psi + math.pi, psi, tol)
-        total += val
-        err += e
-        cur = exit_
-    val, e = seg(cur, r_b)
-    total += val
-    err += e
-    return total, err
+    for label, region in regions:
+        th0, th1 = (0.0, 2 * math.pi) if region.full else (region.theta_from, region.theta_to)
+        region_terms = [
+            (add(_Piece(0j, r, th0, th1, True, f"arc r={r:.6g}", label)), sign)
+            for r, sign in ((region.r_out, 1.0), (region.r_in, -1.0))
+        ]
+        if not region.full:
+            region_terms += ray(label, region, region.s_from, 1.0)
+            region_terms += ray(label, region, (region.s_to + 1) % (2 * region.k), -1.0)
+        terms.append(region_terms)
+    return pieces, terms
 
 
 def _poles_inside(spec, region: AnnularSector) -> int:
@@ -233,57 +286,49 @@ def _poles_inside(spec, region: AnnularSector) -> int:
     return inside * sum(1 for t in range(k) if 1 <= (2 * t - region.s_from) % (2 * k) <= region.span - 1)
 
 
+def _count(spec, alpha: complex, regions, quad_tol: float) -> list[int]:
+    """Alpha-point count of each (label, region) pair; see count_in_contour."""
+    alpha = complex(alpha)
+    for _, region in regions:
+        if isinstance(spec, SeriesFunction):
+            if region.r_out > spec.trust_radius:
+                raise ValueError("region exceeds the certified trust radius")
+        elif isinstance(spec, StructuredFunction):
+            if region.r_in <= 0:
+                raise ValueError("structured specs need a punctured annulus (r_in > 0)")
+    with np.errstate(all="ignore"):
+        pieces, terms = _contours(spec, alpha, regions)
+        values, errs = _integrate(_integrand(spec, alpha), pieces, quad_tol)
+    counts = []
+    for (label, region), ts in zip(regions, terms):
+        raw = sum(sign * values[j] for j, sign in ts) / (2j * math.pi)
+        err = sum(errs[j] for j, _ in ts)
+        value = raw.real + _poles_inside(spec, region)
+        nearest = round(value)
+        slack = abs(value - nearest) + abs(raw.imag)
+        if slack + err > ROUND_GUARD:
+            edge = pieces[max(ts, key=lambda term: errs[term[0]])[0]].edge
+            raise InconclusiveRegion(
+                f"winding integral {value:.6f} (err est {err:.2g}) not within {ROUND_GUARD} of an integer; "
+                f"largest error on {edge}",
+                value=value,
+                slice_index=label,
+                edge=edge,
+            )
+        counts.append(int(nearest))
+    return counts
+
+
 def count_in_contour(spec, alpha: complex, region: AnnularSector, quad_tol: float = 1e-6) -> int:
     """Number of alpha-points of the spec strictly inside the annular sector.
 
     Computes (1/2 pi i) contour-integral of F'/(F - alpha), adds the known
     pole count, and rounds only when the result is within the 0.25 guard.
+    An InconclusiveRegion names the edge at fault: the first one whose
+    integrand is not finite, one whose detour cannot be certified, or the
+    one with the largest error estimate when the guard fails.
     """
-    alpha = complex(alpha)
-    if isinstance(spec, SeriesFunction):
-        if region.r_out > spec.trust_radius:
-            raise ValueError("region exceeds the certified trust radius")
-    elif isinstance(spec, StructuredFunction):
-        if region.r_in <= 0:
-            raise ValueError("structured specs need a punctured annulus (r_in > 0)")
-    fn = _integrand(spec, alpha)
-    tol = quad_tol
-    total = 0j
-    err = 0.0
-    with np.errstate(all="ignore"):
-        if region.full:
-            for r, sign in ((region.r_out, +1.0), (region.r_in, -1.0)):
-                val, e = _arc(fn, r, 0.0, 2 * math.pi, tol)
-                total += sign * val
-                err += e
-        else:
-            th0, th1 = region.theta_from, region.theta_to
-            val, e = _arc(fn, region.r_out, th0, th1, tol)
-            total += val
-            err += e
-            val, e = _radial_with_detours(
-                fn, spec, alpha, th1, (region.s_to + 1) % (2 * region.k), region.r_out, region.r_in, tol
-            )
-            total += val
-            err += e
-            val, e = _arc(fn, region.r_in, th1, th0, tol)
-            total += val
-            err += e
-            val, e = _radial_with_detours(
-                fn, spec, alpha, th0, region.s_from, region.r_in, region.r_out, tol
-            )
-            total += val
-            err += e
-    raw = total / (2j * math.pi)
-    value = raw.real + _poles_inside(spec, region)
-    nearest = round(value)
-    slack = abs(value - nearest) + abs(raw.imag)
-    if slack + err > ROUND_GUARD:
-        raise InconclusiveRegion(
-            f"winding integral {value:.6f} (err est {err:.2g}) not within {ROUND_GUARD} of an integer",
-            value=value,
-        )
-    return int(nearest)
+    return _count(spec, alpha, [(None, region)], quad_tol)[0]
 
 
 def sector_census(
@@ -296,9 +341,11 @@ def sector_census(
 ) -> list[int]:
     """Alpha-point counts per sector Q_0 .. Q_{2k-1} in r_in < |z| < r_out.
 
-    Radii are auto-nudged (globally, so slices stay consistent) when a slice
-    integral is inconclusive, e.g. because a boundary circle passes through an
-    alpha-point modulus.
+    The 2k slices share their rays, so every edge is integrated once and each
+    slice's count is a signed sum of its edges; each slice keeps its own
+    guard.  Radii are auto-nudged (globally, so slices stay consistent) when
+    a slice integral is inconclusive, e.g. because a boundary circle passes
+    through an alpha-point modulus.
     """
     if isinstance(spec, StructuredFunction):
         k_eff = spec.k
@@ -310,15 +357,8 @@ def sector_census(
     for attempt in range(6):
         nudge = 1.0 + (attempt * (attempt % 2 * 2 - 1)) * 3e-5
         ri, ro = r_in * nudge, r_out * nudge
-        counts = []
         try:
-            for s in range(2 * k_eff):
-                region = AnnularSector(ri, ro, s, s, k_eff)
-                try:
-                    counts.append(count_in_contour(spec, alpha, region, quad_tol))
-                except InconclusiveRegion as exc:
-                    raise InconclusiveRegion(str(exc), exc.value, slice_index=s) from None
-            return counts
+            return _count(spec, alpha, [(s, AnnularSector(ri, ro, s, s, k_eff)) for s in range(2 * k_eff)], quad_tol)
         except InconclusiveRegion as exc:
             last = exc
     raise last

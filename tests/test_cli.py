@@ -84,22 +84,47 @@ def test_solve_empty_result_header_only(tmp_path):
     assert csv_path.read_text().strip() == "index,re,im,modulus,sector,boundary,multiplicity,residual"
 
 
+def solve_args(alpha="1", radius="2", command="solve"):
+    return [command, f"--alpha={alpha}", "--radius", radius]
+
+
+def census_args(rin="0.5", rout="2", alpha="-1-1i"):
+    return ["census", f"--alpha={alpha}", "--rin", rin, "--rout", rout]
+
+
+THETA_JSON = {"type": "series", "family": "partial-theta", "q": {"re": 0, "im": 0.7}, "N": 16}
+
+
 @pytest.mark.parametrize(
-    "payload, alpha, field",
+    "payload, args, field",
     [
-        ({"type": "rational", "p": "x", "k": 3, "a": [1]}, "1", "field 'p'"),
-        ({"type": "rational", "p": 1, "k": 3, "a": ["q"]}, "1", "field 'a'"),
-        ([FIG1_JSON], "1", "JSON object"),
-        ({"type": "series", "family": "partial-theta", "q": {"re": "nan"}, "N": 16}, "0", "field q"),
-        ({"type": "series", "coeffs": [1, {"re": "nan"}], "trust_radius": 1}, "0", "field coeffs[1]"),
-        (FIG1_JSON, "nan", "--alpha"),
+        ({"type": "rational", "p": "x", "k": 3, "a": [1]}, solve_args(), "field 'p'"),
+        ({"type": "rational", "p": 1, "k": 3, "a": ["q"]}, solve_args(), "field 'a'"),
+        ([FIG1_JSON], solve_args(), "JSON object"),
+        ({**THETA_JSON, "q": {"re": "nan"}}, solve_args("0"), "field q"),
+        ({"type": "series", "coeffs": [1, {"re": "nan"}], "trust_radius": 1}, solve_args("0"), "field coeffs[1]"),
+        (FIG1_JSON, solve_args("nan"), "--alpha"),
+        ({**THETA_JSON, "tail_tol": "x"}, solve_args("0"), "field 'tail_tol'"),
+        ({**THETA_JSON, "N": [1]}, solve_args("0"), "field 'N'"),
+        ({"type": "series", "coeffs": 5, "trust_radius": 1}, solve_args("0"), "field 'coeffs'"),
+        (FIG1_JSON, solve_args(radius="inf"), "--radius"),
+        (FIG1_JSON, solve_args(radius="inf", command="verify"), "--radius"),
+        (FIG1_JSON, census_args(rin="0"), "--rin"),
+        (FIG1_JSON, census_args(rin="2", rout="1"), "--rin"),
+        (FIG1_JSON, census_args(rin="nan"), "--rin"),
+        (FIG1_JSON, census_args(rout="inf"), "--rout"),
+        (FIG1_JSON, census_args(alpha="1e30"), "slice Q0, edge detour r=1 on ray 0"),
     ],
-    ids=["p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan"],
+    ids=[
+        "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
+        "tail-tol-string", "N-list", "coeffs-not-list", "solve-radius-inf", "verify-radius-inf",
+        "census-rin-zero", "census-rin-above-rout", "census-rin-nan", "census-rout-inf", "census-inconclusive",
+    ],
 )
-def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, alpha, field):
+def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, args, field):
     spec_path = write_spec(tmp_path, payload)
     with pytest.raises(SystemExit) as exc:
-        main(["solve", "--spec", spec_path, f"--alpha={alpha}", "--radius", "2"])
+        main([args[0], "--spec", spec_path, *args[1:]])
     assert field in str(exc.value)
 
 
@@ -128,6 +153,13 @@ def test_census_command(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out.strip().splitlines()
     assert out[-1] == "total,9"
+
+
+def test_census_of_a_series_may_start_at_the_origin(tmp_path, capsys):
+    spec_path = write_spec(tmp_path, THETA_JSON)
+    rc = main(["census", "--spec", spec_path, "--alpha=0", "--rin", "0", "--rout", "1.5"])
+    assert rc == 0
+    assert capsys.readouterr().out.strip().splitlines()[-1] == "total,2"
 
 
 def test_predict_command(tmp_path, capsys):
