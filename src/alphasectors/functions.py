@@ -340,7 +340,8 @@ _TAIL_EXTRA = 10  # degree headroom required of the source series
 def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFunction:
     """Degree-N truncation with a certified trust radius.
 
-    The trust radius is the largest rho (on a geometric grid) such that
+    The trust radius is the largest rho on a geometric grid, scanned from the
+    top, such that
 
       * the dropped tail is bounded: sum_{n>N} |c_n| rho^n <= tail_tol *
         max(1, min_{|z|=rho} |P_N(z)|), with the unknown tail beyond the
@@ -372,15 +373,10 @@ def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFu
     roots_n = [cl.center for cl in find_roots(head)]
     roots_w = [cl.center for cl in find_roots(wide)]
 
-    grid = np.geomspace(1e-3, 1e9, 241)
-    best = 0.0
-    for rho in grid:
-        if not _tail_ok(src, N, rho, tail_tol, head):
-            continue
-        if not _roots_agree(roots_n, roots_w, rho, 10 * tail_tol):
-            continue
-        best = float(rho)
-    return SeriesFunction(tuple(head), best)
+    for rho in np.geomspace(1e-3, 1e9, 241)[::-1]:
+        if _tail_ok(src, N, rho, tail_tol, head) and _roots_agree(roots_n, roots_w, rho, 10 * tail_tol):
+            return SeriesFunction(tuple(head), float(rho))
+    return SeriesFunction(tuple(head), 0.0)
 
 
 def _tail_ok(src: np.ndarray, N: int, rho: float, tail_tol: float, head: np.ndarray) -> bool:

@@ -1,11 +1,12 @@
 """Simultaneous polynomial root iteration and alpha-point extraction.
 
-find_roots runs an Aberth-Ehrlich iteration from a deterministic ring of
-initial guesses (fixed irrational angular offset, no randomness), polishes by
-Newton on the scaled polynomial, and clusters near-coincident roots into
-multiplicities.  Simple roots then take Newton steps on the original
-coefficients with a compensated (twice-working-precision) Horner residual, all
-roots at once; multiple roots take modified-Newton steps in 50-digit mpmath.
+find_roots runs an Aberth-Ehrlich iteration from deterministic initial guesses
+on circles read off the Newton polygon of the coefficients (fixed irrational
+angular offset, no randomness), polishes by Newton on the scaled polynomial,
+and clusters near-coincident roots into multiplicities.  Simple roots then
+take Newton steps on the original coefficients with a compensated
+(twice-working-precision) Horner residual, all roots at once; multiple roots
+take modified-Newton steps in 50-digit mpmath.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points.
 """
@@ -60,8 +61,9 @@ def _strip_and_scale(coeffs) -> tuple[np.ndarray, float, int]:
     """Strip zero leading/trailing coefficients; rescale z = lam*u in log space.
 
     Returns (scaled ascending coefficients with unit max modulus, lam,
-    origin_multiplicity).  The scaled polynomial has |c_0/c_n| = 1, so the
-    canonical initial-guess circle has radius 1.
+    origin_multiplicity).  The scaled polynomial has |c_0/c_n| = 1: its root
+    moduli have geometric mean 1, and when its Newton polygon is one edge
+    every initial guess lies on the unit circle (up to rounding).
     """
     c = np.asarray(coeffs, complex)
     n = len(c) - 1
@@ -121,10 +123,38 @@ def _newton_corrections(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray) -> np.nd
     return num / np.where(den == 0, 1e-300, den)
 
 
+def _start_points(sc: np.ndarray) -> np.ndarray:
+    """Initial guesses on circles read off the Newton polygon of sc.
+
+    Each edge (i1, i2) of the upper convex hull of (i, log|sc_i|), taken over
+    the nonzero coefficients, puts i2 - i1 points on the circle of radius
+    (|sc_i1| / |sc_i2|)^(1/(i2 - i1)), where about that many root moduli lie
+    (Bini 1996; Bini & Robol 2014).  Angles are equispaced with the golden
+    angle as offset, each circle turned by a further 2 pi i1 / n.
+    """
+    n = len(sc) - 1
+    nz = np.flatnonzero(sc)
+    hull: list[tuple[int, float]] = []
+    for i, lg in zip(nz.tolist(), np.log(np.abs(sc[nz])).tolist()):
+        # drop the last vertex while it lies on or below the chord to (i, lg)
+        while len(hull) >= 2:
+            (ia, la), (ib, lb) = hull[-2:]
+            if (lb - la) * (i - ia) > (lg - la) * (ib - ia):
+                break
+            hull.pop()
+        hull.append((i, lg))
+    circles = []
+    for (ia, la), (ib, lb) in zip(hull, hull[1:]):
+        m = ib - ia
+        angles = 2 * np.pi * np.arange(m) / m + _ANGLE_OFFSET + 2 * np.pi * ia / n
+        circles.append(math.exp((la - lb) / m) * np.exp(1j * angles))
+    return np.concatenate(circles)
+
+
 def _aberth(sc: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     n = len(sc) - 1
     dsc = np.arange(1, n + 1) * sc[1:]
-    u = np.exp(1j * (2 * np.pi * np.arange(n) / n + _ANGLE_OFFSET))
+    u = _start_points(sc)
     last = np.inf
     stall = 0
     with np.errstate(all="ignore"):
@@ -356,7 +386,7 @@ def find_roots(
 ) -> list[RootCluster]:
     """All complex roots of an ascending coefficient list, with multiplicities.
 
-    Deterministic: fixed initial ring, fixed iteration schedule.  Clusters
+    Deterministic: fixed initial circles, fixed iteration schedule.  Clusters
     whose multiplicity exceeds max_multiplicity (when given), and iterates
     that do not polish onto a simple root of their own, raise SolverError.
     Sum of multiplicities equals the (stripped) degree.

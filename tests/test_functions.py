@@ -15,8 +15,17 @@ from alphasectors import (
     truncate_series,
     unit_rotation,
 )
-from alphasectors.functions import DEFAULT_POLE_TOL, alpha_polynomial, eval_many, log_derivative_many
-from alphasectors.qseries import partial_theta_coeffs
+from alphasectors.functions import (
+    _TAIL_EXTRA,
+    DEFAULT_POLE_TOL,
+    _roots_agree,
+    _tail_ok,
+    alpha_polynomial,
+    eval_many,
+    log_derivative_many,
+)
+from alphasectors.qseries import disturbed_exp_coeffs, partial_theta_coeffs, sokal_poly_coeffs
+from alphasectors.solver import find_roots
 
 FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
 FIG3 = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))
@@ -222,6 +231,94 @@ def test_truncated_exponential_has_no_certified_zeros():
     assert series.trust_radius > 0
     pts = alpha_points(series, 0.0, min(series.trust_radius, 5.0), k=2)
     assert pts == []
+
+
+# ---------------------------------------------------------------------------
+# differential test of the top-down trust-radius scan against the forward scan
+# it replaced (a verbatim copy, but for the import of find_roots)
+# ---------------------------------------------------------------------------
+
+
+def ref_truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFunction:
+    if N < 1:
+        raise ValueError("truncation degree must be >= 1")
+    if not tail_tol > 0:  # also refuses NaN
+        raise ValueError("tail_tol must be positive")
+    src = np.asarray(series.coeffs, complex)
+    if len(src) < N + _TAIL_EXTRA + 1:
+        raise ValueError(
+            f"source coefficients up to degree >= {N + _TAIL_EXTRA} required, got {len(src) - 1}"
+        )
+    head = src[: N + 1]
+    wide = src[: N + _TAIL_EXTRA + 1]
+
+    # a non-decaying coefficient tail certifies nothing
+    tail_mags = np.abs(src[N + 1 :])
+    if tail_mags[-1] > 0 and tail_mags[-1] >= tail_mags[0] > 0:
+        return SeriesFunction(tuple(head), 0.0)
+
+    roots_n = [cl.center for cl in find_roots(head)]
+    roots_w = [cl.center for cl in find_roots(wide)]
+
+    grid = np.geomspace(1e-3, 1e9, 241)
+    best = 0.0
+    for rho in grid:
+        if not _tail_ok(src, N, rho, tail_tol, head):
+            continue
+        if not _roots_agree(roots_n, roots_w, rho, 10 * tail_tol):
+            continue
+        best = float(rho)
+    return SeriesFunction(tuple(head), best)
+
+
+def _gapped_series() -> tuple[SeriesFunction, int, float]:
+    """A series whose certified radii are not contiguous on the grid.
+
+    The head z^3 (z - 2) vanishes on |z| = 2, so there the tail bound falls
+    back to tail_tol and fails, while a little further out |P_4| outgrows the
+    tail again (tail / |P_4| ~ 1e-10 rho^2 / (rho - 2) is least at rho = 4).
+    """
+    tail = [1e-7 * 1e-3**j for j in range(1, 11)]
+    return SeriesFunction((0.0, 0.0, 0.0, -2.0, 1.0, *tail)), 4, 1e-9
+
+
+TRUNCATIONS = {
+    "theta-0.5-40": lambda: (SeriesFunction(tuple(partial_theta_coeffs(0.5, 50))), 40, 1e-9),
+    "theta-0.3-20": lambda: (SeriesFunction(tuple(partial_theta_coeffs(0.3, 30))), 20, 1e-9),
+    "theta-0.7i-64": lambda: (SeriesFunction(tuple(partial_theta_coeffs(0.7j, 74))), 64, 1e-9),
+    "theta-1.1-30": lambda: (SeriesFunction(tuple(partial_theta_coeffs(1.1, 40))), 30, 1e-9),
+    "dexp-1i-40": lambda: (SeriesFunction(tuple(disturbed_exp_coeffs(1j, 50))), 40, 1e-9),
+    "dexp-0.9i-64": lambda: (SeriesFunction(tuple(disturbed_exp_coeffs(0.9j, 74))), 64, 1e-6),
+    "binomial-0.6i-40": lambda: (SeriesFunction(tuple(sokal_poly_coeffs(0.6j, 50))), 40, 1e-9),
+    "binomial-0.3i-30": lambda: (SeriesFunction(tuple(sokal_poly_coeffs(0.3j, 40))), 30, 1e-9),
+    "geometric-40": lambda: (SeriesFunction((1.0,) * 61), 40, 1e-9),
+    "exp-30-tiny-tol": lambda: (SeriesFunction(tuple(1 / math.factorial(n) for n in range(41))), 30, 1e-300),
+    "gapped": _gapped_series,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATIONS))
+def test_top_down_scan_matches_the_forward_scan(name):
+    series, N, tail_tol = TRUNCATIONS[name]()
+    got = truncate_series(series, N, tail_tol)
+    assert got.trust_radius == ref_truncate_series(series, N, tail_tol).trust_radius
+    if name in ("theta-1.1-30", "geometric-40", "exp-30-tiny-tol"):
+        assert got.trust_radius == 0.0
+    else:
+        assert got.trust_radius > 0
+
+
+def test_gapped_series_certifies_its_largest_radius():
+    series, N, tail_tol = _gapped_series()
+    src = np.asarray(series.coeffs, complex)
+    head = src[: N + 1]
+    roots_n = [cl.center for cl in find_roots(head)]
+    roots_w = [cl.center for cl in find_roots(src)]
+    grid = np.geomspace(1e-3, 1e9, 241)
+    ok = [_tail_ok(src, N, rho, tail_tol, head) and _roots_agree(roots_n, roots_w, rho, 10 * tail_tol) for rho in grid]
+    runs = [i for i in range(1, len(ok)) if ok[i] and not ok[i - 1]]
+    assert ok[0] and len(runs) == 1 and not ok[-1]  # two separate runs of certified radii
+    assert 2 < truncate_series(series, N, tail_tol).trust_radius == grid[max(np.flatnonzero(ok))]
 
 
 # ---------------------------------------------------------------------------

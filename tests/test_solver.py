@@ -24,7 +24,8 @@ from alphasectors import (
 )
 from alphasectors.cli import FIG2_A, FIG2_B, FIG3_SPEC
 from alphasectors.functions import alpha_polynomial
-from alphasectors.solver import DEGREE_CAP
+from alphasectors import solver
+from alphasectors.solver import DEGREE_CAP, _check_simple
 
 from helpers import random_alpha_generic, random_structured
 
@@ -340,15 +341,70 @@ def test_find_roots_at_degree_cap():
     assert np.max(np.abs(product / np.polyval(coeffs[::-1], w) - 1)) <= 1e-10
 
 
-def test_root_found_twice_is_a_solver_error():
-    # the binomial q-polynomial at q = 0.7i, N = 80: Aberth leaves a spurious
-    # iterate 5e-4 from the root 0.00113766...-0.14653106...i, and Newton
-    # drags it onto that root, so one root would be returned twice and
-    # another lost (60-digit mp.polyroots has no second root within 0.14)
-    coeffs = sokal_poly_coeffs(0.7j, 80)
+def test_check_simple_names_a_root_found_twice_and_an_unsettled_step():
+    # an iterate that Newton drags onto a root already found: both copies
+    # settle (last steps at rounding level) but one root would count twice
+    twice = 0.001137662161622859 - 0.14653106812259148j
+    z = np.array([twice, twice, 0.5 + 0.5j])
     with pytest.raises(SolverError, match="not a simple root of its own") as exc:
-        find_roots(coeffs)
+        _check_simple(z, np.full(3, 1e-16))
     assert str(exc.value).count("0.00113766216") == 2
+    # an iterate whose last polish step is still far above rounding level
+    with pytest.raises(SolverError, match="last polish step 1e-06 of") as exc:
+        _check_simple(np.array([1.0 + 0j, 2.0 + 1j, -3.0 + 0j]), np.array([1e-16, 1e-6, 1e-16]))
+    assert exc.value.residuals == (1e-6,)
+    _check_simple(np.array([1.0 + 0j, 2.0 + 1j]), np.full(2, 1e-16))
+
+
+# inputs on which Aberth, started from one ring, stalled on iterates that
+# were no root, so that find_roots raised SolverError
+FORMER_STALLS = {
+    "binomial-0.7i-80": lambda: sokal_poly_coeffs(0.7j, 80),
+    "binomial-0.75i-80": lambda: sokal_poly_coeffs(0.75j, 80),
+    "binomial-0.29176i-40": lambda: sokal_poly_coeffs(0.29175822380220895j, 40),
+    "dexp-0.69522i-80": lambda: disturbed_exp_coeffs(0.6952190148257329j, 80),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMER_STALLS))
+def test_former_stall_inputs_match_extended_precision_roots(name):
+    coeffs = np.asarray(FORMER_STALLS[name](), complex)
+    coeffs = coeffs[: np.flatnonzero(coeffs)[-1] + 1]  # top coefficients underflow to 0
+    got = [cl.center for cl in find_roots(coeffs, max_multiplicity=1)]
+    assert len(got) == len(coeffs) - 1
+    # Durand-Kerner in 60 digits; it raises unless every correction falls
+    # below 1e-60, and such a fixed point of distinct iterates is the whole
+    # root set, whatever the start.  Starting from the roots under test only
+    # spares the hundreds of steps it takes from mpmath's own start.
+    with mp.workdps(60):
+        ref = mp.polyroots([mp.mpc(c) for c in coeffs[::-1]], maxsteps=20, extraprec=200, roots_init=got)
+        ref = np.array([complex(r) for r in ref])
+    nearest = [int(np.argmin(np.abs(ref - z))) for z in got]
+    assert sorted(nearest) == list(range(len(ref)))  # root for root, none twice
+    for z, i in zip(got, nearest):
+        assert abs(z - ref[i]) <= 4 * np.spacing(abs(ref[i])), (z, ref[i])
+
+
+def _aberth_iterations(monkeypatch, coeffs) -> int:
+    calls = []
+    newton = solver._newton_corrections
+    monkeypatch.setattr(solver, "_newton_corrections", lambda *a: calls.append(1) or newton(*a))
+    sc, _, _ = solver._strip_and_scale(coeffs)
+    solver._aberth(sc, 1e-10, solver.MAX_ITERS)
+    return len(calls)
+
+
+def test_newton_polygon_start_fits_geometric_root_moduli(monkeypatch):
+    # log|c_n| is quadratic in n, so the root moduli are geometric; one
+    # start ring took 99 iterations here, the Newton-polygon circles 12
+    assert _aberth_iterations(monkeypatch, partial_theta_coeffs(0.7j, 80)) <= 30
+
+
+def test_newton_polygon_start_costs_random_inputs_nothing(monkeypatch):
+    # ten random degree-256 solves took 129 iterations from one start ring
+    # (11-14 each); the Newton-polygon circles take 126
+    total = sum(_aberth_iterations(monkeypatch, _random_poly(seed, 256)) for seed in range(10))
+    assert total <= 129
 
 
 def test_import_leaves_mpmath_unloaded():
