@@ -5,7 +5,13 @@ Results are emitted as modulus-sorted CSV tables, JSON verification reports,
 and optional static SVG plots (points, sector rays, zero/pole circles).
 All numeric output is printed with 17 significant digits.
 
-Exit status is 0 exactly when every requested verification passed.
+The figure demos are tables of (spec, alphas, theorems) run through the
+same checks as `verify --theorem`; the q-series demos are family specs read
+by spec_from_dict, like any `{"type": "series", "family": ..}` file.
+
+Exit status is 0 exactly when every requested verification passed.  Bad
+input, and a SolverError or ValueError from the library, end in one
+`error: ...` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -29,10 +35,10 @@ from .checks import (
     verify_k2_distribution,
     verify_real_power_case,
 )
-from .functions import SeriesFunction, StructuredFunction, factor_moduli, truncate_series
-from .qseries import QSeriesSpec, disturbed_exp_coeffs, partial_theta_coeffs
-from .sectors import real_direction_index
-from .solver import alpha_points
+from .functions import AlphaPoint, SeriesFunction, StructuredFunction, factor_moduli, truncate_series
+from .qseries import QSeriesSpec
+from .sectors import classify_sector, real_direction_index
+from .solver import SolverError, alpha_points
 from .winding import InconclusiveRegion, sector_census
 
 
@@ -74,12 +80,20 @@ def _scalar_field(data: dict, name: str, cast, default, where: str):
 
 
 def _complex_from_json(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(obj)
     parts_are_numbers = isinstance(obj, dict) and all(isinstance(v, (int, float)) for v in obj.values())
-    if parts_are_numbers and set(obj) <= {"re", "im"}:
-        return complex(obj.get("re", 0.0), obj.get("im", 0.0))
-    raise SystemExit(f"error: field {where}: expected a number or {{'re':..,'im':..}}")
+    if isinstance(obj, (int, float)):
+        parts = (obj, 0.0)
+    elif parts_are_numbers and set(obj) <= {"re", "im"}:
+        parts = (obj.get("re", 0.0), obj.get("im", 0.0))
+    else:
+        raise SystemExit(f"error: field {where}: expected a number or {{'re':..,'im':..}}")
+    try:
+        z = complex(*parts)
+    except OverflowError as exc:  # an integer beyond double range
+        raise SystemExit(f"error: field {where}: {exc}") from None
+    if not cmath.isfinite(z):
+        raise SystemExit(f"error: field {where}: {z} is not a finite complex number")
+    return z
 
 
 def _complex_to_json(z: complex):
@@ -282,8 +296,7 @@ def cmd_solve(args) -> int:
             f"{_fmt(abs(pt.value.imag))}i  |z| = {_fmt(pt.modulus)}  Q{pt.sector.s}"
             f"{' (boundary)' if pt.boundary else ''}  mult {pt.multiplicity}"
         )
-    emit_results(points, [], _emit_config(args, spec))
-    return 0
+    return _emit_and_print(points, [], spec, args.csv, args.json_out, args.svg)
 
 
 def _resolve_radius(spec, radius_arg: str) -> float:
@@ -294,14 +307,14 @@ def _resolve_radius(spec, radius_arg: str) -> float:
     return _radius_flag(radius_arg, "--radius")
 
 
-def _emit_config(args, spec) -> dict:
-    return {
-        "csv": getattr(args, "csv", None),
-        "json": getattr(args, "json_out", None),
-        "svg": getattr(args, "svg", None),
-        "spec": spec,
-        "k": spec.k if isinstance(spec, StructuredFunction) else 2,
-    }
+def _emit_and_print(points, reports, spec, csv, json_out, svg, prefix: str = "") -> int:
+    """Write the requested artifacts, print one line per report; 0 when all passed."""
+    emit_results(points, reports, {"csv": csv, "json": json_out, "svg": svg, "spec": spec})
+    for r in reports:
+        print(f"{prefix}{r.theorem}: {'passed' if r.passed else 'FAILED'} ({r.checks_run} checks)")
+        for v in r.violations:
+            print(f"  violation: {v}")
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_predict(args) -> int:
@@ -320,29 +333,15 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _k2_args(spec: StructuredFunction):
-    j = (spec.p - 1) // 2
-    return j, 1 if spec.p > 0 else -1
-
-
 def cmd_verify(args) -> int:
     spec = parse_spec_file(args.spec)
     if not isinstance(spec, StructuredFunction):
         raise SystemExit("error: verify works on rational specs; use demo for series targets")
     alpha = _parse_complex(args.alpha)
     radius = _resolve_radius(spec, args.radius)
-    try:
-        points = alpha_points(spec, alpha, radius, tol=args.tol)
-        reports = _verify_reports(spec, alpha, points, args.theorem)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
-    emit_results(points, reports, _emit_config(args, spec))
-    ok = all(r.passed for r in reports)
-    for r in reports:
-        print(f"{r.theorem}: {'passed' if r.passed else 'FAILED'} ({r.checks_run} checks)")
-        for v in r.violations:
-            print(f"  violation: {v}")
-    return 0 if ok else 1
+    points = alpha_points(spec, alpha, radius, tol=args.tol)
+    reports = _verify_reports(spec, alpha, points, args.theorem)
+    return _emit_and_print(points, reports, spec, args.csv, args.json_out, args.svg)
 
 
 def _verify_reports(spec, alpha, points, theorem):
@@ -360,13 +359,12 @@ def _verify_reports(spec, alpha, points, theorem):
     elif theorem == "k2":
         if spec.k != 2:
             raise SystemExit("error: --theorem k2 requires k = 2")
-        j, sign = _k2_args(spec)
         reports.append(
             verify_k2_distribution(
                 points,
                 normalized_alpha(spec, alpha),
-                j,
-                sign,
+                j=(spec.p - 1) // 2,
+                sign_of_p=1 if spec.p > 0 else -1,
                 # the first-point claims hold for the meromorphic subfamily only
                 first_point_checks=spec.is_meromorphic_form,
             )
@@ -405,117 +403,70 @@ FIG2_A = StructuredFunction(p=1, k=3, a=(1.0, 3.0, 4.0), b=(1.0, 5.0))
 FIG2_B = StructuredFunction(p=-1, k=3, a=(1.0, 3.0, 4.0), b=(1.0, 5.0))
 FIG3_SPEC = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))
 
-DEMO_NAMES = ("fig1", "fig2a", "fig2b", "fig3", "theta", "dexp")
+_FIG2_ALPHAS = (cmath.exp(1j * math.pi / 3), cmath.exp(1j * math.pi / 2), cmath.exp(2j * math.pi / 3))
+# spec, the alphas solved in turn on |z| <= 10 (the last one's table is
+# emitted), and the `verify --theorem` checks run on each
+FIGURES = {
+    "fig1": (FIG1_SPEC, (-1 - 1j,), ("main",)),
+    "fig2a": (FIG2_A, _FIG2_ALPHAS, ("first",)),
+    "fig2b": (FIG2_B, _FIG2_ALPHAS, ("first",)),
+    "fig3": (FIG3_SPEC, (1j, 0.2j), ("main2", "k2")),
+}
+# zeros of the certified truncation, checked against the k = 2 quadrant theorem
+SERIES_DEMOS = {
+    "theta": {"type": "series", "family": "partial-theta", "q": {"re": 0, "im": 0.7}, "N": 64},
+    "dexp": {"type": "series", "family": "disturbed-exp", "q": {"re": 0, "im": 1}, "N": 40},
+}
+
+DEMO_NAMES = (*FIGURES, *SERIES_DEMOS)
 
 
-def _demo_fig1(tol: float):
-    alpha = -1 - 1j
-    points = alpha_points(FIG1_SPEC, alpha, 10.0, tol=tol)
-    reports = [verify_generic_interlacing(points, alpha, FIG1_SPEC)]
-    counts = sector_census(FIG1_SPEC, alpha, 0.01, 10.0)
-    solver_counts = points_census(points, 3, 0.01, 10.0)
-    if counts != solver_counts:
-        reports.append(
-            VerificationReport(
-                "winding census", False, 1,
-                (Violation("census-mismatch", (), (counts, solver_counts)),),
-            )
-        )
-    else:
-        reports.append(VerificationReport("winding census", True, 1, (), (f"counts={counts}",)))
-    return points, reports, FIG1_SPEC
-
-
-def _demo_first_points(spec, tol: float):
-    alphas = [cmath.exp(1j * math.pi / 3), cmath.exp(1j * math.pi / 2), cmath.exp(2j * math.pi / 3)]
-    all_points = []
+def _demo_figure(name: str, tol: float):
+    spec, alphas, theorems = FIGURES[name]
     reports = []
     for alpha in alphas:
         points = alpha_points(spec, alpha, 10.0, tol=tol)
-        fc = predict_first_location(spec, alpha)
-        rep = verify_first_location(points, fc, spec.k)
-        reports.append(rep)
-        all_points = points  # emit the last run's table
-    return all_points, reports, spec
+        for theorem in theorems:
+            reports += _verify_reports(spec, alpha, points, theorem)
+    if name == "fig1":  # cross-check the solver against an independent winding count
+        counts = sector_census(spec, alpha, 0.01, 10.0)
+        solver_counts = points_census(points, spec.k, 0.01, 10.0)
+        if counts != solver_counts:
+            mismatch = Violation("census-mismatch", (), (counts, solver_counts))
+            reports.append(VerificationReport("winding census", False, 1, (mismatch,)))
+        else:
+            reports.append(VerificationReport("winding census", True, 1, (), (f"counts={counts}",)))
+    return points, reports, spec
 
 
-def _demo_fig3(tol: float):
-    reports = []
-    points_out = []
-    for alpha in (1j, 0.2j):
-        points = alpha_points(FIG3_SPEC, alpha, 10.0, tol=tol)
-        reports.append(verify_real_power_case(points, alpha, FIG3_SPEC))
-        j, sign = _k2_args(FIG3_SPEC)
-        reports.append(
-            verify_k2_distribution(points, normalized_alpha(FIG3_SPEC, alpha), j, sign)
-        )
-        points_out = points
-    return points_out, reports, FIG3_SPEC
-
-
-def _rotated_zero_points(series: SeriesFunction, radius: float, tol: float):
-    """Zeros of the truncation, rotated by mu = exp(i pi/4) into theorem position."""
-    from .functions import AlphaPoint
-    from .sectors import classify_sector
-
+def _demo_series(name: str, tol: float):
+    """Zeros of the certified truncation, checked after rotation by mu = exp(i pi/4) into theorem position."""
+    data = SERIES_DEMOS[name]
+    series = spec_from_dict(data, f"demo {name}")
+    radius = series.trust_radius
     zeros = alpha_points(series, 0.0, radius, tol=tol, k=2)
     mu = cmath.exp(1j * math.pi / 4)
     rotated = []
     for pt in zeros:
         z = mu * pt.value
-        sector, boundary = classify_sector(z, 2)
-        rotated.append(AlphaPoint(z, abs(z), sector, boundary, pt.multiplicity, pt.residual))
-    return zeros, rotated
-
-
-def _demo_series(family: str, n_trunc: int, source, tol: float):
-    src = SeriesFunction(tuple(source))
-    series = truncate_series(src, n_trunc, 1e-9)
-    radius = series.trust_radius
-    zeros, rotated = _rotated_zero_points(series, radius, tol)
+        rotated.append(AlphaPoint(z, abs(z), *classify_sector(z, 2), pt.multiplicity, pt.residual))
     alpha_rot = -cmath.exp(-1j * math.pi / 4)  # -conj(mu) * f1/f0 with f1 = f0 = 1
-    rep = verify_k2_distribution(
-        rotated,
-        alpha_rot,
-        j=-1,
-        sign_of_p=-1,
-        notes=(f"{family}: zeros rotated by exp(i pi/4); trust radius {radius:.6g}",),
-    )
-    return zeros, [rep], series
+    notes = (f"{data['family']}: zeros rotated by exp(i pi/4); trust radius {radius:.6g}",)
+    return zeros, [verify_k2_distribution(rotated, alpha_rot, j=-1, sign_of_p=-1, notes=notes)], series
 
 
 def run_demo(name: str, outdir: str = ".", tol: float | None = None) -> int:
     """Execute a bundled fixture end to end; nonzero exit on any failure."""
     tol = _default_tol() if tol is None else tol
-    if name == "fig1":
-        points, reports, spec = _demo_fig1(tol)
-    elif name == "fig2a":
-        points, reports, spec = _demo_first_points(FIG2_A, tol)
-    elif name == "fig2b":
-        points, reports, spec = _demo_first_points(FIG2_B, tol)
-    elif name == "fig3":
-        points, reports, spec = _demo_fig3(tol)
-    elif name == "theta":
-        points, reports, spec = _demo_series("partial-theta", 64, partial_theta_coeffs(0.7j, 74), tol)
-    elif name == "dexp":
-        points, reports, spec = _demo_series("disturbed-exp", 40, disturbed_exp_coeffs(1j, 50), tol)
+    if name in FIGURES:
+        points, reports, spec = _demo_figure(name, tol)
+    elif name in SERIES_DEMOS:
+        points, reports, spec = _demo_series(name, tol)
     else:
         raise SystemExit(f"error: unknown demo {name!r}; choose from {DEMO_NAMES}")
     os.makedirs(outdir, exist_ok=True)
-    config = {
-        "csv": os.path.join(outdir, f"{name}.csv"),
-        "json": os.path.join(outdir, f"{name}_report.json"),
-        "svg": os.path.join(outdir, f"{name}.svg"),
-        "spec": spec if isinstance(spec, StructuredFunction) else None,
-        "k": spec.k if isinstance(spec, StructuredFunction) else 2,
-    }
-    emit_results(points, reports, config)
-    ok = all(r.passed for r in reports)
-    for r in reports:
-        print(f"{name}: {r.theorem}: {'passed' if r.passed else 'FAILED'} ({r.checks_run} checks)")
-        for v in r.violations:
-            print(f"  violation: {v}")
-    return 0 if ok else 1
+    paths = [os.path.join(outdir, name + suffix) for suffix in (".csv", "_report.json", ".svg")]
+    return _emit_and_print(points, reports, spec, *paths, prefix=f"{name}: ")
 
 
 def cmd_demo(args) -> int:
@@ -572,7 +523,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SolverError, ValueError) as exc:  # typed library errors; PoleProximity arrives as a SolverError
+        raise SystemExit(f"error: {exc}") from None
 
 
 if __name__ == "__main__":

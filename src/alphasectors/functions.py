@@ -101,8 +101,8 @@ class SeriesFunction:
         object.__setattr__(self, "coeffs", tuple(complex(x) for x in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("coefficient list must be nonempty")
-        if self.trust_radius < 0:
-            raise ValueError("trust_radius must be nonnegative")
+        if not self.trust_radius >= 0:  # NaN too
+            raise ValueError(f"trust_radius must be nonnegative, got {self.trust_radius}")
 
     @property
     def degree(self) -> int:

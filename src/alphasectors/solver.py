@@ -35,6 +35,7 @@ DEFAULT_CLUSTER_TOL = 1e-7
 MAX_ITERS = 200
 DEGREE_CAP = 512
 
+_LOG_MAX = math.log(np.finfo(float).max)
 _ANGLE_OFFSET = 2.399963229728653  # golden angle, fixed irrational offset
 _POLISH_DPS = 50
 
@@ -66,6 +67,9 @@ def _strip_and_scale(coeffs) -> tuple[np.ndarray, float, int]:
     every initial guess lies on the unit circle (up to rounding).
     """
     c = np.asarray(coeffs, complex)
+    if not np.isfinite(c).all():
+        i = np.flatnonzero(~np.isfinite(c))[0]
+        raise ValueError(f"polynomial coefficient {i} is {c[i]}, not a finite number")
     n = len(c) - 1
     while n > 0 and c[n] == 0:
         n -= 1
@@ -84,6 +88,8 @@ def _strip_and_scale(coeffs) -> tuple[np.ndarray, float, int]:
     logs = np.full(n + 1, -np.inf)
     logs[nz] = np.log(mags[nz])
     loglam = (logs[0] - logs[n]) / n
+    if loglam > _LOG_MAX:  # the roots' geometric-mean modulus
+        raise SolverError(f"root moduli near e^{loglam:.0f} lie beyond double range")
     slog = logs + loglam * np.arange(n + 1)
     slog -= slog[np.isfinite(slog)].max()
     sc = np.zeros(n + 1, complex)
@@ -146,6 +152,8 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
     circles = []
     for (ia, la), (ib, lb) in zip(hull, hull[1:]):
         m = ib - ia
+        if (la - lb) / m > _LOG_MAX:
+            raise SolverError(f"scaled root moduli near e^{(la - lb) / m:.0f} lie beyond double range")
         angles = 2 * np.pi * np.arange(m) / m + _ANGLE_OFFSET + 2 * np.pi * ia / n
         circles.append(math.exp((la - lb) / m) * np.exp(1j * angles))
     return np.concatenate(circles)
@@ -388,8 +396,9 @@ def find_roots(
 
     Deterministic: fixed initial circles, fixed iteration schedule.  Clusters
     whose multiplicity exceeds max_multiplicity (when given), and iterates
-    that do not polish onto a simple root of their own, raise SolverError.
-    Sum of multiplicities equals the (stripped) degree.
+    that do not polish onto a simple root of their own, raise SolverError, as
+    does a root beyond double range; a non-finite coefficient raises
+    ValueError.  Sum of multiplicities equals the (stripped) degree.
     """
     sc, lam, m0 = _strip_and_scale(coeffs)
     out: list[RootCluster] = []
@@ -422,7 +431,9 @@ def find_roots(
 
     centers = np.array([center for _, center in found])
     sizes = np.array([len(sub) for sub, _ in found])
-    simple = np.flatnonzero((sizes == 1) & np.isfinite(centers) & (centers != 0))
+    if not np.isfinite(centers).all():
+        raise SolverError("a root lies beyond double range")
+    simple = np.flatnonzero((sizes == 1) & (centers != 0))
     if len(simple):
         centers[simple], last = _polish_simple(original, centers[simple])
         _check_simple(centers[simple], last)

@@ -1,16 +1,38 @@
+import cmath
 import json
+import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import alphasectors
+from alphasectors.checks import (
+    VerificationReport,
+    Violation,
+    normalized_alpha,
+    points_census,
+    predict_first_location,
+    verify_first_location,
+    verify_generic_interlacing,
+    verify_k2_distribution,
+    verify_real_power_case,
+)
 from alphasectors.cli import (
     DEMO_NAMES,
+    _default_tol,
+    emit_results,
     main,
     parse_spec_file,
     run_demo,
     spec_from_dict,
     spec_to_dict,
 )
-from alphasectors.functions import SeriesFunction, StructuredFunction
+from alphasectors.functions import SeriesFunction, StructuredFunction, truncate_series
+from alphasectors.qseries import disturbed_exp_coeffs, partial_theta_coeffs
+from alphasectors.solver import alpha_points
+from alphasectors.winding import sector_census
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
@@ -114,11 +136,22 @@ THETA_JSON = {"type": "series", "family": "partial-theta", "q": {"re": 0, "im": 
         (FIG1_JSON, census_args(rin="nan"), "--rin"),
         (FIG1_JSON, census_args(rout="inf"), "--rout"),
         (FIG1_JSON, census_args(alpha="1e30"), "slice Q0, edge detour r=1 on ray 0"),
+        ({"type": "series", "coeffs": [1, {"re": math.nan}], "trust_radius": 1}, solve_args("0"), "field coeffs[1]"),
+        ({"type": "series", "coeffs": [1, {"re": math.inf}], "trust_radius": 1}, solve_args("1"), "field coeffs[1]"),
+        ({"type": "series", "coeffs": [1, 2, -math.inf], "trust_radius": 1}, solve_args("0"), "field coeffs[2]"),
+        ({"type": "series", "coeffs": [1, {"im": 10**400}], "trust_radius": 1}, solve_args("0"), "field coeffs[1]"),
+        ({"type": "series", "coeffs": [1, 2], "trust_radius": math.nan}, solve_args("0"), "trust_radius"),
+        ({**THETA_JSON, "q": {"re": 0, "im": math.nan}}, solve_args("0"), "field q"),
+        (FIG1_JSON, solve_args("0", radius="1"), "alpha must be nonzero"),
+        (FIG1_JSON, ["predict", "--alpha=0"], "alpha must be nonzero"),
+        ({**THETA_JSON, "q": 0.9, "N": 80}, solve_args("0", radius="trust"), "did not converge"),
     ],
     ids=[
         "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
         "tail-tol-string", "N-list", "coeffs-not-list", "solve-radius-inf", "verify-radius-inf",
         "census-rin-zero", "census-rin-above-rout", "census-rin-nan", "census-rout-inf", "census-inconclusive",
+        "coeffs-re-nan", "coeffs-re-inf", "coeffs-minus-inf", "coeffs-huge-int", "trust-radius-nan", "q-im-nan",
+        "solve-alpha-zero", "predict-alpha-zero", "theta-unconverged",
     ],
 )
 def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, args, field):
@@ -126,6 +159,19 @@ def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, ar
     with pytest.raises(SystemExit) as exc:
         main([args[0], "--spec", spec_path, *args[1:]])
     assert field in str(exc.value)
+
+
+def test_overflowing_spec_ends_in_one_error_line(tmp_path):
+    # the alpha-polynomial of a = (1e308, 1e308) has infinite coefficients
+    spec_path = write_spec(tmp_path, {"type": "rational", "p": 1, "k": 2, "a": [1e308, 1e308]})
+    src = os.path.dirname(os.path.dirname(alphasectors.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alphasectors.cli", "solve", "--spec", spec_path, "--alpha", "1", "--radius", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "not a finite number" in lines[0]
 
 
 def test_verify_exit_status_and_report(tmp_path):
@@ -226,3 +272,140 @@ def test_solve_series_with_trust_radius(tmp_path):
     assert rc == 0
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) > 6
+
+
+# ---------------------------------------------------------------------------
+# The demo pipelines as they were before the figure demos became a table run
+# through _verify_reports and the q-series demos became family specs, kept
+# verbatim as the reference for the current run_demo.
+# ---------------------------------------------------------------------------
+
+FIG1_SPEC = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
+FIG2_A = StructuredFunction(p=1, k=3, a=(1.0, 3.0, 4.0), b=(1.0, 5.0))
+FIG2_B = StructuredFunction(p=-1, k=3, a=(1.0, 3.0, 4.0), b=(1.0, 5.0))
+FIG3_SPEC = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))
+
+
+def _k2_args(spec: StructuredFunction):
+    j = (spec.p - 1) // 2
+    return j, 1 if spec.p > 0 else -1
+
+
+def _demo_fig1(tol: float):
+    alpha = -1 - 1j
+    points = alpha_points(FIG1_SPEC, alpha, 10.0, tol=tol)
+    reports = [verify_generic_interlacing(points, alpha, FIG1_SPEC)]
+    counts = sector_census(FIG1_SPEC, alpha, 0.01, 10.0)
+    solver_counts = points_census(points, 3, 0.01, 10.0)
+    if counts != solver_counts:
+        reports.append(
+            VerificationReport(
+                "winding census", False, 1,
+                (Violation("census-mismatch", (), (counts, solver_counts)),),
+            )
+        )
+    else:
+        reports.append(VerificationReport("winding census", True, 1, (), (f"counts={counts}",)))
+    return points, reports, FIG1_SPEC
+
+
+def _demo_first_points(spec, tol: float):
+    alphas = [cmath.exp(1j * math.pi / 3), cmath.exp(1j * math.pi / 2), cmath.exp(2j * math.pi / 3)]
+    all_points = []
+    reports = []
+    for alpha in alphas:
+        points = alpha_points(spec, alpha, 10.0, tol=tol)
+        fc = predict_first_location(spec, alpha)
+        rep = verify_first_location(points, fc, spec.k)
+        reports.append(rep)
+        all_points = points  # emit the last run's table
+    return all_points, reports, spec
+
+
+def _demo_fig3(tol: float):
+    reports = []
+    points_out = []
+    for alpha in (1j, 0.2j):
+        points = alpha_points(FIG3_SPEC, alpha, 10.0, tol=tol)
+        reports.append(verify_real_power_case(points, alpha, FIG3_SPEC))
+        j, sign = _k2_args(FIG3_SPEC)
+        reports.append(
+            verify_k2_distribution(points, normalized_alpha(FIG3_SPEC, alpha), j, sign)
+        )
+        points_out = points
+    return points_out, reports, FIG3_SPEC
+
+
+def _rotated_zero_points(series: SeriesFunction, radius: float, tol: float):
+    """Zeros of the truncation, rotated by mu = exp(i pi/4) into theorem position."""
+    from alphasectors.functions import AlphaPoint
+    from alphasectors.sectors import classify_sector
+
+    zeros = alpha_points(series, 0.0, radius, tol=tol, k=2)
+    mu = cmath.exp(1j * math.pi / 4)
+    rotated = []
+    for pt in zeros:
+        z = mu * pt.value
+        sector, boundary = classify_sector(z, 2)
+        rotated.append(AlphaPoint(z, abs(z), sector, boundary, pt.multiplicity, pt.residual))
+    return zeros, rotated
+
+
+def _demo_series(family: str, n_trunc: int, source, tol: float):
+    src = SeriesFunction(tuple(source))
+    series = truncate_series(src, n_trunc, 1e-9)
+    radius = series.trust_radius
+    zeros, rotated = _rotated_zero_points(series, radius, tol)
+    alpha_rot = -cmath.exp(-1j * math.pi / 4)  # -conj(mu) * f1/f0 with f1 = f0 = 1
+    rep = verify_k2_distribution(
+        rotated,
+        alpha_rot,
+        j=-1,
+        sign_of_p=-1,
+        notes=(f"{family}: zeros rotated by exp(i pi/4); trust radius {radius:.6g}",),
+    )
+    return zeros, [rep], series
+
+
+def reference_run_demo(name: str, outdir: str = ".", tol: float | None = None) -> int:
+    """Execute a bundled fixture end to end; nonzero exit on any failure."""
+    tol = _default_tol() if tol is None else tol
+    if name == "fig1":
+        points, reports, spec = _demo_fig1(tol)
+    elif name == "fig2a":
+        points, reports, spec = _demo_first_points(FIG2_A, tol)
+    elif name == "fig2b":
+        points, reports, spec = _demo_first_points(FIG2_B, tol)
+    elif name == "fig3":
+        points, reports, spec = _demo_fig3(tol)
+    elif name == "theta":
+        points, reports, spec = _demo_series("partial-theta", 64, partial_theta_coeffs(0.7j, 74), tol)
+    elif name == "dexp":
+        points, reports, spec = _demo_series("disturbed-exp", 40, disturbed_exp_coeffs(1j, 50), tol)
+    else:
+        raise SystemExit(f"error: unknown demo {name!r}; choose from {DEMO_NAMES}")
+    os.makedirs(outdir, exist_ok=True)
+    config = {
+        "csv": os.path.join(outdir, f"{name}.csv"),
+        "json": os.path.join(outdir, f"{name}_report.json"),
+        "svg": os.path.join(outdir, f"{name}.svg"),
+        "spec": spec if isinstance(spec, StructuredFunction) else None,
+        "k": spec.k if isinstance(spec, StructuredFunction) else 2,
+    }
+    emit_results(points, reports, config)
+    ok = all(r.passed for r in reports)
+    for r in reports:
+        print(f"{name}: {r.theorem}: {'passed' if r.passed else 'FAILED'} ({r.checks_run} checks)")
+        for v in r.violations:
+            print(f"  violation: {v}")
+    return 0 if ok else 1
+
+
+@pytest.mark.parametrize("name", DEMO_NAMES)
+def test_demo_matches_the_reference_pipeline(tmp_path, capsys, name):
+    rc = run_demo(name, str(tmp_path / "demo"))
+    out = capsys.readouterr().out
+    assert (reference_run_demo(name, str(tmp_path / "reference")), capsys.readouterr().out) == (rc, out)
+    for suffix in (".csv", "_report.json", ".svg"):
+        artifact = name + suffix
+        assert (tmp_path / "demo" / artifact).read_bytes() == (tmp_path / "reference" / artifact).read_bytes()

@@ -120,6 +120,24 @@ def test_find_roots_rejects_constants():
         find_roots([3.0])
 
 
+@pytest.mark.parametrize("coeffs", [[1, math.nan], [1, math.inf, 1], [complex(0, -math.inf), 1]])
+def test_find_roots_rejects_non_finite_coefficients(coeffs):
+    with pytest.raises(ValueError, match="not a finite number"):
+        find_roots(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        [1e308, 1e-300],  # the geometric-mean root modulus e^1400 overflows
+        [1e-300, 1e10, 1e-308],  # one root near 1e318: its start circle overflows
+    ],
+)
+def test_find_roots_beyond_double_range_is_a_solver_error(coeffs):
+    with pytest.raises(SolverError, match="beyond double range"):
+        find_roots(coeffs)
+
+
 def test_alpha_points_fig1():
     pts = alpha_points(FIG1, -1 - 1j, 10.0)
     assert len(pts) == 9
