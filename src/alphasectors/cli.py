@@ -130,6 +130,8 @@ def spec_from_dict(data: dict, where: str = "<spec>") -> StructuredFunction | Se
                 kwargs[name] = tuple(float(v) for v in vals)
             for name in ("A", "A0"):
                 kwargs[name] = float(data.get(name, 0.0))
+                if not math.isfinite(kwargs[name]):
+                    raise SystemExit(f"error: {where}: field {name!r}: {kwargs[name]} is not a finite number")
         except (TypeError, ValueError, OverflowError) as exc:
             raise SystemExit(f"error: {where}: field {name!r}: {exc}") from None
         try:

@@ -21,7 +21,10 @@ test and the zero/pole moduli (factor_moduli) all loop over those rows only.
 
 SeriesFunction holds a Maclaurin truncation of an entire target together with
 a certified trust radius; roots inside the trust radius are accepted as roots
-of the full function at the configured tolerance.
+of the full function at the configured tolerance.  truncate_series, which
+solves the truncation to certify that radius, keeps the roots it found on the
+series (field `roots`), and alpha_points reuses them for the alpha = 0 solve
+instead of solving the same coefficients again.
 """
 
 from __future__ import annotations
@@ -29,10 +32,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .sectors import SectorIndex, phase
+
+if TYPE_CHECKING:
+    from .solver import RootCluster
 
 DEFAULT_POLE_TOL = 1e-9
 
@@ -73,8 +80,10 @@ class StructuredFunction:
             vals = getattr(self, name)
             if any(not (v > 0) or not math.isfinite(v) for v in vals):
                 raise ValueError(f"all entries of {name} must be positive finite reals")
-        if self.A < 0 or self.A0 < 0:
-            raise ValueError("growth constants A, A0 must be nonnegative")
+        for name in ("A", "A0"):
+            v = getattr(self, name)
+            if not (v >= 0 and math.isfinite(v)):  # NaN fails v >= 0
+                raise ValueError(f"growth constant {name} must be a nonnegative finite real, got {v}")
         if self.A == 0 and self.A0 == 0 and not (self.a or self.b or self.c or self.d):
             raise ValueError("degenerate model: identically z^p")
         lists = ((self.a, False, False), (self.b, True, False), (self.c, False, True), (self.d, True, True))
@@ -92,10 +101,18 @@ class StructuredFunction:
 
 @dataclass(frozen=True)
 class SeriesFunction:
-    """Truncated power series sum c_n z^n with a certified trust radius."""
+    """Truncated power series sum c_n z^n with a certified trust radius.
+
+    roots, when not None, is find_roots(coeffs) at its default parameters:
+    truncate_series fills it from the solve it makes anyway, and alpha_points
+    reuses it for alpha = 0 at the same parameters.  It takes no part in
+    equality, hashing or the repr, so a series equals its coefficients and
+    radius whether or not it carries them.
+    """
 
     coeffs: tuple[complex, ...]
     trust_radius: float = 0.0
+    roots: tuple[RootCluster, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(complex(x) for x in self.coeffs))
@@ -349,7 +366,9 @@ def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFu
       * roots of the degree-N and degree-(N+10) truncations inside rho agree
         to 10*tail_tol relative.
 
-    Non-decaying tails give trust_radius 0.
+    Non-decaying tails give trust_radius 0.  The result carries the roots of
+    the degree-N solve (SeriesFunction.roots) unless the tail check returned
+    before solving.
     """
     if N < 1:
         raise ValueError("truncation degree must be >= 1")
@@ -370,13 +389,14 @@ def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFu
 
     from .solver import find_roots  # deferred: solver depends on this module
 
-    roots_n = [cl.center for cl in find_roots(head)]
+    clusters = tuple(find_roots(head))
+    roots_n = [cl.center for cl in clusters]
     roots_w = [cl.center for cl in find_roots(wide)]
 
     for rho in np.geomspace(1e-3, 1e9, 241)[::-1]:
         if _tail_ok(src, N, rho, tail_tol, head) and _roots_agree(roots_n, roots_w, rho, 10 * tail_tol):
-            return SeriesFunction(tuple(head), float(rho))
-    return SeriesFunction(tuple(head), 0.0)
+            return SeriesFunction(tuple(head), float(rho), clusters)
+    return SeriesFunction(tuple(head), 0.0, clusters)
 
 
 def _tail_ok(src: np.ndarray, N: int, rho: float, tail_tol: float, head: np.ndarray) -> bool:

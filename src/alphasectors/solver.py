@@ -8,7 +8,8 @@ take Newton steps on the original coefficients with a compensated
 (twice-working-precision) Horner residual, all roots at once; multiple roots
 take modified-Newton steps in 50-digit mpmath.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
-sectors, and returns modulus-sorted points.
+sectors, and returns modulus-sorted points; a series solved at alpha = 0
+reuses the roots truncate_series found for it when the parameters match.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .sectors import DEFAULT_ANGLE_TOL, classify_sector, phase
 
 DEFAULT_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-7
+DEFAULT_ROOT_TOL = 1e-10
 MAX_ITERS = 200
 DEGREE_CAP = 512
 
@@ -94,6 +96,11 @@ def _strip_and_scale(coeffs) -> tuple[np.ndarray, float, int]:
     slog -= slog[np.isfinite(slog)].max()
     sc = np.zeros(n + 1, complex)
     sc[nz] = np.exp(1j * np.angle(c[nz])) * np.exp(slog[nz])
+    if sc[0] == 0 or sc[n] == 0:  # the scaled problem would lose roots
+        raise SolverError(
+            f"scaled coefficient moduli span e^{-min(slog[0], slog[n]):.0f}, beyond double range: "
+            "an end coefficient underflows to 0"
+        )
     return sc, math.exp(loglam), m0
 
 
@@ -387,7 +394,7 @@ def _extended_polish(coeffs: np.ndarray, centers: list[complex], nus: list[int])
 
 def find_roots(
     coeffs,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_ROOT_TOL,
     max_iters: int = MAX_ITERS,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     max_multiplicity: int | None = None,
@@ -507,18 +514,25 @@ def alpha_points(
                 f"radius {radius} exceeds the certified trust radius {spec.trust_radius}"
             )
         k_eff = 2 if k is None else k
-        P = np.asarray(spec.coeffs, complex)
-        P = P.copy()
+        coeffs = np.asarray(spec.coeffs, complex)
+        P = coeffs.copy()
         P[0] -= alpha
+        carried = spec.roots if P.tobytes() == coeffs.tobytes() else None
     else:
         if alpha == 0:
             raise ValueError("alpha must be nonzero for structured specs")
         k_eff = spec.k
         P = alpha_polynomial(spec, alpha)
+        carried = None
     if len(P) - 1 > DEGREE_CAP:
         raise ValueError(f"degree {len(P) - 1} exceeds the cap {DEGREE_CAP}")
 
-    clusters = find_roots(P, tol=min(tol, 1e-10), cluster_tol=cluster_tol, max_multiplicity=2)
+    root_tol = min(tol, DEFAULT_ROOT_TOL)
+    if carried is not None and root_tol == DEFAULT_ROOT_TOL and cluster_tol == DEFAULT_CLUSTER_TOL:
+        # find_roots(P) at these parameters, found when the series was truncated
+        clusters = _finish(list(carried), 2)
+    else:
+        clusters = find_roots(P, tol=root_tol, cluster_tol=cluster_tol, max_multiplicity=2)
     pts: list[AlphaPoint] = []
     failures = []
     for cl in clusters:

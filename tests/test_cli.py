@@ -145,13 +145,15 @@ THETA_JSON = {"type": "series", "family": "partial-theta", "q": {"re": 0, "im": 
         (FIG1_JSON, solve_args("0", radius="1"), "alpha must be nonzero"),
         (FIG1_JSON, ["predict", "--alpha=0"], "alpha must be nonzero"),
         ({**THETA_JSON, "q": 0.9, "N": 80}, solve_args("0", radius="trust"), "did not converge"),
+        ({"type": "rational", "p": 1, "k": 2, "a": [1], "A": math.nan}, solve_args(radius="1"), "field 'A'"),
+        ({"type": "rational", "p": 1, "k": 2, "a": [1], "A0": math.inf}, solve_args(radius="1"), "field 'A0'"),
     ],
     ids=[
         "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
         "tail-tol-string", "N-list", "coeffs-not-list", "solve-radius-inf", "verify-radius-inf",
         "census-rin-zero", "census-rin-above-rout", "census-rin-nan", "census-rout-inf", "census-inconclusive",
         "coeffs-re-nan", "coeffs-re-inf", "coeffs-minus-inf", "coeffs-huge-int", "trust-radius-nan", "q-im-nan",
-        "solve-alpha-zero", "predict-alpha-zero", "theta-unconverged",
+        "solve-alpha-zero", "predict-alpha-zero", "theta-unconverged", "A-nan", "A0-inf",
     ],
 )
 def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, args, field):

@@ -48,6 +48,13 @@ def mp_eval_G(spec, z, dps=60):
         return complex(val)
 
 
+@pytest.mark.parametrize("growth", [{"A": math.nan}, {"A0": math.inf}, {"A": -0.5}])
+def test_growth_constants_must_be_nonnegative_and_finite(growth):
+    # NaN compares false to everything, so `A < 0` alone lets it through
+    with pytest.raises(ValueError, match=f"growth constant {next(iter(growth))} "):
+        StructuredFunction(p=1, k=2, a=(1.0,), **growth)
+
+
 def test_fig1_numerator_zero():
     # z = -1 makes the (z^3 + 1) factor vanish
     assert evaluate_G(FIG1, -1 + 0j) == 0

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import os
 import subprocess
@@ -22,7 +23,7 @@ from alphasectors import (
     sokal_poly_coeffs,
     unit_rotation,
 )
-from alphasectors.cli import FIG2_A, FIG2_B, FIG3_SPEC
+from alphasectors.cli import FIG2_A, FIG2_B, FIG3_SPEC, spec_from_dict
 from alphasectors.functions import alpha_polynomial
 from alphasectors import solver
 from alphasectors.solver import DEGREE_CAP, _check_simple
@@ -131,6 +132,10 @@ def test_find_roots_rejects_non_finite_coefficients(coeffs):
     [
         [1e308, 1e-300],  # the geometric-mean root modulus e^1400 overflows
         [1e-300, 1e10, 1e-308],  # one root near 1e318: its start circle overflows
+        # both end coefficients scale to 0, which would drop roots (a cubic
+        # would return one root at 0) or leave a one-vertex Newton polygon
+        [1e-320, 1e300, 1e300, 1e-300],
+        [1e-320, 1e300, 1e-300],
     ],
 )
 def test_find_roots_beyond_double_range_is_a_solver_error(coeffs):
@@ -431,3 +436,68 @@ def test_import_leaves_mpmath_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+# (family, q, N) of the family specs whose truncation roots alpha_points reuses
+FAMILY_SERIES = {
+    "theta": ("partial-theta", 0.7j, 64),
+    "dexp": ("disturbed-exp", 1j, 40),
+    "binomial": ("sokal-poly", 0.6j, 40),
+}
+
+
+def _family_series(family, q, N) -> SeriesFunction:
+    return spec_from_dict({"type": "series", "family": family, "q": {"re": q.real, "im": q.imag}, "N": N})
+
+
+def _count_find_roots(monkeypatch) -> list:
+    calls = []
+    solve = solver.find_roots
+    monkeypatch.setattr(solver, "find_roots", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    return calls
+
+
+def _point_bytes(points):
+    return (
+        np.array([pt.value for pt in points]).tobytes(),
+        np.array([pt.residual for pt in points]).tobytes(),
+        [(pt.multiplicity, pt.sector, pt.boundary) for pt in points],
+    )
+
+
+@pytest.mark.parametrize("name", FAMILY_SERIES)
+def test_alpha_points_reuses_the_truncation_roots_bit_for_bit(name):
+    series = _family_series(*FAMILY_SERIES[name])
+    cleared = dataclasses.replace(series, roots=None)
+    assert series.roots is not None and cleared == series and hash(cleared) == hash(series)
+    carried = alpha_points(series, 0.0, series.trust_radius, k=2)
+    assert carried and _point_bytes(carried) == _point_bytes(alpha_points(cleared, 0.0, series.trust_radius, k=2))
+
+
+def test_series_pipeline_solves_each_truncation_once(monkeypatch):
+    calls = _count_find_roots(monkeypatch)
+    series = _family_series(*FAMILY_SERIES["theta"])
+    assert len(calls) == 2  # the degree-N and degree-(N+10) truncations
+    alpha_points(series, 0.0, series.trust_radius, k=2)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "alpha, kwargs",
+    [(0.0, {"tol": 1e-12}), (0.0, {"cluster_tol": 1e-8}), (0.5, {})],
+    ids=["tol", "cluster-tol", "alpha"],
+)
+def test_alpha_points_solves_afresh_when_the_solve_differs(monkeypatch, alpha, kwargs):
+    series = _family_series(*FAMILY_SERIES["dexp"])
+    calls = _count_find_roots(monkeypatch)
+    alpha_points(series, alpha, series.trust_radius, k=2, **kwargs)
+    assert len(calls) == 1
+
+
+def test_carried_roots_still_face_the_multiplicity_bound(monkeypatch):
+    coeffs = tuple(np.convolve(np.convolve([-1, 1], [-1, 1]), [-1, 1]))  # (z-1)^3
+    series = SeriesFunction(coeffs, 2.0, tuple(find_roots(coeffs)))
+    calls = _count_find_roots(monkeypatch)
+    with pytest.raises(SolverError, match="exceeds the admissible bound 2"):
+        alpha_points(series, 0.0, 2.0)
+    assert not calls
