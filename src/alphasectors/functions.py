@@ -86,8 +86,15 @@ class StructuredFunction:
                 raise ValueError(f"growth constant {name} must be a nonnegative finite real, got {v}")
         if self.A == 0 and self.A0 == 0 and not (self.a or self.b or self.c or self.d):
             raise ValueError("degenerate model: identically z^p")
+        # the products are the constant terms of the polynomial builders and
+        # the predictors' normalization; out of range, either loses the problem
+        for name in ("a", "b", "c", "d"):
+            _check_range(f"field {name!r}", "the product of its entries", math.prod(getattr(self, name)))
         lists = ((self.a, False, False), (self.b, True, False), (self.c, False, True), (self.d, True, True))
         object.__setattr__(self, "factors", tuple((v, pole, recip) for vals, pole, recip in lists for v in vals))
+        used = [repr(name) for name in ("a", "b", "c", "d") if getattr(self, name)]
+        fields = f"field{'s' if len(used) > 1 else ''} {', '.join(used)}"
+        _check_range(fields, "the normalization constant", normalization_constant(self))
 
     @property
     def is_rational(self) -> bool:
@@ -97,6 +104,14 @@ class StructuredFunction:
     def is_meromorphic_form(self) -> bool:
         """True for the subfamily z^p exp(A z^k) prod(z^k+a)/prod(z^k-b)."""
         return self.A0 == 0.0 and not self.c and not self.d
+
+
+def _check_range(fields: str, what: str, value: float) -> None:
+    """ValueError naming the fields when value overflowed to +-inf or underflowed to 0."""
+    if value == 0:
+        raise ValueError(f"{fields}: {what} underflows to 0, below double range")
+    if not math.isfinite(value):
+        raise ValueError(f"{fields}: {what} is {value}, not a finite number")
 
 
 @dataclass(frozen=True)

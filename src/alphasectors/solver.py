@@ -3,10 +3,13 @@
 find_roots runs an Aberth-Ehrlich iteration from deterministic initial guesses
 on circles read off the Newton polygon of the coefficients (fixed irrational
 angular offset, no randomness), polishes by Newton on the scaled polynomial,
-and clusters near-coincident roots into multiplicities.  Simple roots then
-take Newton steps on the original coefficients with a compensated
-(twice-working-precision) Horner residual, all roots at once; multiple roots
-take modified-Newton steps in 50-digit mpmath.
+and clusters near-coincident roots into multiplicities.  Each of those steps
+evaluates every root in one Horner loop over stacked lanes (_newton_terms):
+P and P' inside the unit circle, the reversed polynomial and its derivative
+at 1/u outside it.  Simple roots then take Newton steps on the original
+coefficients with a compensated (twice-working-precision) Horner residual,
+all roots at once, the four real products of each Horner step in one block;
+multiple roots take modified-Newton steps in 50-digit mpmath.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it when the parameters match.
@@ -109,25 +112,32 @@ def _newton_terms(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray) -> tuple[np.nd
 
     Plain Horner inside the unit circle.  Outside it, reversed Horner on
     P(u) = u^n Q(v), v = 1/u, Q ascending = reversed(sc): N = u Q(v) and
-    D = n Q(v) - v Q'(v), so no power of u is ever formed.
+    D = n Q(v) - v Q'(v), so no power of u is ever formed.  All four
+    polynomials run as one Horner loop over stacked lanes: each root picks
+    the descending coefficients of P or Q for its value lane and of P' or Q'
+    (led by a zero, so every lane takes n + 1 steps) for its derivative lane,
+    at x = u or x = 1/u.  The leading zero step gives +0, polyval's start,
+    so each lane is bit for bit the Horner loop it replaces.
     """
     n = len(sc) - 1
-    num = np.empty_like(u)
-    den = np.empty_like(u)
-    small = np.abs(u) <= 1.0
-    if small.any():
-        us = u[small]
-        num[small] = np.polyval(sc[::-1], us)
-        den[small] = np.polyval(dsc[::-1], us)
-    big = ~small
-    if big.any():
-        ub = u[big]
-        v = 1.0 / ub
-        qv = np.polyval(sc, v)
-        dq = np.arange(1, n + 1) * sc[::-1][1:]
-        num[big] = ub * qv
-        den[big] = n * qv - v * np.polyval(dq[::-1], v)
-    return num, den
+    big = ~(np.abs(u) <= 1.0)
+    x = u.copy()
+    x[big] = 1.0 / u[big]
+    dq = np.arange(1, n + 1) * sc[::-1][1:]
+    table = np.zeros((n + 1, 4), np.result_type(sc, u))
+    table[:, 0] = sc[::-1]
+    table[:, 1] = sc
+    table[1:, 2] = dsc[::-1]
+    table[1:, 3] = dq[::-1]
+    lane = big.astype(np.intp)
+    rows = table[:, np.concatenate([lane, lane + 2])]
+    xx = np.concatenate([x, x])
+    y = np.zeros_like(xx)
+    for row in rows:
+        y *= xx
+        y += row
+    val, dval = y.reshape(2, -1)
+    return np.where(big, u * val, val), np.where(big, n * val - x * dval, dval)
 
 
 def _newton_corrections(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -295,14 +305,15 @@ def _compensated_newton_step(cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np
     in Graillat & Menissier-Morain 2012): about as accurate as Horner in
     twice the working precision.  q'(u) is plain Horner, run alongside.
     Complex numbers are (m, 2) float rows so each real operation covers both
-    parts; .view(complex) reads a row as one complex number.
+    parts; .view(complex) reads a row as one complex number.  The four real
+    products of s*u run as one (2, m, 2) block, (x, y) and (-y, x) times
+    (re s, re s) and (im s, im s), whose two halves are contiguous rows.
     """
     m = len(u)
     n = len(cf) - 1
     uf = u.view(float).reshape(m, 2)  # (x, y)
-    iu = np.stack([-uf[:, 1], uf[:, 0]], axis=1)  # (-y, x)
-    u_hi, u_lo = _split(uf)
-    iu_hi, iu_lo = _split(iu)
+    u4 = np.stack([uf, np.stack([-uf[:, 1], uf[:, 0]], axis=1)])  # with (-y, x)
+    u4_hi, u4_lo = _split(u4)
     k = e * n + f
     s = np.ldexp(cf[n], k[:, None])
     err = np.zeros(m, complex)
@@ -310,13 +321,13 @@ def _compensated_newton_step(cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np
     for i in range(n - 1, -1, -1):
         der = der * u + s.view(complex)[:, 0]
         k -= e
-        s_hi, s_lo = _split(s)
+        s4 = np.repeat(s.T, 2, axis=1).reshape(2, m, 2)
+        s4_hi, s4_lo = _split(s4)
         # s*u = re(s)*(x, y) + im(s)*(-y, x), each product and the sum exactly
-        a, ea = _two_prod(s[:, :1], s_hi[:, :1], s_lo[:, :1], uf, u_hi, u_lo)
-        b, eb = _two_prod(s[:, 1:], s_hi[:, 1:], s_lo[:, 1:], iu, iu_hi, iu_lo)
-        p, ep = _two_sum(a, b)
+        ab, eab = _two_prod(s4, s4_hi, s4_lo, u4, u4_hi, u4_lo)
+        p, ep = _two_sum(ab[0], ab[1])
         s, es = _two_sum(p, np.ldexp(cf[i], k[:, None]))
-        err = err * u + (ea + eb + ep + es).view(complex)[:, 0]
+        err = err * u + (eab[0] + eab[1] + ep + es).view(complex)[:, 0]
     return (s.view(complex)[:, 0] + err) / der
 
 
@@ -533,9 +544,17 @@ def alpha_points(
         clusters = _finish(list(carried), 2)
     else:
         clusters = find_roots(P, tol=root_tol, cluster_tol=cluster_tol, max_multiplicity=2)
+    if isinstance(spec, SeriesFunction):
+        # P, the series shifted by alpha, at every centre in one Horner loop
+        centers = np.array([cl.center for cl in clusters], complex)
+        values = np.zeros_like(centers)
+        with np.errstate(all="ignore"):  # centres beyond the radius may overflow
+            for c in P[::-1]:
+                values *= centers
+                values += c
     pts: list[AlphaPoint] = []
     failures = []
-    for cl in clusters:
+    for i, cl in enumerate(clusters):
         z = cl.center
         if z == 0:
             if isinstance(spec, SeriesFunction):
@@ -544,7 +563,7 @@ def alpha_points(
         if abs(z) > radius:
             continue
         if isinstance(spec, SeriesFunction):
-            residual = abs(complex(np.polyval(P[::-1], z)))  # P is the series shifted by alpha
+            residual = abs(complex(values[i]))
         else:
             try:
                 residual = abs(evaluate_G(spec, z, pole_tol=DEFAULT_POLE_TOL) - alpha)

@@ -115,6 +115,10 @@ def census_args(rin="0.5", rout="2", alpha="-1-1i"):
 
 
 THETA_JSON = {"type": "series", "family": "partial-theta", "q": {"re": 0, "im": 0.7}, "N": 16}
+# factor products beyond double range: prod(a) underflows to 0, or overflows to inf
+UNDERFLOW_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e-200, 1e-200]}
+OVERFLOW_AB_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e200, 1e200], "b": [1e200, 1e200]}
+OVERFLOW_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e308, 1e308]}
 
 
 @pytest.mark.parametrize(
@@ -147,6 +151,11 @@ THETA_JSON = {"type": "series", "family": "partial-theta", "q": {"re": 0, "im": 
         ({**THETA_JSON, "q": 0.9, "N": 80}, solve_args("0", radius="trust"), "did not converge"),
         ({"type": "rational", "p": 1, "k": 2, "a": [1], "A": math.nan}, solve_args(radius="1"), "field 'A'"),
         ({"type": "rational", "p": 1, "k": 2, "a": [1], "A0": math.inf}, solve_args(radius="1"), "field 'A0'"),
+        *[
+            (payload, args, "field 'a'")
+            for payload in (UNDERFLOW_JSON, OVERFLOW_AB_JSON, OVERFLOW_JSON)
+            for args in (solve_args(radius="1"), ["predict", "--alpha=1"], census_args(alpha="1"))
+        ],
     ],
     ids=[
         "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
@@ -154,6 +163,8 @@ THETA_JSON = {"type": "series", "family": "partial-theta", "q": {"re": 0, "im": 
         "census-rin-zero", "census-rin-above-rout", "census-rin-nan", "census-rout-inf", "census-inconclusive",
         "coeffs-re-nan", "coeffs-re-inf", "coeffs-minus-inf", "coeffs-huge-int", "trust-radius-nan", "q-im-nan",
         "solve-alpha-zero", "predict-alpha-zero", "theta-unconverged", "A-nan", "A0-inf",
+        *[f"{spec}-{command}" for spec in ("a-underflow", "ab-overflow", "a-overflow")
+          for command in ("solve", "predict", "census")],
     ],
 )
 def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, args, field):

@@ -55,6 +55,29 @@ def test_growth_constants_must_be_nonnegative_and_finite(growth):
         StructuredFunction(p=1, k=2, a=(1.0,), **growth)
 
 
+@pytest.mark.parametrize(
+    "lists, message",
+    [
+        ({"a": (1e-200, 1e-200)}, "field 'a': the product of its entries underflows to 0"),
+        ({"b": (1e200, 1e200)}, "field 'b': the product of its entries is inf"),
+        ({"a": (1.0,), "c": (1e-300,), "d": (1e300, 1e300)}, "field 'd': the product of its entries is inf"),
+        # each list in range, their quotient not
+        ({"a": (1e200,), "b": (1e-200,)}, "fields 'a', 'b': the normalization constant is -inf"),
+        ({"c": (1e-200,), "d": (1e200,)}, "fields 'c', 'd': the normalization constant underflows to 0"),
+    ],
+    ids=["a-underflow", "b-overflow", "d-overflow", "ab-quotient-overflow", "cd-quotient-underflow"],
+)
+def test_factor_products_must_stay_in_double_range(lists, message):
+    # prod(a) is the alpha-polynomial's constant term: at 0 a root is lost, at inf none is finite
+    with pytest.raises(ValueError, match=message):
+        StructuredFunction(p=1, k=2, **lists)
+
+
+def test_factor_products_at_the_edge_of_double_range_are_accepted():
+    spec = StructuredFunction(p=1, k=2, a=(1e200, 1e100), b=(1e-4, 10.0))
+    assert math.isfinite(normalization_constant(spec)) and normalization_constant(spec) != 0
+
+
 def test_fig1_numerator_zero():
     # z = -1 makes the (z^3 + 1) factor vanish
     assert evaluate_G(FIG1, -1 + 0j) == 0

@@ -352,6 +352,113 @@ def test_compensated_polish_matches_extended_precision(name):
         assert _mp_abs_value(coeffs, cl.center) <= max(_mp_abs_value(coeffs, ref), floor)
 
 
+def _polyval_newton_terms(sc, dsc, u):
+    """Reference: the four np.polyval loops _newton_terms ran before its stacked lanes."""
+    n = len(sc) - 1
+    num = np.empty_like(u)
+    den = np.empty_like(u)
+    small = np.abs(u) <= 1.0
+    if small.any():
+        us = u[small]
+        num[small] = np.polyval(sc[::-1], us)
+        den[small] = np.polyval(dsc[::-1], us)
+    big = ~small
+    if big.any():
+        ub = u[big]
+        v = 1.0 / ub
+        qv = np.polyval(sc, v)
+        dq = np.arange(1, n + 1) * sc[::-1][1:]
+        num[big] = ub * qv
+        den[big] = n * qv - v * np.polyval(dq[::-1], v)
+    return num, den
+
+
+def _sliced_compensated_step(cf, e, f, u):
+    """Reference: the compensated Newton step before its four products shared one block."""
+    m = len(u)
+    n = len(cf) - 1
+    uf = u.view(float).reshape(m, 2)
+    iu = np.stack([-uf[:, 1], uf[:, 0]], axis=1)
+    u_hi, u_lo = solver._split(uf)
+    iu_hi, iu_lo = solver._split(iu)
+    k = e * n + f
+    s = np.ldexp(cf[n], k[:, None])
+    err = np.zeros(m, complex)
+    der = np.zeros(m, complex)
+    for i in range(n - 1, -1, -1):
+        der = der * u + s.view(complex)[:, 0]
+        k -= e
+        s_hi, s_lo = solver._split(s)
+        a, ea = solver._two_prod(s[:, :1], s_hi[:, :1], s_lo[:, :1], uf, u_hi, u_lo)
+        b, eb = solver._two_prod(s[:, 1:], s_hi[:, 1:], s_lo[:, 1:], iu, iu_hi, iu_lo)
+        p, ep = solver._two_sum(a, b)
+        s, es = solver._two_sum(p, np.ldexp(cf[i], k[:, None]))
+        err = err * u + (ea + eb + ep + es).view(complex)[:, 0]
+    return (s.view(complex)[:, 0] + err) / der
+
+
+@pytest.mark.parametrize("degree", [1, 2, 13, 96, 512])
+def test_newton_terms_match_the_polyval_loops_bit_for_bit(degree):
+    rng = np.random.default_rng(degree)
+    sc, _, _ = solver._strip_and_scale(_random_poly(degree, degree))
+    dsc = np.arange(1, degree + 1) * sc[1:]
+    ring = np.exp(2j * np.pi * rng.uniform(size=40))
+    u = np.concatenate([
+        ring * rng.uniform(0.2, 1.0, 40),  # inside the unit circle
+        ring / rng.uniform(0.2, 1.0, 40),  # outside it
+        [1, -1, 1j, -1j, 0.6 + 0.8j, -0.8 - 0.6j],  # on it: |u| == 1 exactly
+        [0, complex(math.nan, 0.5), complex(math.inf, 0)],
+    ])
+    assert np.count_nonzero(np.abs(u) == 1) >= 6
+    for args in ((sc, dsc, u), (np.abs(sc), np.abs(dsc), np.abs(u))):  # _subsplit's rounding bound
+        with np.errstate(all="ignore"):
+            got = solver._newton_terms(*args)
+            want = _polyval_newton_terms(*args)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
+def _step_inputs(coeffs, z):
+    """(cf, e, f, u) as _polish_simple scales them."""
+    cf = coeffs.view(float).reshape(-1, 2)
+    e = np.round(np.log2(np.abs(z))).astype(np.int64)
+    with np.errstate(divide="ignore"):  # a zero coefficient is -inf, never the largest
+        logs = np.log2(np.abs(coeffs))[None, :] + e[:, None] * np.arange(len(coeffs))[None, :]
+    f = -np.round(logs.max(axis=1)).astype(np.int64)
+    u = np.ldexp(z.view(float).reshape(-1, 2), -e[:, None]).view(complex)[:, 0]
+    return cf, e, f, u
+
+
+def _near_roots(coeffs, rng, rel=1e-6):
+    z = np.array([cl.center for cl in find_roots(coeffs) if cl.center != 0])
+    return z * (1 + rel * (rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))))
+
+
+STEP_CASES = {
+    "random-40": lambda rng: (c := _random_poly(7, 40), _near_roots(c, rng)),
+    "random-160": lambda rng: (c := _random_poly(8, 160), _near_roots(c, rng)),
+    # coefficient moduli spread over exp(+-30); points with moduli across exp(+-30)
+    "wide-range": lambda rng: (
+        _random_poly(9, 48) * np.exp(rng.uniform(-30, 30, 49)),
+        np.exp(rng.uniform(-30, 30, 64) + 2j * np.pi * rng.uniform(size=64)),
+    ),
+    # roots at |z| ~ 1e11-1e13, each with its own power-of-two scale
+    "far-modulus": lambda rng: (c := partial_theta_coeffs(0.5j, 64), _near_roots(c, rng, 1e-9)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_CASES))
+def test_compensated_step_matches_the_sliced_products_bit_for_bit(name):
+    rng = np.random.default_rng(2026)
+    coeffs, z = STEP_CASES[name](rng)
+    cf, e, f, u = _step_inputs(np.ascontiguousarray(coeffs, complex), z)
+    with np.errstate(all="ignore"):
+        got = solver._compensated_newton_step(cf, e, f, u.copy())
+        want = _sliced_compensated_step(cf, e, f, u.copy())
+    assert np.isfinite(want).mean() > 0.9
+    assert got.tobytes() == want.tobytes()
+
+
 def test_find_roots_at_degree_cap():
     coeffs = _random_poly(512, DEGREE_CAP)
     clusters = find_roots(coeffs)
