@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from .winding import InconclusiveRegion, sector_census
 
 
 def _default_tol() -> float:
-    return float(os.environ.get("ALPHASECTORS_TOL", "1e-9"))
+    return _tol_flag(os.environ.get("ALPHASECTORS_TOL", "1e-9"), "ALPHASECTORS_TOL")
 
 
 def _fmt(x: float) -> str:
@@ -70,6 +71,17 @@ def _radius_flag(text: str, flag: str, allow_zero: bool = False) -> float:
         need = "non-negative" if allow_zero else "positive"
         raise SystemExit(f"error: {flag}: radius must be finite and {need}, got {text!r}")
     return r
+
+
+def _tol_flag(text: str, flag: str = "--tol") -> float:
+    """A finite, positive tolerance; a SystemExit naming the flag otherwise."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise SystemExit(f"error: {flag}: cannot parse tolerance {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0):
+        raise SystemExit(f"error: {flag}: tolerance must be finite and positive, got {text!r}")
+    return tol
 
 
 def _scalar_field(data: dict, name: str, cast, default, where: str):
@@ -489,7 +501,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="path to a JSON function spec")
         if alpha:
             p.add_argument("--alpha", required=True, help="complex target, e.g. -1-1i")
-        p.add_argument("--tol", type=float, default=_default_tol(), help="solver tolerance")
+        p.add_argument("--tol", type=_tol_flag, default=_default_tol(), help="solver tolerance")
         p.add_argument("--csv", help="write a points CSV here")
         p.add_argument("--json", dest="json_out", help="write a JSON report here")
         p.add_argument("--svg", help="write a static SVG plot here")
@@ -518,13 +530,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a bundled fixture end to end")
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--outdir", default=".")
-    p.add_argument("--tol", type=float, default=_default_tol())
+    p.add_argument("--tol", type=_tol_flag, default=_default_tol())
     p.set_defaults(func=cmd_demo)
     return parser
 
 
+@functools.lru_cache(maxsize=4)
+def _parser(env_tol: str | None) -> argparse.ArgumentParser:
+    """build_parser(), built once per ALPHASECTORS_TOL value, whose --tol default it holds.
+
+    main builds it on first use rather than at import.  set_defaults binds
+    the cmd_* functions when the parser is built, so patching cli.cmd_*
+    after the first main call does not reach the dispatch.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser(os.environ.get("ALPHASECTORS_TOL")).parse_args(argv)
     try:
         return args.func(args)
     except (SolverError, ValueError) as exc:  # typed library errors; PoleProximity arrives as a SolverError

@@ -87,9 +87,13 @@ class StructuredFunction:
         if self.A == 0 and self.A0 == 0 and not (self.a or self.b or self.c or self.d):
             raise ValueError("degenerate model: identically z^p")
         # the products are the constant terms of the polynomial builders and
-        # the predictors' normalization; out of range, either loses the problem
+        # the predictors' normalization; out of range, either loses the problem.
+        # The other coefficients of prod(w + v) bound those of every factor group.
         for name in ("a", "b", "c", "d"):
-            _check_range(f"field {name!r}", "the product of its entries", math.prod(getattr(self, name)))
+            vals = getattr(self, name)
+            _check_range(f"field {name!r}", "the product of its entries", math.prod(vals))
+            for j, e in enumerate(_symmetric_sums(vals)[:-1], 1):
+                _check_range(f"field {name!r}", f"the elementary symmetric sum e_{j} of its entries", e)
         lists = ((self.a, False, False), (self.b, True, False), (self.c, False, True), (self.d, True, True))
         object.__setattr__(self, "factors", tuple((v, pole, recip) for vals, pole, recip in lists for v in vals))
         used = [repr(name) for name in ("a", "b", "c", "d") if getattr(self, name)]
@@ -104,6 +108,14 @@ class StructuredFunction:
     def is_meromorphic_form(self) -> bool:
         """True for the subfamily z^p exp(A z^k) prod(z^k+a)/prod(z^k-b)."""
         return self.A0 == 0.0 and not self.c and not self.d
+
+
+def _symmetric_sums(vals) -> list[float]:
+    """e_1 .. e_n of vals: prod(w + v) = sum e_j w^(n-j), e_0 = 1."""
+    e = [1.0]
+    for v in vals:
+        e = [x + v * y for x, y in zip(e + [0.0], [0.0] + e)]
+    return e[1:]
 
 
 def _check_range(fields: str, what: str, value: float) -> None:

@@ -11,7 +11,9 @@ Gauss-Legendre loop refines all pieces together, many panels per call.
 Poles of F sit on the even boundary rays (z^k real positive), so a ray takes
 small semicircular detours around them, one bulging into each region it
 bounds, with radii certified free of alpha-points; poles strictly inside a
-region are added back analytically from the known parameter lists.
+region are added back analytically from the known parameter lists.  The
+detours of every ray are certified together: each probe round evaluates the
+circles of all singularities not yet certified in one batched call.
 """
 
 from __future__ import annotations
@@ -187,25 +189,27 @@ def _singular_radii_on_ray(spec, s: int, r_in: float, r_out: float) -> list[floa
     return sorted({r for r, is_pole in factor_moduli(spec) if is_pole == (s % 2 == 0) and r_in < r < r_out})
 
 
-def _certified_detour_radius(spec, alpha: complex, center: complex, eps0: float, is_pole: bool) -> float | None:
-    """Largest detour radius <= eps0 certified free of alpha-points, or None.
+def _certify_detours(spec, alpha: complex, centers: np.ndarray, eps0: np.ndarray, is_pole: np.ndarray) -> np.ndarray:
+    """Largest detour radius eps0 / 4^j (j < 12) certified free of alpha-points, per centre; NaN where none.
 
     By the maximum principle, |F| > |alpha| on the probe circle certifies the
     whole disk when F has only the central pole inside (apply it to 1/F), and
-    |F| < |alpha| on the circle certifies the disk around a zero of F.
+    |F| < |alpha| on the circle certifies the disk around a zero of F.  Each
+    round probes every centre not yet certified in one eval_many call and
+    quarters the radius of those that failed.
     """
-    eps = eps0
+    eps = eps0.copy()
+    done = np.zeros(eps.size, bool)
     probes = np.exp(2j * math.pi * np.arange(16) / 16)
     for _ in range(12):
-        vals = np.abs(eval_many(spec, center + eps * probes))
-        if is_pole:
-            if np.min(vals) > 4.0 * abs(alpha):
-                return eps
-        else:
-            if np.max(vals) < 0.25 * abs(alpha):
-                return eps
-        eps /= 4.0
-    return None
+        todo = np.flatnonzero(~done)
+        if not todo.size:
+            break
+        vals = np.abs(eval_many(spec, (centers[todo, None] + eps[todo, None] * probes).ravel())).reshape(-1, 16)
+        ok = np.where(is_pole[todo], vals.min(axis=1) > 4.0 * abs(alpha), vals.max(axis=1) < 0.25 * abs(alpha))
+        done[todo[ok]] = True
+        eps[todo[~ok]] /= 4.0
+    return np.where(done, eps, np.nan)
 
 
 def _contours(spec, alpha: complex, regions) -> tuple[list[_Piece], list[list[tuple[int, float]]]]:
@@ -216,43 +220,65 @@ def _contours(spec, alpha: complex, regions) -> tuple[list[_Piece], list[list[tu
     pieces once, integrated outward; a region on its counterclockwise side
     takes them with sign +1, one on its clockwise side with sign -1.  Each
     detour is a semicircle bulging into one region, traversed in that
-    region's direction of travel.
+    region's direction of travel.  The detours of all rays are certified
+    together before any piece is built; an uncertifiable one raises for the
+    first ray met that has one.
     """
+    # every ray the regions use, in the order first met: the first region's
+    # label, the ray's direction and its singular radii
+    rays: dict[tuple, tuple[int | None, complex, list[float]]] = {}
+    for label, region in regions:
+        if not region.full:
+            for s in (region.s_from, (region.s_to + 1) % (2 * region.k)):
+                key = (s, region.k, region.r_in, region.r_out)
+                if key not in rays:
+                    angle = s * math.pi / region.k
+                    u = complex(math.cos(angle), math.sin(angle))
+                    rays[key] = label, u, _singular_radii_on_ray(spec, s, region.r_in, region.r_out)
+    sing = []  # (ray key, rho, centre, eps0) of every on-ray singularity
+    for key, (_, u, radii) in rays.items():
+        gaps = [key[2]] + radii + [key[3]]
+        for i, rho in enumerate(radii):
+            gap = min(rho - gaps[i], gaps[i + 2] - rho)
+            sing.append((key, rho, rho * u, min(0.25 * gap, 0.01 * (1.0 + rho))))
+    certified = _certify_detours(
+        spec,
+        alpha,
+        np.array([centre for _, _, centre, _ in sing], complex),
+        np.array([eps0 for *_, eps0 in sing], float),
+        np.array([key[0] % 2 == 0 for key, *_ in sing], bool),
+    )
+    detours: dict[tuple, list[tuple[float, float]]] = {key: [] for key in rays}
+    for (key, rho, centre, _), eps in zip(sing, certified.tolist()):
+        if math.isnan(eps):
+            raise InconclusiveRegion(
+                f"cannot certify a detour around the on-contour singularity at {centre:.6g}",
+                slice_index=rays[key][0],
+                edge=f"detour r={rho:.6g} on ray {key[0]}",
+            )
+        detours[key].append((rho, eps))
+
     pieces: list[_Piece] = []
     terms: list[list[tuple[int, float]]] = []
-    rays: dict[tuple, tuple[list[int], list[tuple[float, float]]]] = {}
+    straight_pieces: dict[tuple, list[int]] = {}
 
     def add(piece: _Piece) -> int:
         pieces.append(piece)
         return len(pieces) - 1
 
     def ray(label, region: AnnularSector, s: int, sign: float) -> list[tuple[int, float]]:
-        angle = s * math.pi / region.k
-        u = complex(math.cos(angle), math.sin(angle))
         key = (s, region.k, region.r_in, region.r_out)
-        if key not in rays:
-            sing = _singular_radii_on_ray(spec, s, region.r_in, region.r_out)
-            gaps = [region.r_in] + sing + [region.r_out]
-            detours = []
-            for i, rho in enumerate(sing):
-                gap = min(rho - gaps[i], gaps[i + 2] - rho)
-                eps0 = min(0.25 * gap, 0.01 * (1.0 + rho))
-                eps = _certified_detour_radius(spec, alpha, rho * u, eps0, s % 2 == 0)
-                if eps is None:
-                    raise InconclusiveRegion(
-                        f"cannot certify a detour around the on-contour singularity at {rho * u:.6g}",
-                        slice_index=label,
-                        edge=f"detour r={rho:.6g} on ray {s}",
-                    )
-                detours.append((rho, eps))
-            bounds = [region.r_in] + [r for rho, eps in detours for r in (rho - eps, rho + eps)] + [region.r_out]
-            straight = [add(_Piece(0j, u, a, b, False, f"ray {s}", label)) for a, b in zip(bounds[::2], bounds[1::2])]
-            rays[key] = straight, detours
-        straight, detours = rays[key]
+        u = rays[key][1]
+        if key not in straight_pieces:
+            bounds = [region.r_in] + [r for rho, eps in detours[key] for r in (rho - eps, rho + eps)] + [region.r_out]
+            straight_pieces[key] = [
+                add(_Piece(0j, u, a, b, False, f"ray {s}", label)) for a, b in zip(bounds[::2], bounds[1::2])
+            ]
+        straight = straight_pieces[key]
         travel = sign * u
         psi = math.atan2(travel.imag, travel.real)
         out = [(j, sign) for j in straight]
-        for rho, eps in detours:
+        for rho, eps in detours[key]:
             # from entry to exit, passing left of travel, i.e. into the region
             detour = _Piece(rho * u, eps, psi + math.pi, psi, True, f"detour r={rho:.6g} on ray {s}", label)
             out.append((add(detour), 1.0))

@@ -119,6 +119,8 @@ THETA_JSON = {"type": "series", "family": "partial-theta", "q": {"re": 0, "im": 
 UNDERFLOW_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e-200, 1e-200]}
 OVERFLOW_AB_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e200, 1e200], "b": [1e200, 1e200]}
 OVERFLOW_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e308, 1e308]}
+# product 1, but the symmetric sum e_2 of the entries overflows
+MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e300, 1e-300]}
 
 
 @pytest.mark.parametrize(
@@ -156,6 +158,13 @@ OVERFLOW_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e308, 1e308]}
             for payload in (UNDERFLOW_JSON, OVERFLOW_AB_JSON, OVERFLOW_JSON)
             for args in (solve_args(radius="1"), ["predict", "--alpha=1"], census_args(alpha="1"))
         ],
+        (FIG1_JSON, [*census_args(rin="0.01", rout="10"), "--tol", "nan"], "error: --tol"),
+        (FIG1_JSON, [*solve_args(), "--tol", "0"], "error: --tol"),
+        (FIG1_JSON, [*solve_args(command="verify"), "--tol=-1"], "error: --tol"),
+        (FIG1_JSON, ["ALPHASECTORS_TOL=abc", *solve_args()], "error: ALPHASECTORS_TOL"),
+        (MIXED_SCALE_JSON, solve_args(radius="1"), "field 'a'"),
+        (MIXED_SCALE_JSON, census_args(alpha="1"), "field 'a'"),
+        (MIXED_SCALE_JSON, ["predict", "--alpha=1"], "field 'a'"),
     ],
     ids=[
         "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
@@ -165,9 +174,15 @@ OVERFLOW_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e308, 1e308]}
         "solve-alpha-zero", "predict-alpha-zero", "theta-unconverged", "A-nan", "A0-inf",
         *[f"{spec}-{command}" for spec in ("a-underflow", "ab-overflow", "a-overflow")
           for command in ("solve", "predict", "census")],
+        "census-tol-nan", "solve-tol-zero", "verify-tol-negative", "env-tol-string",
+        "a-mixed-scale-solve", "a-mixed-scale-census", "a-mixed-scale-predict",
     ],
 )
-def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, args, field):
+def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, monkeypatch, payload, args, field):
+    # leading NAME=value entries set the environment, as on a shell command line
+    while "=" in args[0] and not args[0].startswith("-"):
+        monkeypatch.setenv(*args[0].split("=", 1))
+        args = args[1:]
     spec_path = write_spec(tmp_path, payload)
     with pytest.raises(SystemExit) as exc:
         main([args[0], "--spec", spec_path, *args[1:]])
@@ -254,6 +269,51 @@ def test_env_tolerance_override(tmp_path, monkeypatch):
 
     args = build_parser().parse_args(["solve", "--spec", "x.json", "--alpha", "1", "--radius", "1"])
     assert args.tol == 1e-6
+
+
+def test_main_reuses_its_parser_with_unchanged_output(tmp_path, capsys):
+    import alphasectors.cli as cli
+
+    spec_path = write_spec(tmp_path, FIG1_JSON)
+    runs = [
+        ["census", "--spec", spec_path, "--alpha=-1-1i", "--rin", "0.5", "--rout", "2"],
+        ["solve", "--spec", spec_path, "--alpha=-1-1i", "--radius", "2"],
+        ["verify", "--spec", spec_path, "--alpha=-1-1i", "--radius", "2", "--theorem", "main"],
+        ["census", "--spec", spec_path, "--alpha=1i", "--rin", "0.5", "--rout", "3", "--tol", "1e-8"],
+    ]
+    hits = cli._parser.cache_info().hits
+    through_main = []
+    for argv in runs:
+        rc = main(argv)
+        through_main.append((rc, capsys.readouterr().out))
+    assert cli._parser.cache_info().hits - hits >= len(runs) - 1
+    fresh = []
+    for argv in runs:
+        args = cli.build_parser().parse_args(argv)
+        fresh.append((args.func(args), capsys.readouterr().out))
+    assert through_main == fresh
+    assert all(out for _, out in fresh)
+
+
+def test_env_tolerance_reaches_the_command_between_main_calls(tmp_path, monkeypatch):
+    import alphasectors.cli as cli
+
+    seen = []
+
+    def recording(spec, alpha, radius, tol):
+        seen.append(tol)
+        return []
+
+    monkeypatch.setattr(cli, "alpha_points", recording)
+    spec_path = write_spec(tmp_path, FIG1_JSON)
+    argv = ["solve", "--spec", spec_path, "--alpha", "1", "--radius", "1"]
+    for value in ("1e-6", "1e-7", "1e-6", None):
+        if value is None:
+            monkeypatch.delenv("ALPHASECTORS_TOL", raising=False)
+        else:
+            monkeypatch.setenv("ALPHASECTORS_TOL", value)
+        assert main(argv) == 0
+    assert seen == [1e-6, 1e-7, 1e-6, 1e-9]
 
 
 def test_verify_exit_one_on_failed_report(tmp_path, monkeypatch):

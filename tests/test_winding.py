@@ -198,6 +198,96 @@ def test_fig1_census_integrand_calls(monkeypatch):
     assert len(calls) <= 50
 
 
+def test_fig1_census_detour_probe_calls(monkeypatch):
+    # the 15 on-ray singularities of the fig1 census share one eval_many call
+    # per probe round; probing them one by one took at least 15 calls
+    calls, per_attempt = [], []
+    real_eval, real_contours = winding.eval_many, winding._contours
+
+    def counted_eval(spec, z):
+        calls.append(len(z))
+        return real_eval(spec, z)
+
+    def counted_contours(*args):
+        before = len(calls)
+        out = real_contours(*args)
+        per_attempt.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(winding, "eval_many", counted_eval)
+    monkeypatch.setattr(winding, "_contours", counted_contours)
+    assert sector_census(FIG1, -1 - 1j, 0.01, 10.0) == [1, 2, 2, 1, 2, 1]
+    assert per_attempt and all(0 < n <= 12 for n in per_attempt)
+
+
+def _per_singularity_detours(spec, alpha: complex, regions) -> dict[complex, float]:
+    """{centre: radius} of every detour, each probed on its own by the frozen
+    _certified_detour_radius below, rays in the order the regions first use
+    them; the first uncertifiable one raises as _contours does."""
+    radii = {}
+    seen = set()
+    for label, region in regions:
+        if region.full:
+            continue
+        for s in (region.s_from, (region.s_to + 1) % (2 * region.k)):
+            if (s, region.r_in, region.r_out) in seen:
+                continue
+            seen.add((s, region.r_in, region.r_out))
+            angle = s * math.pi / region.k
+            u = complex(math.cos(angle), math.sin(angle))
+            sing = _singular_radii_on_ray(spec, s, region.r_in, region.r_out)
+            gaps = [region.r_in] + sing + [region.r_out]
+            for i, rho in enumerate(sing):
+                gap = min(rho - gaps[i], gaps[i + 2] - rho)
+                eps0 = min(0.25 * gap, 0.01 * (1.0 + rho))
+                try:
+                    radii[rho * u] = _certified_detour_radius(spec, alpha, rho * u, eps0, s % 2 == 0)
+                except InconclusiveRegion as exc:
+                    raise InconclusiveRegion(str(exc), slice_index=label, edge=f"detour r={rho:.6g} on ray {s}")
+    return radii
+
+
+def _detour_cases():
+    rng = np.random.default_rng(919)
+    cases = []
+    for i, k in enumerate((2, 3, 4, 5, 7, 13, 24, 40)):
+        p = int(rng.choice([x for x in (-5, -2, -1, 1, 2, 5) if math.gcd(abs(x), k) == 1]))
+        # several zeros and poles: up to four singularities on each ray
+        a, b = np.exp(rng.uniform(-1.5, 1.5, int(rng.integers(1, 4)))), np.exp(rng.uniform(-1.5, 1.5, 3))
+        cd = i % 2 == 0
+        c = tuple(np.exp(rng.uniform(-1.0, 1.0, int(rng.integers(1, 3))))) if cd else ()
+        d = tuple(np.exp(rng.uniform(-1.0, 1.0, 1))) if cd else ()
+        spec = StructuredFunction(p=p, k=k, a=tuple(a), b=tuple(b), c=c, d=d)
+        alpha = random_alpha_generic(rng, spec, margin=0.2 * math.pi / k)
+        moduli = [r for r, _ in winding.factor_moduli(spec)]
+        r_in, r_out = 0.9 * min(moduli), 1.1 * max(moduli)
+        census = [(s, AnnularSector(r_in, r_out, s, s, k)) for s in range(2 * k)]
+        cases += [(spec, alpha, census), (spec, alpha, census[::-1])]
+        # the same census with no certifiable pole detour (alpha huge), or zero detour (alpha tiny)
+        cases += [(spec, 1e30, census[::-1]), (spec, 1e-30, census)]
+    return cases
+
+
+def test_batched_detour_radii_match_the_per_singularity_probe():
+    raised = []
+    for spec, alpha, regions in _detour_cases():
+        try:
+            expected = _per_singularity_detours(spec, alpha, regions)
+        except InconclusiveRegion as exc:
+            expected = (str(exc), exc.slice_index, exc.edge)
+            raised.append(exc.edge)
+        with np.errstate(all="ignore"):
+            try:
+                pieces, _ = winding._contours(spec, alpha, regions)
+                got = {pc.p: pc.q for pc in pieces if pc.edge.startswith("detour")}
+                assert len(got) == len(expected)
+            except InconclusiveRegion as exc:
+                got = (str(exc), exc.slice_index, exc.edge)
+        assert got == expected, (spec, alpha)
+    # uncertifiable pole and zero detours both occur, on even and odd rays
+    assert {int(edge.rsplit(" ", 1)[1]) % 2 for edge in raised} == {0, 1}
+
+
 # ---------------------------------------------------------------------------
 # differential test against the per-slice recursive census this module used
 # before its edges were shared (verbatim but for the names of the two public
