@@ -44,7 +44,7 @@ from .winding import InconclusiveRegion, sector_census
 
 
 def _default_tol() -> float:
-    return _tol_flag(os.environ.get("ALPHASECTORS_TOL", "1e-9"), "ALPHASECTORS_TOL")
+    return _number_flag(os.environ.get("ALPHASECTORS_TOL", "1e-9"), "ALPHASECTORS_TOL")
 
 
 def _fmt(x: float) -> str:
@@ -61,27 +61,19 @@ def _parse_complex(text: str) -> complex:
     return z
 
 
-def _radius_flag(text: str, flag: str, allow_zero: bool = False) -> float:
-    """A finite radius from a command-line flag; a SystemExit naming the flag otherwise."""
+def _number_flag(text: str, flag: str = "--tol", what: str = "tolerance", allow_zero: bool = False) -> float:
+    """A finite number, positive (non-negative with allow_zero); a SystemExit naming the flag otherwise.
+
+    The defaults make it the argparse type of --tol.
+    """
     try:
-        r = float(text)
+        x = float(text)
     except ValueError:
-        raise SystemExit(f"error: {flag}: cannot parse radius {text!r}") from None
-    if not math.isfinite(r) or r < 0 or (r == 0 and not allow_zero):
+        raise SystemExit(f"error: {flag}: cannot parse {what} {text!r}") from None
+    if not math.isfinite(x) or x < 0 or (x == 0 and not allow_zero):
         need = "non-negative" if allow_zero else "positive"
-        raise SystemExit(f"error: {flag}: radius must be finite and {need}, got {text!r}")
-    return r
-
-
-def _tol_flag(text: str, flag: str = "--tol") -> float:
-    """A finite, positive tolerance; a SystemExit naming the flag otherwise."""
-    try:
-        tol = float(text)
-    except ValueError:
-        raise SystemExit(f"error: {flag}: cannot parse tolerance {text!r}") from None
-    if not (math.isfinite(tol) and tol > 0):
-        raise SystemExit(f"error: {flag}: tolerance must be finite and positive, got {text!r}")
-    return tol
+        raise SystemExit(f"error: {flag}: {what} must be finite and {need}, got {text!r}")
+    return x
 
 
 def _scalar_field(data: dict, name: str, cast, default, where: str):
@@ -315,10 +307,12 @@ def cmd_solve(args) -> int:
 
 def _resolve_radius(spec, radius_arg: str) -> float:
     if radius_arg == "trust":
-        if isinstance(spec, SeriesFunction):
-            return spec.trust_radius
-        raise SystemExit("error: --radius trust is only meaningful for series specs")
-    return _radius_flag(radius_arg, "--radius")
+        if not isinstance(spec, SeriesFunction):
+            raise SystemExit("error: --radius trust is only meaningful for series specs")
+        if spec.trust_radius == 0:
+            raise SystemExit("error: --radius trust: the certified trust radius is 0; no disk is certified")
+        return spec.trust_radius
+    return _number_flag(radius_arg, "--radius", "radius")
 
 
 def _emit_and_print(points, reports, spec, csv, json_out, svg, prefix: str = "") -> int:
@@ -360,9 +354,16 @@ def cmd_verify(args) -> int:
 
 def _verify_reports(spec, alpha, points, theorem):
     reports = []
-    if theorem in (None, "auto"):
-        an = normalized_alpha(spec, alpha)
-        theorem = "main" if real_direction_index(an, spec.p, spec.k) is None else "main2"
+    if theorem in (None, "auto", "main", "main2"):
+        # main holds off the dichotomy Im alpha^k = 0, main2 on it
+        real = real_direction_index(normalized_alpha(spec, alpha), spec.p, spec.k) is not None
+        fits = "main2" if real else "main"
+        if theorem not in (None, "auto", fits):
+            relation = "=" if real else "!="
+            raise SystemExit(
+                f"error: --theorem {theorem}: Im alpha^k {relation} 0; use --theorem {fits} or auto"
+            )
+        theorem = fits
     if theorem == "main":
         reports.append(verify_generic_interlacing(points, alpha, spec))
     elif theorem == "main2":
@@ -392,8 +393,8 @@ def cmd_census(args) -> int:
     spec = parse_spec_file(args.spec)
     alpha = _parse_complex(args.alpha)
     # a series may be counted from the origin; a structured spec has a pole or zero there
-    r_in = _radius_flag(args.rin, "--rin", allow_zero=isinstance(spec, SeriesFunction))
-    r_out = _radius_flag(args.rout, "--rout")
+    r_in = _number_flag(args.rin, "--rin", "radius", allow_zero=isinstance(spec, SeriesFunction))
+    r_out = _number_flag(args.rout, "--rout", "radius")
     if r_in >= r_out:
         raise SystemExit(f"error: --rin {args.rin} must be below --rout {args.rout}")
     try:
@@ -501,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="path to a JSON function spec")
         if alpha:
             p.add_argument("--alpha", required=True, help="complex target, e.g. -1-1i")
-        p.add_argument("--tol", type=_tol_flag, default=_default_tol(), help="solver tolerance")
+        p.add_argument("--tol", type=_number_flag, default=_default_tol(), help="solver tolerance")
         p.add_argument("--csv", help="write a points CSV here")
         p.add_argument("--json", dest="json_out", help="write a JSON report here")
         p.add_argument("--svg", help="write a static SVG plot here")
@@ -530,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a bundled fixture end to end")
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--outdir", default=".")
-    p.add_argument("--tol", type=_tol_flag, default=_default_tol())
+    p.add_argument("--tol", type=_number_flag, default=_default_tol())
     p.set_defaults(func=cmd_demo)
     return parser
 

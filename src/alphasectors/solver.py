@@ -32,7 +32,7 @@ from .functions import (
     evaluate_G,
     pole_in_band,
 )
-from .sectors import DEFAULT_ANGLE_TOL, classify_sector, phase
+from .sectors import classify_sector, phase
 
 DEFAULT_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-7
@@ -505,7 +505,6 @@ def alpha_points(
     alpha: complex,
     radius: float,
     tol: float = DEFAULT_TOL,
-    angle_tol: float = DEFAULT_ANGLE_TOL,
     cluster_tol: float = DEFAULT_CLUSTER_TOL,
     k: int | None = None,
 ) -> list[AlphaPoint]:
@@ -574,7 +573,7 @@ def alpha_points(
             if residual > tol * (1 + abs(alpha)) and pole_in_band(spec, z**spec.k, 1e-3) is None:
                 failures.append(cl)
                 continue
-        sector, boundary = classify_sector(z, k_eff, angle_tol)
+        sector, boundary = classify_sector(z, k_eff)
         pts.append(AlphaPoint(z, abs(z), sector, boundary, cl.multiplicity, residual))
     if failures:
         raise SolverError(

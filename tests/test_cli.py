@@ -165,6 +165,12 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         (MIXED_SCALE_JSON, solve_args(radius="1"), "field 'a'"),
         (MIXED_SCALE_JSON, census_args(alpha="1"), "field 'a'"),
         (MIXED_SCALE_JSON, ["predict", "--alpha=1"], "field 'a'"),
+        (FIG1_JSON, [*solve_args(radius="10", command="verify"), "--theorem", "main"],
+         "error: --theorem main: Im alpha^k = 0; use --theorem main2 or auto"),
+        (FIG1_JSON, [*solve_args("-1-1i", radius="10", command="verify"), "--theorem", "main2"],
+         "error: --theorem main2: Im alpha^k != 0; use --theorem main or auto"),
+        ({**THETA_JSON, "q": {"re": 0, "im": 1}, "N": 20}, solve_args("0", radius="trust"),
+         "error: --radius trust: the certified trust radius is 0"),
     ],
     ids=[
         "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
@@ -176,6 +182,7 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
           for command in ("solve", "predict", "census")],
         "census-tol-nan", "solve-tol-zero", "verify-tol-negative", "env-tol-string",
         "a-mixed-scale-solve", "a-mixed-scale-census", "a-mixed-scale-predict",
+        "verify-main-real-alpha", "verify-main2-generic-alpha", "solve-trust-radius-zero",
     ],
 )
 def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, monkeypatch, payload, args, field):
