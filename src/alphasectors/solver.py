@@ -3,13 +3,19 @@
 find_roots runs an Aberth-Ehrlich iteration from deterministic initial guesses
 on circles read off the Newton polygon of the coefficients (fixed irrational
 angular offset, no randomness), polishes by Newton on the scaled polynomial,
-and clusters near-coincident roots into multiplicities.  Each of those steps
-evaluates every root in one Horner loop over stacked lanes (_newton_terms):
-P and P' inside the unit circle, the reversed polynomial and its derivative
-at 1/u outside it.  Simple roots then take Newton steps on the original
-coefficients with a compensated (twice-working-precision) Horner residual,
-all roots at once, the four real products of each Horner step in one block;
-multiple roots take modified-Newton steps in 50-digit mpmath.
+and clusters near-coincident roots into multiplicities.  The support of the
+coefficients fixes a stride g once per solve (_stride): the alpha-polynomial
+z^s1 N(z^k) - alpha z^s2 D(z^k) holds its nonzeros in two residue classes
+mod k, so P(z) = sum_r z^r Q_r(z^g) with g = k, while dense input keeps
+g = 1, one class.  Each step evaluates every root in one Horner loop in
+w = z^g over stacked lanes (_Horner): each class of P and P' inside the
+unit circle, of the reversed polynomial and its derivative at 1/u outside
+it.  Simple roots then take Newton steps on the original coefficients with a
+compensated (twice-working-precision) Horner residual in w, with w = z^g
+formed error-free, all roots and classes at once, the four real products of
+each Horner step in one block; multiple roots take modified-Newton steps in
+50-digit mpmath.  At stride 1 both kernels are bit for bit the dense Horner
+loops.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it when the parameters match.
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,42 +114,143 @@ def _strip_and_scale(coeffs) -> tuple[np.ndarray, float, int]:
     return sc, math.exp(loglam), m0
 
 
-def _newton_terms(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, D) with P(u)/P'(u) = N/D for the scaled polynomial.
+class _Stride(NamedTuple):
+    """The exponents a polynomial holds lie in the classes r + g Z, r in classes (ascending)."""
 
-    Plain Horner inside the unit circle.  Outside it, reversed Horner on
-    P(u) = u^n Q(v), v = 1/u, Q ascending = reversed(sc): N = u Q(v) and
-    D = n Q(v) - v Q'(v), so no power of u is ever formed.  All four
-    polynomials run as one Horner loop over stacked lanes: each root picks
-    the descending coefficients of P or Q for its value lane and of P' or Q'
-    (led by a zero, so every lane takes n + 1 steps) for its derivative lane,
-    at x = u or x = 1/u.  The leading zero step gives +0, polyval's start,
-    so each lane is bit for bit the Horner loop it replaces.
+    g: int
+    classes: tuple[int, ...]
+
+
+_DENSE = _Stride(1, (0,))
+
+
+def _stride(coeffs: np.ndarray) -> _Stride:
+    """The stride g and residue classes that make Horner in w = u^g cheapest.
+
+    coeffs has c_0 != 0 and c_n != 0.  Its classes, stacked as lanes and each
+    padded to the longest, take (number of classes) x (n // g + 1) Horner
+    steps, plus about 2 log2 g products to form w; stride 1 takes n + 1.  A
+    stride g >= 2 is taken only when it at least halves that, so an input
+    with more than half its coefficients nonzero is dense at once.
     """
-    n = len(sc) - 1
-    big = ~(np.abs(u) <= 1.0)
-    x = u.copy()
-    x[big] = 1.0 / u[big]
-    dq = np.arange(1, n + 1) * sc[::-1][1:]
-    table = np.zeros((n + 1, 4), np.result_type(sc, u))
-    table[:, 0] = sc[::-1]
-    table[:, 1] = sc
-    table[1:, 2] = dsc[::-1]
-    table[1:, 3] = dq[::-1]
-    lane = big.astype(np.intp)
-    rows = table[:, np.concatenate([lane, lane + 2])]
-    xx = np.concatenate([x, x])
-    y = np.zeros_like(xx)
-    for row in rows:
-        y *= xx
-        y += row
-    val, dval = y.reshape(2, -1)
-    return np.where(big, u * val, val), np.where(big, n * val - x * dval, dval)
+    n = len(coeffs) - 1
+    support = np.flatnonzero(coeffs)
+    if 2 * len(support) > n + 1:
+        return _DENSE
+    g = np.arange(2, n + 1)
+    residues = np.sort(support[None, :] % g[:, None], axis=1)
+    classes = 1 + np.count_nonzero(np.diff(residues, axis=1), axis=1)
+    steps = classes * (n // g + 1) + 2 * np.log2(g)
+    best = int(np.argmin(steps))
+    if 2 * steps[best] > n + 1:
+        return _DENSE
+    g = int(g[best])
+    return _Stride(g, tuple(np.unique(support % g).tolist()))
 
 
-def _newton_corrections(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """x^e for e >= 1 by binary powering, x itself for e = 1."""
+    y = x
+    for bit in bin(e)[3:]:
+        y = y * y
+        if bit == "1":
+            y = y * x
+    return y
+
+
+def _powers(x: np.ndarray, exponents: list[int]) -> list[np.ndarray]:
+    """x^p for each p of the ascending exponents, each the one before times x^(p - p')."""
+    out = [_power(x, exponents[0])]
+    for prev, p in zip(exponents, exponents[1:]):
+        out.append(out[-1] * _power(x, p - prev))
+    return out
+
+
+def _class_lanes(c: np.ndarray, g: int, offsets: np.ndarray, rows: int) -> np.ndarray:
+    """(rows, len(offsets)) table whose column i holds c_(offsets[i] + g j), j descending.
+
+    Exponents beyond the end of c read 0, so every column is zero-padded
+    above to the same number of Horner steps.
+    """
+    idx = offsets[None, :] + g * np.arange(rows - 1, -1, -1)[:, None]
+    return np.append(c, 0)[np.minimum(idx, len(c))]
+
+
+class _Horner:
+    """(N, D) with P(u)/P'(u) = N/D for a scaled polynomial, every root in one Horner loop.
+
+    P(u) = sum_r u^r Q_r(w) over the stride's classes r, w = u^g, and P'
+    likewise over the classes (r - 1) mod g of its coefficients dsc.  Inside
+    the unit circle x = u.  Outside it x = v = 1/u and the reversed
+    polynomial Q(v) = v^n P(u), ascending = reversed(sc), is sparse in the
+    classes (n - r) mod g: N = u Q(v) and D = n Q(v) - v Q'(v), so no power
+    of u is ever formed.  The tables, built once, hold per class a value lane
+    and a derivative lane for each side, zero-padded to n // g + 1 steps;
+    each root picks the lanes of its side and all of them run as one Horner
+    loop at w = x^g.  Each lane's sum is then weighted by its power of x and
+    the classes added.  At stride 1 there is one class whose lanes are P
+    (or Q) and P' (or Q', led by a zero) with n + 1 steps and weight 1, so
+    the loop is bit for bit the Horner loop of each; the leading zero step
+    gives +0, polyval's start.
+    """
+
+    def __init__(self, sc: np.ndarray, dsc: np.ndarray, stride: _Stride = _DENSE):
+        self.sc, self.dsc, self.stride = sc, dsc, stride
+        n = len(sc) - 1
+        g, classes = stride
+        c = len(classes)
+        r = np.array(classes)
+        q = sc[::-1]
+        dq = np.arange(1, n + 1) * q[1:]
+        # the power of x weighting each lane: [value, derivative] x [inside, outside] x class
+        offsets = np.array([[r, (n - r) % g], [(r - 1) % g, (n - r - 1) % g]])
+        polys = ((sc, q), (dsc, dq))
+        self.table = np.concatenate(
+            [_class_lanes(polys[kind][side], g, offsets[kind, side], n // g + 1) for kind in (0, 1) for side in (0, 1)],
+            axis=1,
+        )
+        # table column of each lane (value lanes first, then derivative lanes) for a root inside
+        self.base = np.concatenate([np.arange(c), 2 * c + np.arange(c)])
+        # x^p for p in powers gives w = x^g (the last) and the lane weights: a weighted
+        # lane kind * c + i takes, inside and outside, 1 (slot 0) or x^powers[slot - 1]
+        self.powers = sorted(set(offsets.ravel().tolist()) - {0} | {g})
+        lane_offsets = offsets.transpose(0, 2, 1).reshape(2 * c, 2)
+        self.weighted = np.flatnonzero(lane_offsets.any(axis=1))
+        self.slot = np.searchsorted([0, *self.powers], lane_offsets[self.weighted])
+
+    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        n = len(self.sc) - 1
+        c = len(self.stride.classes)
+        m = len(u)
+        big = ~(np.abs(u) <= 1.0)
+        x = u.copy()
+        x[big] = 1.0 / u[big]
+        side = big.astype(np.intp)
+        pw = _powers(x, self.powers)
+        rows = self.table[:, (self.base[:, None] + c * side).ravel()]
+        xx = np.concatenate([pw[-1]] * (2 * c))
+        y = np.zeros_like(xx)
+        for row in rows:
+            y *= xx
+            y += row
+        y = y.reshape(2 * c, m)
+        if len(self.weighted):
+            pw = np.concatenate([np.ones_like(x), *pw]).reshape(-1, m)
+            y[self.weighted] *= pw[self.slot[:, side], np.arange(m)]
+        val, dval = y[::c]
+        for i in range(1, c):
+            val, dval = val + y[i], dval + y[c + i]
+        return np.where(big, u * val, val), np.where(big, n * val - x * dval, dval)
+
+
+def _newton_terms(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray, stride: _Stride = _DENSE):
+    """(N, D) with P(u)/P'(u) = N/D for the scaled polynomial sc (see _Horner)."""
+    return _Horner(sc, dsc, stride)(u)
+
+
+def _newton_corrections(horner: _Horner, u: np.ndarray) -> np.ndarray:
     """P(u)/P'(u) for the scaled polynomial."""
-    num, den = _newton_terms(sc, dsc, u)
+    num, den = horner(u)
     return num / np.where(den == 0, 1e-300, den)
 
 
@@ -176,15 +284,16 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
     return np.concatenate(circles)
 
 
-def _aberth(sc: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
-    n = len(sc) - 1
-    dsc = np.arange(1, n + 1) * sc[1:]
+def _aberth(sc: np.ndarray, tol: float, max_iters: int, horner: _Horner | None = None) -> np.ndarray:
+    """Aberth-Ehrlich iteration on the scaled polynomial sc; horner evaluates it (dense by default)."""
+    if horner is None:
+        horner = _Horner(sc, np.arange(1, len(sc)) * sc[1:])
     u = _start_points(sc)
     last = np.inf
     stall = 0
     with np.errstate(all="ignore"):
         for _ in range(max_iters):
-            nv = _newton_corrections(sc, dsc, u)
+            nv = _newton_corrections(horner, u)
             diff = u[:, None] - u[None, :]
             np.fill_diagonal(diff, np.inf)
             s = (1.0 / diff).sum(axis=1)
@@ -205,7 +314,7 @@ def _aberth(sc: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
             else:
                 stall = 0
             last = step
-    res = np.abs(_newton_corrections(sc, dsc, u))
+    res = np.abs(_newton_corrections(horner, u))
     if np.max(res / (1.0 + np.abs(u))) > 1e-4:
         raise SolverError(
             f"simultaneous iteration did not converge in {max_iters} iterations",
@@ -214,10 +323,10 @@ def _aberth(sc: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
     return u
 
 
-def _newton_polish(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray, steps: int = 3) -> np.ndarray:
+def _newton_polish(horner: _Horner, u: np.ndarray, steps: int = 3) -> np.ndarray:
     with np.errstate(all="ignore"):
         for _ in range(steps):
-            w = _newton_corrections(sc, dsc, u)
+            w = _newton_corrections(horner, u)
             w[~np.isfinite(w)] = 0.0
             u = u - w
     return u
@@ -253,7 +362,7 @@ def _cluster(roots: np.ndarray, cluster_tol: float) -> list[list[int]]:
 _EPS = float(np.finfo(float).eps)
 
 
-def _subsplit(sc: np.ndarray, dsc: np.ndarray, members_scaled: list[complex]) -> list[list[int]]:
+def _subsplit(horner: _Horner, members_scaled: list[complex]) -> list[list[int]]:
     """Partition a distance-cluster by indistinguishability of its members.
 
     Each member gets the Newton uncertainty radius (|P| + rounding noise) / |P'|,
@@ -263,9 +372,9 @@ def _subsplit(sc: np.ndarray, dsc: np.ndarray, members_scaled: list[complex]) ->
     separate by much more than their radii.
     """
     u = np.array(members_scaled)
-    num, den = _newton_terms(sc, dsc, u)
-    bound = _newton_terms(np.abs(sc), np.abs(dsc), np.abs(u))[0]
-    acc = (np.abs(num) + _EPS * (len(sc) - 1) * bound) / np.maximum(np.abs(den), 1e-300)
+    num, den = horner(u)
+    bound = _newton_terms(np.abs(horner.sc), np.abs(horner.dsc), np.abs(u), horner.stride)[0]
+    acc = (np.abs(num) + _EPS * (len(horner.sc) - 1) * bound) / np.maximum(np.abs(den), 1e-300)
     return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
 
 
@@ -295,50 +404,118 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def _compensated_newton_step(cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _turns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block (a, i a) of complex rows a = (x, y), that is (x, y) and (-y, x), with its Dekker halves."""
+    a4 = np.stack([a, np.stack([-a[:, 1], a[:, 0]], axis=1)])
+    return (a4, *_split(a4))
+
+
+def _exact_product(s: np.ndarray, turns) -> tuple[np.ndarray, np.ndarray]:
+    """(p, t) with p = fl(s a) and p + t = s a up to the rounding of t, for turns = _turns(a).
+
+    Complex numbers are (m, 2) float rows so each real operation covers both
+    parts.  s a = re(s) (x, y) + im(s) (-y, x): the four real products run as
+    one (2, m, 2) block, (re s, re s) and (im s, im s) times the two halves
+    of turns, each product and their sum error-free; t sums the errors.
+    """
+    s4 = np.repeat(s.T, 2, axis=1).reshape(2, len(s), 2)
+    s4_hi, s4_lo = _split(s4)
+    ab, eab = _two_prod(s4, s4_hi, s4_lo, *turns)
+    p, ep = _two_sum(ab[0], ab[1])
+    return p, eab[0] + eab[1] + ep
+
+
+def _dd_power(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """a^e (e >= 1) as hi + lo: hi as (m, 2) float rows, lo complex.
+
+    Binary powering in which every product is error-free and lo carries the
+    errors to first order (Graillat, "Accurate floating-point product and
+    exponentiation", IEEE Trans. Comput. 58, 2009): hi + lo is a^e to about
+    eps^2 log2 e, where the rounded powers are off by about eps log2 e.
+    """
+    ac = a.view(complex)[:, 0]
+    a_turns = _turns(a)
+    hi, lo = a, np.zeros(len(a), complex)
+    for bit in bin(e)[3:]:
+        h = hi.view(complex)[:, 0]
+        hi, t = _exact_product(hi, _turns(hi))
+        lo = t.view(complex)[:, 0] + 2 * h * lo
+        if bit == "1":
+            hi, t = _exact_product(hi, a_turns)
+            lo = t.view(complex)[:, 0] + lo * ac
+    return hi, lo
+
+
+def _compensated_newton_step(
+    cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np.ndarray, stride: _Stride = _DENSE
+) -> np.ndarray:
     """Newton corrections q(u)/q'(u) for q_j(u) = 2^f_j p(2^e_j u), one root per entry of u.
 
     cf holds the ascending coefficients of p as (re, im) rows.  The scaled
     coefficient c_i 2^(e_j i + f_j) is formed column by column, exactly, so
-    q_j is the caller's polynomial.  q(u) comes from compensated Horner
+    q_j is the caller's polynomial.  q(u) = sum_r u^r Q_r(w), w = u^g, over
+    the stride's classes r: each Q_r(w) comes from compensated Horner in w
     (Graillat, Langlois & Louvet 2009; complex error-free transformations as
-    in Graillat & Menissier-Morain 2012): about as accurate as Horner in
-    twice the working precision.  q'(u) is plain Horner, run alongside.
-    Complex numbers are (m, 2) float rows so each real operation covers both
-    parts; .view(complex) reads a row as one complex number.  The four real
-    products of s*u run as one (2, m, 2) block, (x, y) and (-y, x) times
-    (re s, re s) and (im s, im s), whose two halves are contiguous rows.
+    in Graillat & Menissier-Morain 2012), about as accurate as Horner in twice
+    the working precision, with every class of every root a lane of one loop.
+    w is the double-double w_hi + w_lo (_dd_power); s w_lo joins each step's
+    error terms.  The classes are added with double-double u^r and TwoSum.
+    q'(u) = g u^(g-1) Q_0'(w) + sum_(r >= 1) u^(r-1) (r Q_r(w) + g w Q_r'(w)),
+    the Q_r' by plain Horner run alongside.  At stride 1, w = u is exact, so
+    no w_lo term is formed, and q' is Q_0' itself: adding s 0 or multiplying
+    by 1 would turn a -0 into +0 or an inf into a NaN.
     """
     m = len(u)
     n = len(cf) - 1
+    g, classes = stride
+    c = len(classes)
+    r = np.array(classes)
+    rows = n // g + 1
+    # the exponent r + g j of each (row, class), j descending; index n + 1 reads 0
+    expo = r[None, :] + g * np.arange(rows - 1, -1, -1)[:, None]
+    coef = np.append(cf, [[0.0, 0.0]], axis=0)[np.minimum(expo, n + 1)][:, :, None, :]
     uf = u.view(float).reshape(m, 2)  # (x, y)
-    u4 = np.stack([uf, np.stack([-uf[:, 1], uf[:, 0]], axis=1)])  # with (-y, x)
-    u4_hi, u4_lo = _split(u4)
-    k = e * n + f
-    s = np.ldexp(cf[n], k[:, None])
-    err = np.zeros(m, complex)
-    der = np.zeros(m, complex)
-    for i in range(n - 1, -1, -1):
-        der = der * u + s.view(complex)[:, 0]
-        k -= e
-        s4 = np.repeat(s.T, 2, axis=1).reshape(2, m, 2)
-        s4_hi, s4_lo = _split(s4)
-        # s*u = re(s)*(x, y) + im(s)*(-y, x), each product and the sum exactly
-        ab, eab = _two_prod(s4, s4_hi, s4_lo, u4, u4_hi, u4_lo)
-        p, ep = _two_sum(ab[0], ab[1])
-        s, es = _two_sum(p, np.ldexp(cf[i], k[:, None]))
-        err = err * u + (eab[0] + eab[1] + ep + es).view(complex)[:, 0]
-    return (s.view(complex)[:, 0] + err) / der
+    wf, w_lo = _dd_power(uf, g)
+    w = np.tile(wf.view(complex)[:, 0], c)
+    w_turns = _turns(np.tile(wf, (c, 1)))
+    w_lo = np.tile(w_lo, c)
+    k = expo[0][:, None] * e + f  # (class, root)
+    s = np.ldexp(coef[0], k[:, :, None]).reshape(c * m, 2)
+    err = np.zeros(c * m, complex)
+    der = np.zeros(c * m, complex)
+    for j in range(1, rows):
+        sv = s.view(complex)[:, 0]
+        der = der * w + sv
+        k -= g * e
+        p, t = _exact_product(s, w_turns)
+        s, es = _two_sum(p, np.ldexp(coef[j], k[:, :, None]).reshape(c * m, 2))
+        t = (t + es).view(complex)[:, 0]
+        err = err * w + (t + sv * w_lo if g > 1 else t)
+    s = s.reshape(c, m, 2)
+    err = err.reshape(c, m)
+    der = der.reshape(c, m)
+    val, lo = s[0], err[0]
+    dval = der[0] if g == 1 else g * _power(u, g - 1) * der[0]
+    for i in range(1, c):
+        si = s[i].view(complex)[:, 0]
+        ph, pl = _dd_power(uf, classes[i])
+        x, t = _exact_product(s[i], _turns(ph))
+        val, es = _two_sum(val, x)
+        lo = lo + (t + es).view(complex)[:, 0] + ph.view(complex)[:, 0] * err[i] + pl * si
+        term = classes[i] * si + g * w[:m] * der[i]
+        dval = dval + (term if classes[i] == 1 else _power(u, classes[i] - 1) * term)
+    return (val.view(complex)[:, 0] + lo) / dval
 
 
-def _polish_simple(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _polish_simple(coeffs: np.ndarray, z: np.ndarray, stride: _Stride) -> tuple[np.ndarray, np.ndarray]:
     """Newton on the original coefficients for every simple root at once.
 
     Each root is scaled by its own power of two, z = 2^e u with |u| ~ 1, and
     its polynomial by another, 2^f, so that its largest term c_i 2^(e i) is
     about 1: no scaled coefficient column overflows and none that matters
     goes subnormal.  Powers of two are exact, so the polynomial solved is the
-    caller's bit for bit.  Two steps, then up to _MAX_POLISH_STEPS for roots
+    caller's bit for bit.  Each step is compensated Horner in w = u^g for the
+    stride of coeffs.  Two steps, then up to _MAX_POLISH_STEPS for roots
     whose last step is still above rounding level.  Returns the polished
     roots and the size of each root's last step relative to |u|.
     """
@@ -356,7 +533,7 @@ def _polish_simple(coeffs: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.nd
     todo = np.arange(len(z))
     for step in range(_MAX_POLISH_STEPS):
         with np.errstate(all="ignore"):
-            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo])
+            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo], stride)
             w[~np.isfinite(w)] = 0.0
             u[todo] -= w
             last[todo] = np.abs(w) / np.abs(u[todo])
@@ -431,21 +608,22 @@ def find_roots(
         root = -sc[0] / sc[1] * lam
         out.append(RootCluster(complex(root), (complex(root),), 1, 0.0))
         return _finish(out, max_multiplicity)
-    dsc = np.arange(1, n + 1) * sc[1:]
-    u = _aberth(sc, tol, max_iters)
-    u = _newton_polish(sc, dsc, u)
+    original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + n + 1])
+    stride = _stride(original)  # sc may hold fewer nonzeros (underflow), never more
+    horner = _Horner(sc, np.arange(1, n + 1) * sc[1:], stride)
+    u = _aberth(sc, tol, max_iters, horner)
+    u = _newton_polish(horner, u)
     roots = u * lam
     groups = _cluster(roots, cluster_tol)
 
-    original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + n + 1])
     found: list[tuple[list[int], complex]] = []
     for idx in groups:
         subgroups = [idx]
         if len(idx) >= 2:
             # keep close but genuinely distinguishable simple roots separate
             scaled = [complex(u[i]) for i in idx]
-            subgroups = [[idx[i] for i in sub] for sub in _subsplit(sc, dsc, scaled)]
-        found += [(sub, complex(np.mean([roots[i] for i in sub]))) for sub in subgroups]
+            subgroups = [[idx[i] for i in sub] for sub in _subsplit(horner, scaled)]
+        found += [(sub, complex(roots[sub[0]] if len(sub) == 1 else np.mean(roots[sub]))) for sub in subgroups]
 
     centers = np.array([center for _, center in found])
     sizes = np.array([len(sub) for sub, _ in found])
@@ -453,14 +631,14 @@ def find_roots(
         raise SolverError("a root lies beyond double range")
     simple = np.flatnonzero((sizes == 1) & (centers != 0))
     if len(simple):
-        centers[simple], last = _polish_simple(original, centers[simple])
+        centers[simple], last = _polish_simple(original, centers[simple], stride)
         _check_simple(centers[simple], last)
     multiple = np.flatnonzero(sizes > 1)
     if len(multiple):
         centers[multiple] = _extended_polish(original, centers[multiple].tolist(), sizes[multiple].tolist())
     for (sub, center), refined in zip(found, centers):
         members = tuple(complex(roots[i]) for i in sub)
-        radius = max(abs(m - center) for m in members)
+        radius = max(abs(m - center) for m in members) if len(sub) > 1 else 0.0
         out.append(RootCluster(complex(refined), members, len(sub), radius))
     return _finish(out, max_multiplicity)
 

@@ -608,3 +608,123 @@ def test_carried_roots_still_face_the_multiplicity_bound(monkeypatch):
     with pytest.raises(SolverError, match="exceeds the admissible bound 2"):
         alpha_points(series, 0.0, 2.0)
     assert not calls
+
+
+def _sparse_alpha_case(k: int, p: int, with_cd: bool, seed: int) -> np.ndarray:
+    """alpha_polynomial of a seeded rational spec; its exponents lie in the classes 0 and |p| mod k."""
+    rng = np.random.default_rng(seed)
+    na, nb = (8, 6) if k < 16 else (4, 3)
+    spec = StructuredFunction(
+        p=p,
+        k=k,
+        a=tuple(np.exp(rng.uniform(-1.5, 1.5, na)).tolist()),
+        b=tuple(np.exp(rng.uniform(-1.5, 1.5, nb)).tolist()),
+        c=tuple(np.exp(rng.uniform(-1.0, 1.0, int(with_cd))).tolist()),
+        d=tuple(np.exp(rng.uniform(-1.0, 1.0, int(with_cd))).tolist()),
+    )
+    return alpha_polynomial(spec, random_alpha_generic(rng, spec))
+
+
+# name -> (k, p, with c/d, zero coefficients put in front: roots at the origin, stripped before the solve)
+SPARSE_CASES = {
+    "k2-p1": (2, 1, False, 0),
+    "k3-p-2-cd": (3, -2, True, 0),
+    "k7-p2": (7, 2, False, 0),
+    "k7-p-1-cd-origin": (7, -1, True, 2),
+    "k16-p5-cd": (16, 5, True, 0),
+    "k16-p-1": (16, -1, False, 0),
+    "k24-p-1": (24, -1, False, 0),
+    "k24-p5-cd-origin": (24, 5, True, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_CASES))
+def test_sparse_solve_matches_extended_precision(monkeypatch, name):
+    k, p, with_cd, zeros = SPARSE_CASES[name]
+    coeffs = np.concatenate([np.zeros(zeros, complex), _sparse_alpha_case(k, p, with_cd, seed=k + 10 * zeros)])
+    assert solver._stride(coeffs[zeros:]).g == (k if k >= 7 else 1)
+    clusters = find_roots(coeffs)
+    moduli = [abs(cl.center) for cl in clusters if cl.center != 0]
+    assert min(moduli) < 1 < max(moduli)  # roots inside and outside the unit circle
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_stride", lambda c: solver._DENSE)
+        dense = find_roots(coeffs)
+    assert [(cl.center == 0, cl.multiplicity) for cl in clusters] == [(cl.center == 0, cl.multiplicity) for cl in dense]
+    simple = [cl for cl in clusters if cl.multiplicity == 1 and cl.center != 0]
+    for cl in simple[:: max(1, len(simple) // 24)]:
+        ref = _mp_polish(coeffs, cl.members[0], 1)
+        ulp = np.spacing(abs(ref))
+        assert abs(cl.center - ref) <= 4 * ulp, (cl.center, ref)
+        floor = _mp_abs_value(coeffs, ref, derivative=True) * ulp
+        assert _mp_abs_value(coeffs, cl.center) <= max(_mp_abs_value(coeffs, ref), floor)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        lambda: _random_poly(3, 96),
+        lambda: partial_theta_coeffs(0.7j, 64),
+        lambda: disturbed_exp_coeffs(1j, 40),
+        lambda: sokal_poly_coeffs(0.6j, 40),
+    ],
+    ids=["random", "theta", "dexp", "binomial"],
+)
+def test_dense_inputs_keep_stride_one(coeffs):
+    c = np.asarray(coeffs(), complex)
+    assert solver._stride(c[: np.flatnonzero(c)[-1] + 1]) == solver._DENSE
+
+
+@pytest.mark.parametrize("k, p", [(8, 1), (13, -2), (24, 5), (24, -1)])
+def test_alpha_polynomial_takes_stride_k_with_two_classes(k, p):
+    coeffs = _sparse_alpha_case(k, p, False, seed=k)
+    assert solver._stride(coeffs) == solver._Stride(k, (0, abs(p) % k))
+
+
+@pytest.mark.parametrize("k, p", [(7, 2), (24, -1)])
+def test_sparse_newton_terms_on_the_edge_lanes(k, p):
+    sc, _, _ = solver._strip_and_scale(_sparse_alpha_case(k, p, True, seed=k))
+    stride = solver._stride(sc)
+    assert stride.g == k
+    n = len(sc) - 1
+    dsc = np.arange(1, n + 1) * sc[1:]
+    rng = np.random.default_rng(k)
+    ring = np.exp(2j * np.pi * rng.uniform(size=40))
+    u = np.concatenate([
+        ring * rng.uniform(0.2, 1.0, 40),  # inside the unit circle
+        ring / rng.uniform(0.2, 1.0, 40),  # outside it
+        [1, -1, 1j, -1j, 0.6 + 0.8j, -0.8 - 0.6j],  # on it: |u| == 1 exactly
+        [0, complex(math.nan, 0.5), complex(math.inf, 0)],
+    ])
+    finite = np.isfinite(u)
+    for args in ((sc, dsc, u), (np.abs(sc), np.abs(dsc), np.abs(u))):  # _subsplit's rounding bound
+        with np.errstate(all="ignore"):
+            got = solver._newton_terms(*args, stride)
+            want = _polyval_newton_terms(*args)
+            bound = _polyval_newton_terms(*(np.abs(a) for a in args))  # sum |c_i| |u|^i, as N and D scale it
+            gaps = [np.abs(g - w)[finite] for g, w in zip(got, want)]
+        assert not np.isfinite(got[0][~finite]).any()
+        for g, w, gap, b in zip(got, want, gaps, bound):
+            assert np.array_equal(np.isfinite(g), np.isfinite(w))
+            assert np.all(gap <= 1e-13 * b[finite])
+
+
+@pytest.mark.parametrize("k, p, with_cd", [(7, 2, False), (16, 5, True), (24, -1, True)])
+def test_sparse_compensated_step_matches_extended_precision(k, p, with_cd):
+    # 1e-12 (relative) off each root, q(u) is a cancellation of terms 1e12
+    # times larger: plain Horner, or w = u^k rounded once, leaves the
+    # correction wrong in its fourth digit; the compensated step leaves
+    # about 1e-14 of it
+    coeffs = _sparse_alpha_case(k, p, with_cd, seed=k)
+    stride = solver._stride(coeffs)
+    assert stride.g == k
+    rng = np.random.default_rng(k)
+    z = np.array([cl.center for cl in find_roots(coeffs)])[::3]
+    z = z * (1 + 1e-12 * (rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))))
+    cf, e, f, u = _step_inputs(coeffs, z)
+    got = solver._compensated_newton_step(cf, e, f, u, stride)
+    with mp.workdps(60):
+        cs = [mp.mpc(c) for c in coeffs[::-1]]
+        for zi, ei, gi in zip(z, e, got):
+            pv, dv = mp.polyval(cs, mp.mpc(zi), derivative=True)
+            want = complex(pv / dv / mp.mpf(2) ** int(ei))
+            assert abs(gi - want) <= 1e-12 * abs(want), (zi, gi, want)
