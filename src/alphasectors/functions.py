@@ -379,6 +379,7 @@ def log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _TAIL_EXTRA = 10  # degree headroom required of the source series
+_GRID = np.geomspace(1e-3, 1e9, 241)[::-1]  # the trust radii tried, from the top
 
 
 def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFunction:
@@ -392,6 +393,13 @@ def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFu
         source estimated by the observed geometric decay, and
       * roots of the degree-N and degree-(N+10) truncations inside rho agree
         to 10*tail_tol relative.
+
+    Both truncations are solved in one batched solve (bit for bit two
+    find_roots calls), and the grid is scanned at once: the tail bound and
+    the root agreement of every radius as arrays, then the minimum of |P_N|
+    on the circles of only those radii, above the first that a tail within
+    tail_tol accepts outright, that still need it, a doubling number of
+    circles per evaluation.
 
     Non-decaying tails give trust_radius 0.  The result carries the roots of
     the degree-N solve (SeriesFunction.roots) unless the tail check returned
@@ -414,66 +422,85 @@ def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFu
     if tail_mags[-1] > 0 and tail_mags[-1] >= tail_mags[0] > 0:
         return SeriesFunction(tuple(head), 0.0)
 
-    from .solver import find_roots  # deferred: solver depends on this module
+    from . import solver  # deferred: solver depends on this module
 
-    clusters = tuple(find_roots(head))
-    roots_n = [cl.center for cl in clusters]
-    roots_w = [cl.center for cl in find_roots(wide)]
+    clusters, clusters_w = solver._find_roots_batch([head, wide])
+    tail = _tail_bounds(src, N, _GRID)
+    agree = _roots_agree([cl.center for cl in clusters], [cl.center for cl in clusters_w], _GRID, 10 * tail_tol)
+    accept = agree & (tail <= tail_tol)  # whatever min |P_N|: the bound's floor max(1, ...) is at least 1
+    first = int(np.argmax(accept)) if accept.any() else len(_GRID)
+    # the radii above it that need min |P_N| on their circle: 1, 2, 4, ... circles at a
+    # time from the top, until one is accepted
+    unsure = np.flatnonzero(agree[:first] & np.isfinite(tail[:first]))
+    for chunk in np.split(unsure, [1, 3, 7, 15, 31, 63, 127]):
+        if not len(chunk) or accept[: chunk[0]].any():
+            break
+        accept[chunk] = tail[chunk] <= tail_tol * np.maximum(1.0, _min_on_circles(head, _GRID[chunk]))
+    rho = float(_GRID[np.argmax(accept)]) if accept.any() else 0.0
+    return SeriesFunction(tuple(head), rho, tuple(clusters))
 
-    for rho in np.geomspace(1e-3, 1e9, 241)[::-1]:
-        if _tail_ok(src, N, rho, tail_tol, head) and _roots_agree(roots_n, roots_w, rho, 10 * tail_tol):
-            return SeriesFunction(tuple(head), float(rho), clusters)
-    return SeriesFunction(tuple(head), 0.0, clusters)
 
+def _tail_bounds(src: np.ndarray, N: int, rhos: np.ndarray) -> np.ndarray:
+    """sum_{n>N} |c_n| rho^n bounded for each radius, inf where no bound holds.
 
-def _tail_ok(src: np.ndarray, N: int, rho: float, tail_tol: float, head: np.ndarray) -> bool:
+    One row per radius: the terms in log space, scaled by the largest (the
+    peak), summed, and the unseen remainder beyond the source extrapolated
+    geometrically from the last two terms.  A row whose peak exceeds e^600
+    (term overflow), or whose last terms decay by a ratio of 0.9 or more, or
+    end in a nonzero after a zero, bounds nothing.  An all-zero tail is 0.
+    """
     mags = np.abs(src[N + 1 :])
     n_idx = np.arange(N + 1, len(src), dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
+    log_rho = np.array([math.log(rho) for rho in rhos])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         logs = np.where(mags > 0, np.log(np.where(mags > 0, mags, 1.0)), -np.inf)
-        logs = logs + n_idx * math.log(rho)
-    if not len(logs):
-        return False
-    peak = logs.max()
-    if peak > 600.0:  # term overflow; rho is far outside the certifiable range
-        return False
-    terms = np.exp(logs - peak) if math.isfinite(peak) else np.zeros_like(logs)
-    partial = float(terms.sum())
-    # geometric extrapolation of the unseen remainder from the last two terms
-    if terms[-1] > 0 and len(terms) >= 2 and terms[-2] > 0:
-        g = terms[-1] / terms[-2]
-        if g >= 0.9:
-            return False
-        partial += terms[-1] * g / (1 - g)
-    elif terms[-1] > 0:
-        return False
-    tail = partial * math.exp(peak) if math.isfinite(peak) else 0.0
-    floor = max(1.0, _min_on_circle(head, rho))
-    return tail <= tail_tol * floor
+        logs = logs[None, :] + n_idx[None, :] * log_rho[:, None]
+        peak = logs.max(axis=1)
+        finite = np.isfinite(peak)
+        terms = np.where(finite[:, None], np.exp(logs - peak[:, None]), 0.0)
+        partial = terms.sum(axis=1)
+        last, prev = terms[:, -1], terms[:, -2]
+        g = last / prev
+    extend = (last > 0) & (prev > 0) & (g < 0.9)
+    partial[extend] += last[extend] * g[extend] / (1 - g[extend])
+    bounded = ~(peak > 600.0) & (extend | ~(last > 0))
+    tail = np.where(bounded, 0.0, np.inf)
+    scale = bounded & finite
+    tail[scale] = partial[scale] * np.array([math.exp(x) for x in peak[scale]])
+    return tail
 
 
-def _min_on_circle(coeffs: np.ndarray, rho: float, samples: int = 256) -> float:
+def _min_on_circles(coeffs: np.ndarray, rhos: np.ndarray, samples: int = 256) -> np.ndarray:
+    """min |P| over samples points of the circle |z| = rho, for each radius; 0 where a term passes e^600."""
     theta = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
-    z = rho * np.exp(1j * theta)
     n = len(coeffs) - 1
     logs = np.where(np.abs(coeffs) > 0, np.log(np.where(np.abs(coeffs) > 0, np.abs(coeffs), 1.0)), -np.inf)
-    shift = float(np.max(logs + np.arange(n + 1) * math.log(rho)))
-    if shift > 600.0 or not math.isfinite(shift):
-        return 0.0
-    vals = np.polyval(coeffs[::-1], z)
-    m = float(np.min(np.abs(vals)))
-    return m if math.isfinite(m) else 0.0
+    log_rho = np.array([math.log(rho) for rho in rhos])
+    shift = (logs[None, :] + np.arange(n + 1)[None, :] * log_rho[:, None]).max(axis=1)
+    fit = np.isfinite(shift) & (shift <= 600.0)
+    out = np.zeros(len(rhos))
+    if fit.any():
+        m = np.abs(np.polyval(coeffs[::-1], rhos[fit, None] * np.exp(1j * theta)[None, :])).min(axis=1)
+        out[fit] = np.where(np.isfinite(m), m, 0.0)
+    return out
 
 
-def _roots_agree(roots_n, roots_w, rho: float, tol: float) -> bool:
-    inside_n = [r for r in roots_n if abs(r) <= rho]
-    inside_w = [r for r in roots_w if abs(r) <= rho]
-    if len(inside_n) != len(inside_w):
-        return False
-    for r in inside_n:
-        if not inside_w:
-            return False
-        d = min(abs(r - s) for s in inside_w)
-        if d > tol * (1 + abs(r)):
-            return False
-    return True
+def _roots_agree(roots_n, roots_w, rhos: np.ndarray, tol: float) -> np.ndarray:
+    """For each radius: as many roots of each list inside it, each of roots_n within tol (relative) of one of roots_w there.
+
+    One distance matrix serves every radius: with roots_w ordered by
+    modulus, the nearest inside rho is a running minimum along each row.
+    Moduli and distances are hypot, as Python's abs of a complex.
+    """
+    rn = np.asarray(roots_n, complex)
+    rw = np.asarray(roots_w, complex)
+    an = np.hypot(rn.real, rn.imag)
+    aw = np.hypot(rw.real, rw.imag)
+    order = np.argsort(aw, kind="stable")
+    diff = rn[:, None] - rw[order][None, :]
+    nearest = np.minimum.accumulate(np.hypot(diff.real, diff.imag), axis=1)
+    inside = an[None, :] <= rhos[:, None]
+    count_w = np.searchsorted(aw[order], rhos, side="right")
+    # count_w - 1 = -1 only where no root of roots_w is inside, and then the counts differ or none is
+    far = nearest[:, count_w - 1].T > tol * (1 + an)[None, :]
+    return (inside.sum(axis=1) == count_w) & ~(inside & far).any(axis=1)

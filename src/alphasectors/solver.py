@@ -16,6 +16,13 @@ formed error-free, all roots and classes at once, the four real products of
 each Horner step in one block; multiple roots take modified-Newton steps in
 50-digit mpmath.  At stride 1 both kernels are bit for bit the dense Horner
 loops.
+Several polynomials can be solved together (_find_roots_batch; find_roots is
+the batch of one): those of one stride and one degree mod g share the
+Horner tables, zero-padded at the top, so one Aberth loop, one Newton
+polish and one compensated polish serve them all, while each keeps its own
+start, reciprocal sum, stop rule, clusters and checks.  Each gets bit for
+bit the clusters of its own solve; truncate_series solves its two
+truncations this way.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it when the parameters match.
@@ -176,8 +183,11 @@ def _class_lanes(c: np.ndarray, g: int, offsets: np.ndarray, rows: int) -> np.nd
     return np.append(c, 0)[np.minimum(idx, len(c))]
 
 
+_ROW_BLOCK = 32  # Horner rows gathered per root at a time: bounds the gathered table's size
+
+
 class _Horner:
-    """(N, D) with P(u)/P'(u) = N/D for a scaled polynomial, every root in one Horner loop.
+    """(N, D) with P(u)/P'(u) = N/D for scaled polynomials, every root in one Horner loop.
 
     P(u) = sum_r u^r Q_r(w) over the stride's classes r, w = u^g, and P'
     likewise over the classes (r - 1) mod g of its coefficients dsc.  Inside
@@ -192,23 +202,30 @@ class _Horner:
     (or Q) and P' (or Q', led by a zero) with n + 1 steps and weight 1, so
     the loop is bit for bit the Horner loop of each; the leading zero step
     gives +0, polyval's start.
+
+    polys lists (sc, dsc) pairs that share the stride and n mod g, hence the
+    lane weights; each root names its polynomial by owner (default the
+    first).  A shorter polynomial is zero-padded at the top to the longest:
+    from the +0 start, each such step gives +0 again, so a root's lanes sum
+    bit for bit as in a table of its polynomial alone.
     """
 
-    def __init__(self, sc: np.ndarray, dsc: np.ndarray, stride: _Stride = _DENSE):
-        self.sc, self.dsc, self.stride = sc, dsc, stride
-        n = len(sc) - 1
+    def __init__(self, polys: list[tuple[np.ndarray, np.ndarray]], stride: _Stride = _DENSE):
+        self.polys, self.stride = polys, stride
+        self.degrees = np.array([len(sc) - 1 for sc, _ in polys])
+        n = int(self.degrees[0])
         g, classes = stride
         c = len(classes)
         r = np.array(classes)
-        q = sc[::-1]
-        dq = np.arange(1, n + 1) * q[1:]
         # the power of x weighting each lane: [value, derivative] x [inside, outside] x class
         offsets = np.array([[r, (n - r) % g], [(r - 1) % g, (n - r - 1) % g]])
-        polys = ((sc, q), (dsc, dq))
-        self.table = np.concatenate(
-            [_class_lanes(polys[kind][side], g, offsets[kind, side], n // g + 1) for kind in (0, 1) for side in (0, 1)],
-            axis=1,
-        )
+        rows = int(self.degrees.max()) // g + 1
+        lanes = []
+        for sc, dsc in polys:
+            q = sc[::-1]
+            sides = ((sc, q), (dsc, np.arange(1, len(sc)) * q[1:]))
+            lanes += [_class_lanes(sides[kind][side], g, offsets[kind, side], rows) for kind in (0, 1) for side in (0, 1)]
+        self.table = np.concatenate(lanes, axis=1)
         # table column of each lane (value lanes first, then derivative lanes) for a root inside
         self.base = np.concatenate([np.arange(c), 2 * c + np.arange(c)])
         # x^p for p in powers gives w = x^g (the last) and the lane weights: a weighted
@@ -218,8 +235,7 @@ class _Horner:
         self.weighted = np.flatnonzero(lane_offsets.any(axis=1))
         self.slot = np.searchsorted([0, *self.powers], lane_offsets[self.weighted])
 
-    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = len(self.sc) - 1
+    def __call__(self, u: np.ndarray, owner: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         c = len(self.stride.classes)
         m = len(u)
         big = ~(np.abs(u) <= 1.0)
@@ -227,12 +243,16 @@ class _Horner:
         x[big] = 1.0 / u[big]
         side = big.astype(np.intp)
         pw = _powers(x, self.powers)
-        rows = self.table[:, (self.base[:, None] + c * side).ravel()]
+        cols = self.base[:, None] + c * side
+        if owner is not None:
+            cols = cols + 4 * c * owner
+        cols = cols.ravel()
         xx = np.concatenate([pw[-1]] * (2 * c))
         y = np.zeros_like(xx)
-        for row in rows:
-            y *= xx
-            y += row
+        for top in range(0, len(self.table), _ROW_BLOCK):  # each root's rows, a block at a time
+            for row in self.table[top : top + _ROW_BLOCK, cols]:
+                y *= xx
+                y += row
         y = y.reshape(2 * c, m)
         if len(self.weighted):
             pw = np.concatenate([np.ones_like(x), *pw]).reshape(-1, m)
@@ -240,17 +260,18 @@ class _Horner:
         val, dval = y[::c]
         for i in range(1, c):
             val, dval = val + y[i], dval + y[c + i]
+        n = len(self.polys[0][0]) - 1 if owner is None else self.degrees[owner]
         return np.where(big, u * val, val), np.where(big, n * val - x * dval, dval)
 
 
 def _newton_terms(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray, stride: _Stride = _DENSE):
     """(N, D) with P(u)/P'(u) = N/D for the scaled polynomial sc (see _Horner)."""
-    return _Horner(sc, dsc, stride)(u)
+    return _Horner([(sc, dsc)], stride)(u)
 
 
-def _newton_corrections(horner: _Horner, u: np.ndarray) -> np.ndarray:
-    """P(u)/P'(u) for the scaled polynomial."""
-    num, den = horner(u)
+def _newton_corrections(horner: _Horner, u: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+    """P(u)/P'(u) for the scaled polynomial of each root."""
+    num, den = horner(u, owner)
     return num / np.where(den == 0, 1e-300, den)
 
 
@@ -284,49 +305,85 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
     return np.concatenate(circles)
 
 
-def _aberth(sc: np.ndarray, tol: float, max_iters: int, horner: _Horner | None = None) -> np.ndarray:
-    """Aberth-Ehrlich iteration on the scaled polynomial sc; horner evaluates it (dense by default)."""
+def _owned(parts: dict[int, np.ndarray], count: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The arrays of parts end to end, with owner[j] the key entry j came from.
+
+    owner is None, for a stack of one polynomial (count 1).
+    """
+    if count == 1:
+        return next(iter(parts.values())), None
+    return np.concatenate(list(parts.values())), np.repeat(list(parts), [len(x) for x in parts.values()])
+
+
+def _pieces(a: np.ndarray, parts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """a, stacked as _owned stacks parts, cut back into one piece per key."""
+    if len(parts) == 1:
+        return dict.fromkeys(parts, a)
+    return dict(zip(parts, np.split(a, np.cumsum([len(x) for x in parts.values()])[:-1])))
+
+
+def _aberth(scs: list[np.ndarray], tol: float, max_iters: int, horner: _Horner | None = None) -> list:
+    """Aberth-Ehrlich iteration on each scaled polynomial of scs, all in one loop.
+
+    horner evaluates the stack (dense by default), one call per iteration for
+    every root still moving.  Each polynomial keeps its own start, its own
+    pairwise reciprocal sum and its own stop and stall rule, and leaves the
+    loop at the iteration where it would stop if solved alone, so its
+    iterates are bit for bit those of a solo run.  Returns, per polynomial,
+    its iterates or the SolverError it raised.
+    """
     if horner is None:
-        horner = _Horner(sc, np.arange(1, len(sc)) * sc[1:])
-    u = _start_points(sc)
-    last = np.inf
-    stall = 0
+        horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for sc in scs])
+    out: list = [None] * len(scs)
+    u: dict[int, np.ndarray] = {}
+    for i, sc in enumerate(scs):
+        try:
+            u[i] = _start_points(sc)
+        except SolverError as exc:
+            out[i] = exc
+    last = dict.fromkeys(u, np.inf)
+    stall = dict.fromkeys(u, 0)
     with np.errstate(all="ignore"):
         for _ in range(max_iters):
-            nv = _newton_corrections(horner, u)
-            diff = u[:, None] - u[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = (1.0 / diff).sum(axis=1)
-            w = nv / (1.0 - nv * s)
-            bad = ~np.isfinite(w)
-            if bad.any():
-                w[bad] = nv[bad]
-                w[~np.isfinite(w)] = 0.0
-            u = u - w
-            step = float(np.max(np.abs(w) / (1.0 + np.abs(u))))
-            if step <= tol:
-                return u
-            # stagnation on a multiple-root limit cycle also counts as converged
-            if step >= 0.5 * last:
-                stall += 1
-                if stall >= 10 and step <= 1e-5:
-                    return u
-            else:
-                stall = 0
-            last = step
-    res = np.abs(_newton_corrections(horner, u))
-    if np.max(res / (1.0 + np.abs(u))) > 1e-4:
-        raise SolverError(
-            f"simultaneous iteration did not converge in {max_iters} iterations",
-            residuals=res.tolist(),
-        )
-    return u
+            if not u:
+                break
+            nv = _newton_corrections(horner, *_owned(u, len(scs)))
+            for i, nvi in _pieces(nv, u).items():
+                ui = u[i]
+                diff = ui[:, None] - ui[None, :]
+                np.fill_diagonal(diff, np.inf)
+                s = (1.0 / diff).sum(axis=1)
+                w = nvi / (1.0 - nvi * s)
+                bad = ~np.isfinite(w)
+                if bad.any():
+                    w[bad] = nvi[bad]
+                    w[~np.isfinite(w)] = 0.0
+                ui = u[i] = ui - w
+                step = float(np.max(np.abs(w) / (1.0 + np.abs(ui))))
+                # stagnation on a multiple-root limit cycle also counts as converged
+                if step >= 0.5 * last[i]:
+                    stall[i] += 1
+                else:
+                    stall[i] = 0
+                if step <= tol or (stall[i] >= 10 and step <= 1e-5):
+                    out[i] = u.pop(i)
+                last[i] = step
+    if u:
+        res = np.abs(_newton_corrections(horner, *_owned(u, len(scs))))
+        for i, ri in _pieces(res, u).items():
+            out[i] = u[i]
+            if np.max(ri / (1.0 + np.abs(u[i]))) > 1e-4:
+                out[i] = SolverError(
+                    f"simultaneous iteration did not converge in {max_iters} iterations",
+                    residuals=ri.tolist(),
+                )
+    return out
 
 
-def _newton_polish(horner: _Horner, u: np.ndarray, steps: int = 3) -> np.ndarray:
+def _newton_polish(horner: _Horner, u: np.ndarray, owner: np.ndarray | None, steps: int = 3) -> np.ndarray:
     with np.errstate(all="ignore"):
         for _ in range(steps):
-            w = _newton_corrections(horner, u)
+            w = _newton_corrections(horner, u, owner)
             w[~np.isfinite(w)] = 0.0
             u = u - w
     return u
@@ -362,19 +419,21 @@ def _cluster(roots: np.ndarray, cluster_tol: float) -> list[list[int]]:
 _EPS = float(np.finfo(float).eps)
 
 
-def _subsplit(horner: _Horner, members_scaled: list[complex]) -> list[list[int]]:
+def _subsplit(horner: _Horner, members_scaled: list[complex], which: int) -> list[list[int]]:
     """Partition a distance-cluster by indistinguishability of its members.
 
     Each member gets the Newton uncertainty radius (|P| + rounding noise) / |P'|,
     the noise being n eps sum |c_i| |u|^i, formed like N.  Below this distance
     two iterates cannot be told apart: a converged member of a multiple root
     sits within it of the center, while genuinely distinct simple roots
-    separate by much more than their radii.
+    separate by much more than their radii.  which names the cluster's
+    polynomial in horner's stack.
     """
     u = np.array(members_scaled)
-    num, den = horner(u)
-    bound = _newton_terms(np.abs(horner.sc), np.abs(horner.dsc), np.abs(u), horner.stride)[0]
-    acc = (np.abs(num) + _EPS * (len(horner.sc) - 1) * bound) / np.maximum(np.abs(den), 1e-300)
+    num, den = horner(u, np.full(len(u), which))
+    sc, dsc = horner.polys[which]
+    bound = _newton_terms(np.abs(sc), np.abs(dsc), np.abs(u), horner.stride)[0]
+    acc = (np.abs(num) + _EPS * (len(sc) - 1) * bound) / np.maximum(np.abs(den), 1e-300)
     return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
 
 
@@ -447,17 +506,27 @@ def _dd_power(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compensated_newton_step(
-    cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np.ndarray, stride: _Stride = _DENSE
+    cf: np.ndarray,
+    e: np.ndarray,
+    f: np.ndarray,
+    u: np.ndarray,
+    stride: _Stride = _DENSE,
+    owner: np.ndarray | None = None,
 ) -> np.ndarray:
     """Newton corrections q(u)/q'(u) for q_j(u) = 2^f_j p(2^e_j u), one root per entry of u.
 
-    cf holds the ascending coefficients of p as (re, im) rows.  The scaled
-    coefficient c_i 2^(e_j i + f_j) is formed column by column, exactly, so
-    q_j is the caller's polynomial.  q(u) = sum_r u^r Q_r(w), w = u^g, over
-    the stride's classes r: each Q_r(w) comes from compensated Horner in w
-    (Graillat, Langlois & Louvet 2009; complex error-free transformations as
-    in Graillat & Menissier-Morain 2012), about as accurate as Horner in twice
-    the working precision, with every class of every root a lane of one loop.
+    cf holds the ascending coefficients of p as (re, im) rows: (n + 1, 2) for
+    one polynomial, or (n + 1, P, 2) for P polynomials, each zero-padded
+    above its degree, with owner[j] the one root j takes (default the first).
+    The scaled coefficient c_i 2^(e_j i + f_j) is formed column by column,
+    exactly, so q_j is the caller's polynomial.  q(u) = sum_r u^r Q_r(w),
+    w = u^g, over the stride's classes r: each Q_r(w) comes from compensated
+    Horner in w (Graillat, Langlois & Louvet 2009; complex error-free
+    transformations as in Graillat & Menissier-Morain 2012), about as
+    accurate as Horner in twice the working precision, with every class of
+    every root a lane of one loop.  The zero rows above a shorter
+    polynomial's top coefficient keep its lanes at zero until that row, as
+    the leading zero of a derivative lane does.
     w is the double-double w_hi + w_lo (_dd_power); s w_lo joins each step's
     error terms.  The classes are added with double-double u^r and TwoSum.
     q'(u) = g u^(g-1) Q_0'(w) + sum_(r >= 1) u^(r-1) (r Q_r(w) + g w Q_r'(w)),
@@ -466,6 +535,8 @@ def _compensated_newton_step(
     by 1 would turn a -0 into +0 or an inf into a NaN.
     """
     m = len(u)
+    if cf.ndim == 2:
+        cf = cf[:, None]
     n = len(cf) - 1
     g, classes = stride
     c = len(classes)
@@ -473,7 +544,9 @@ def _compensated_newton_step(
     rows = n // g + 1
     # the exponent r + g j of each (row, class), j descending; index n + 1 reads 0
     expo = r[None, :] + g * np.arange(rows - 1, -1, -1)[:, None]
-    coef = np.append(cf, [[0.0, 0.0]], axis=0)[np.minimum(expo, n + 1)][:, :, None, :]
+    coef = np.append(cf, np.zeros((1, *cf.shape[1:])), axis=0)[np.minimum(expo, n + 1)]
+    if owner is not None:
+        coef = coef[:, :, owner]
     uf = u.view(float).reshape(m, 2)  # (x, y)
     wf, w_lo = _dd_power(uf, g)
     w = np.tile(wf.view(complex)[:, 0], c)
@@ -507,33 +580,41 @@ def _compensated_newton_step(
     return (val.view(complex)[:, 0] + lo) / dval
 
 
-def _polish_simple(coeffs: np.ndarray, z: np.ndarray, stride: _Stride) -> tuple[np.ndarray, np.ndarray]:
+def _polish_simple(
+    polys: list[np.ndarray], z: np.ndarray, stride: _Stride, owner: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
     """Newton on the original coefficients for every simple root at once.
 
-    Each root is scaled by its own power of two, z = 2^e u with |u| ~ 1, and
-    its polynomial by another, 2^f, so that its largest term c_i 2^(e i) is
+    polys holds the original coefficients of each polynomial, owner[j] the
+    one root j belongs to (None when there is one polynomial).  Each root is
+    scaled by its own power of two, z = 2^e u with |u| ~ 1, and its
+    polynomial by another, 2^f, so that its largest term c_i 2^(e i) is
     about 1: no scaled coefficient column overflows and none that matters
     goes subnormal.  Powers of two are exact, so the polynomial solved is the
     caller's bit for bit.  Each step is compensated Horner in w = u^g for the
-    stride of coeffs.  Two steps, then up to _MAX_POLISH_STEPS for roots
-    whose last step is still above rounding level.  Returns the polished
-    roots and the size of each root's last step relative to |u|.
+    stride of polys, every root of every polynomial in one pass.  Two steps,
+    then up to _MAX_POLISH_STEPS for roots whose last step is still above
+    rounding level.  Returns the polished roots and the size of each root's
+    last step relative to |u|.
     """
-    cf = coeffs.view(float).reshape(-1, 2)
-    mags = np.abs(coeffs)
-    idx = np.flatnonzero(mags)
-    logs = np.log2(mags[idx])
+    n = max(len(c) for c in polys) - 1
+    cf = np.zeros((n + 1, len(polys)), complex)
+    logs = np.full((len(polys), n + 1), -np.inf)
+    for i, c in enumerate(polys):
+        cf[: len(c), i] = c
+        with np.errstate(divide="ignore"):  # a zero coefficient is -inf, never the largest
+            logs[i, : len(c)] = np.log2(np.abs(c))
     e = np.round(np.log2(np.abs(z))).astype(np.int64)
-    top = np.full(len(z), -np.inf)
-    for i, lg in zip(idx, logs):
-        top = np.maximum(top, lg + e * i)
+    held = np.flatnonzero((logs > -np.inf).any(axis=0))  # exponents with a nonzero coefficient
+    top = (logs[0 if owner is None else owner][..., held] + e[:, None] * held).max(axis=1)
     f = -np.round(top).astype(np.int64)
+    cf = cf.view(float).reshape(n + 1, len(polys), 2)
     u = np.ldexp(z.view(float).reshape(-1, 2), -e[:, None]).view(complex)[:, 0]
     last = np.zeros(len(z))
     todo = np.arange(len(z))
     for step in range(_MAX_POLISH_STEPS):
         with np.errstate(all="ignore"):
-            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo], stride)
+            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo], stride, None if owner is None else owner[todo])
             w[~np.isfinite(w)] = 0.0
             u[todo] -= w
             last[todo] = np.abs(w) / np.abs(u[todo])
@@ -595,52 +676,130 @@ def find_roots(
     does a root beyond double range; a non-finite coefficient raises
     ValueError.  Sum of multiplicities equals the (stripped) degree.
     """
-    sc, lam, m0 = _strip_and_scale(coeffs)
-    out: list[RootCluster] = []
-    if m0:
-        out.append(RootCluster(0j, (0j,) * m0, m0, 0.0))
-    n = len(sc) - 1
-    if n == 0:
-        if not out:
+    return _find_roots_batch([coeffs], tol, max_iters, cluster_tol, max_multiplicity)[0]
+
+
+class _Solve:
+    """One polynomial of a batch on its way through _find_roots_batch.
+
+    Built from the coefficients (stripped and scaled); degree 0 and 1 are
+    solved at once, into clusters.  A longer one is iterated with the other
+    polynomials of its _Horner stack, then clustered (cluster) and, after
+    the shared polish of the simple roots, finished (finish) into clusters.
+    """
+
+    def __init__(self, coeffs, max_multiplicity: int | None):
+        self.sc, self.lam, m0 = _strip_and_scale(coeffs)
+        self.n = len(self.sc) - 1
+        self.max_multiplicity = max_multiplicity
+        self.clusters = [RootCluster(0j, (0j,) * m0, m0, 0.0)] if m0 else []
+        if self.n == 0 and not self.clusters:
             raise ValueError("polynomial degree must be >= 1")
-        return out
-    if n == 1:
-        root = -sc[0] / sc[1] * lam
-        out.append(RootCluster(complex(root), (complex(root),), 1, 0.0))
-        return _finish(out, max_multiplicity)
-    original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + n + 1])
-    stride = _stride(original)  # sc may hold fewer nonzeros (underflow), never more
-    horner = _Horner(sc, np.arange(1, n + 1) * sc[1:], stride)
-    u = _aberth(sc, tol, max_iters, horner)
-    u = _newton_polish(horner, u)
-    roots = u * lam
-    groups = _cluster(roots, cluster_tol)
+        if self.n == 1:
+            root = complex(-self.sc[0] / self.sc[1] * self.lam)
+            self.clusters = _finish([*self.clusters, RootCluster(root, (root,), 1, 0.0)], max_multiplicity)
+        if self.n >= 2:
+            self.original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + self.n + 1])
+            self.stride = _stride(self.original)  # sc may hold fewer nonzeros (underflow), never more
+            self.dsc = np.arange(1, self.n + 1) * self.sc[1:]
 
-    found: list[tuple[list[int], complex]] = []
-    for idx in groups:
-        subgroups = [idx]
-        if len(idx) >= 2:
-            # keep close but genuinely distinguishable simple roots separate
-            scaled = [complex(u[i]) for i in idx]
-            subgroups = [[idx[i] for i in sub] for sub in _subsplit(horner, scaled)]
-        found += [(sub, complex(roots[sub[0]] if len(sub) == 1 else np.mean(roots[sub]))) for sub in subgroups]
+    def cluster(self, u: np.ndarray, horner: _Horner, which: int, cluster_tol: float) -> np.ndarray:
+        """Group the polished iterates u (polynomial which of horner); returns the simple centres."""
+        roots = self.roots = u * self.lam
+        self.found: list[tuple[list[int], complex]] = []
+        for idx in _cluster(roots, cluster_tol):
+            subgroups = [idx]
+            if len(idx) >= 2:
+                # keep close but genuinely distinguishable simple roots separate
+                scaled = [complex(u[i]) for i in idx]
+                subgroups = [[idx[i] for i in sub] for sub in _subsplit(horner, scaled, which)]
+            self.found += [(sub, complex(roots[sub[0]] if len(sub) == 1 else np.mean(roots[sub]))) for sub in subgroups]
+        self.centers = np.array([center for _, center in self.found])
+        self.sizes = np.array([len(sub) for sub, _ in self.found])
+        if not np.isfinite(self.centers).all():
+            raise SolverError("a root lies beyond double range")
+        self.simple = np.flatnonzero((self.sizes == 1) & (self.centers != 0))
+        return self.centers[self.simple]
 
-    centers = np.array([center for _, center in found])
-    sizes = np.array([len(sub) for sub, _ in found])
-    if not np.isfinite(centers).all():
-        raise SolverError("a root lies beyond double range")
-    simple = np.flatnonzero((sizes == 1) & (centers != 0))
-    if len(simple):
-        centers[simple], last = _polish_simple(original, centers[simple], stride)
-        _check_simple(centers[simple], last)
-    multiple = np.flatnonzero(sizes > 1)
-    if len(multiple):
-        centers[multiple] = _extended_polish(original, centers[multiple].tolist(), sizes[multiple].tolist())
-    for (sub, center), refined in zip(found, centers):
-        members = tuple(complex(roots[i]) for i in sub)
-        radius = max(abs(m - center) for m in members) if len(sub) > 1 else 0.0
-        out.append(RootCluster(complex(refined), members, len(sub), radius))
-    return _finish(out, max_multiplicity)
+    def finish(self, polished: np.ndarray, last: np.ndarray) -> None:
+        """The clusters, from the polished simple centres and their last polish steps."""
+        centers, sizes = self.centers, self.sizes
+        if len(self.simple):
+            centers[self.simple] = polished
+            _check_simple(polished, last)
+        multiple = np.flatnonzero(sizes > 1)
+        if len(multiple):
+            centers[multiple] = _extended_polish(self.original, centers[multiple].tolist(), sizes[multiple].tolist())
+        for (sub, center), refined in zip(self.found, centers):
+            members = tuple(complex(self.roots[i]) for i in sub)
+            radius = max(abs(m - center) for m in members) if len(sub) > 1 else 0.0
+            self.clusters.append(RootCluster(complex(refined), members, len(sub), radius))
+        self.clusters = _finish(self.clusters, self.max_multiplicity)
+
+
+def _find_roots_batch(
+    polys: list,
+    tol: float = DEFAULT_ROOT_TOL,
+    max_iters: int = MAX_ITERS,
+    cluster_tol: float = DEFAULT_CLUSTER_TOL,
+    max_multiplicity: int | None = None,
+) -> list[list[RootCluster]]:
+    """find_roots of each coefficient list, bit for bit, the lists solved together.
+
+    Polynomials of one stride and one degree mod g share one _Horner stack:
+    one Aberth loop in which each keeps its own start, reciprocal sum and
+    stop rule, one Newton polish pass, and one compensated polish pass for
+    their simple roots.  Stripping, clustering, splitting, the multiple-root
+    polish and the checks stay per polynomial.  The first polynomial, in
+    input order, whose own solve fails raises its error.
+    """
+    results: list = []
+    groups: dict[tuple, list[int]] = {}
+    for i, coeffs in enumerate(polys):
+        try:
+            job = _Solve(coeffs, max_multiplicity)
+        except (ValueError, SolverError) as exc:
+            results.append(exc)
+            continue
+        results.append(job)
+        if job.n >= 2:
+            groups.setdefault((job.stride, job.n % job.stride.g), []).append(i)
+
+    def attempt(i, step, *args):
+        try:
+            return step(*args)
+        except SolverError as exc:
+            results[i] = exc
+
+    for (stride, _), members in groups.items():
+        jobs = [results[i] for i in members]
+        horner = _Horner([(job.sc, job.dsc) for job in jobs], stride)
+        iterates = {}
+        for p, (i, u) in enumerate(zip(members, _aberth([job.sc for job in jobs], tol, max_iters, horner))):
+            if isinstance(u, SolverError):
+                results[i] = u
+            else:
+                iterates[p] = u
+        if not iterates:
+            continue
+        polished = _pieces(_newton_polish(horner, *_owned(iterates, len(jobs))), iterates)
+        simple = {}
+        for p, u in polished.items():
+            z = attempt(members[p], jobs[p].cluster, u, horner, p, cluster_tol)
+            if z is not None:
+                simple[p] = z
+        last = {p: np.zeros(0) for p in simple}
+        if any(len(z) for z in simple.values()):
+            z, owner = _owned(simple, len(jobs))
+            z, steps = _polish_simple([job.original for job in jobs], z, stride, owner)
+            simple, last = _pieces(z, simple), _pieces(steps, simple)
+        for p, z in simple.items():
+            attempt(members[p], jobs[p].finish, z, last[p])
+
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return [job.clusters for job in results]
 
 
 def _check_simple(z: np.ndarray, last: np.ndarray) -> None:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import cmath
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 
@@ -75,3 +78,43 @@ def annulus_off_moduli(points, pole_radii, r_lo: float = None, r_hi: float = Non
 def pole_radii(spec: StructuredFunction):
     k = spec.k
     return [b ** (1.0 / k) for b in spec.b] + [d ** (-1.0 / k) for d in spec.d]
+
+
+def load_frozen(filename: str):
+    """A frozen module copy from the tests directory, loaded inside the package so that its relative imports resolve."""
+    name = "alphasectors." + pathlib.Path(filename).stem
+    spec = importlib.util.spec_from_file_location(name, pathlib.Path(__file__).with_name(filename))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while decorating
+    spec.loader.exec_module(module)
+    return module
+
+
+# the qseries-certify grid: (family, t for q = i t, truncation degree N)
+QSERIES_GRID = [
+    (family, t, N)
+    for family, t in (
+        ("disturbed-exp", 0.9),
+        ("partial-theta", 0.5),
+        ("sokal-poly", 0.6),
+        ("disturbed-exp", 1.0),
+        ("partial-theta", 0.7),
+        ("disturbed-exp", 0.7),
+    )
+    for N in (40, 64, 80)
+]
+
+
+def clusters_bytes(clusters):
+    """Every centre, member, multiplicity and radius of a cluster list, as bytes (None stays None)."""
+    if clusters is None:
+        return None
+    return [
+        (
+            np.complex128(cl.center).tobytes(),
+            np.array(cl.members, complex).tobytes(),
+            cl.multiplicity,
+            np.float64(cl.cluster_radius).tobytes(),
+        )
+        for cl in clusters
+    ]

@@ -10,10 +10,7 @@ raised message of the current module must be repr-equal to the copy's.
 """
 
 import cmath
-import importlib.util
 import math
-import pathlib
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -23,20 +20,9 @@ from alphasectors.functions import AlphaPoint
 from alphasectors.sectors import DEFAULT_ANGLE_TOL, classify_sector
 from alphasectors.solver import SolverError
 
-from helpers import random_alpha_generic, random_alpha_real_direction, random_structured
+from helpers import load_frozen, random_alpha_generic, random_alpha_real_direction, random_structured
 
-
-def _load_reference():
-    # loaded inside the package so that the copy's relative imports resolve
-    name = "alphasectors.reference_checks"
-    spec = importlib.util.spec_from_file_location(name, pathlib.Path(__file__).with_name("reference_checks.py"))
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up while decorating
-    spec.loader.exec_module(module)
-    return module
-
-
-REFERENCE = _load_reference()
+REFERENCE = load_frozen("reference_checks.py")
 
 
 def _run(fn, *args, **kwargs):

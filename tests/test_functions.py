@@ -18,14 +18,18 @@ from alphasectors import (
 from alphasectors.functions import (
     _TAIL_EXTRA,
     DEFAULT_POLE_TOL,
-    _roots_agree,
-    _tail_ok,
     alpha_polynomial,
     eval_many,
     log_derivative_many,
 )
 from alphasectors.qseries import disturbed_exp_coeffs, partial_theta_coeffs, sokal_poly_coeffs
 from alphasectors.solver import find_roots
+
+from helpers import QSERIES_GRID, clusters_bytes, load_frozen
+
+# the per-radius scan as it stood before the grid was scanned in one pass
+REFERENCE = load_frozen("reference_truncation.py")
+_roots_agree, _tail_ok = REFERENCE._roots_agree, REFERENCE._tail_ok
 
 FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
 FIG3 = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))
@@ -349,6 +353,36 @@ def test_gapped_series_certifies_its_largest_radius():
     runs = [i for i in range(1, len(ok)) if ok[i] and not ok[i - 1]]
     assert ok[0] and len(runs) == 1 and not ok[-1]  # two separate runs of certified radii
     assert 2 < truncate_series(series, N, tail_tol).trust_radius == grid[max(np.flatnonzero(ok))]
+
+
+def _grid_truncation(family: str, t: float, N: int):
+    from alphasectors.cli import _family_source
+    from alphasectors.qseries import QSeriesSpec
+
+    return SeriesFunction(tuple(_family_source(QSeriesSpec(family, 1j * t, N)))), N, 1e-9
+
+
+FROZEN_SCAN_CASES = {
+    **{f"{family}-{t}i-{N}": (lambda a=(family, t, N): _grid_truncation(*a)) for family, t, N in QSERIES_GRID},
+    "non-decaying": lambda: (SeriesFunction((1.0,) * 61), 40, 1e-9),
+    # the tail's peak term passes e^600 on the top 50 radii
+    "exp-40-peak-overflow": lambda: (SeriesFunction(tuple(1 / math.factorial(n) for n in range(51))), 40, 1e-9),
+    # an all-zero tail (padding above the binomial q-polynomial's degree)
+    "binomial-0.3i-30-padded": lambda: (SeriesFunction(tuple(sokal_poly_coeffs(0.3j, 30)) + (0.0,) * 10), 30, 1e-9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_SCAN_CASES))
+def test_one_pass_scan_matches_the_frozen_scan_byte_for_byte(name):
+    series, N, tail_tol = FROZEN_SCAN_CASES[name]()
+    got = truncate_series(series, N, tail_tol)
+    want = REFERENCE.truncate_series(series, N, tail_tol)
+    assert np.float64(got.trust_radius).tobytes() == np.float64(want.trust_radius).tobytes()
+    assert clusters_bytes(got.roots) == clusters_bytes(want.roots)
+    if name == "non-decaying":
+        assert got.trust_radius == 0.0 and got.roots is None
+    else:
+        assert got.trust_radius > 0
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from alphasectors.functions import alpha_polynomial
 from alphasectors import solver
 from alphasectors.solver import DEGREE_CAP, _check_simple
 
-from helpers import random_alpha_generic, random_structured
+from helpers import QSERIES_GRID, clusters_bytes, random_alpha_generic, random_structured
 
 FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
 
@@ -520,7 +520,7 @@ def _aberth_iterations(monkeypatch, coeffs) -> int:
     newton = solver._newton_corrections
     monkeypatch.setattr(solver, "_newton_corrections", lambda *a: calls.append(1) or newton(*a))
     sc, _, _ = solver._strip_and_scale(coeffs)
-    solver._aberth(sc, 1e-10, solver.MAX_ITERS)
+    solver._aberth([sc], 1e-10, solver.MAX_ITERS)
     return len(calls)
 
 
@@ -582,11 +582,16 @@ def test_alpha_points_reuses_the_truncation_roots_bit_for_bit(name):
 
 
 def test_series_pipeline_solves_each_truncation_once(monkeypatch):
-    calls = _count_find_roots(monkeypatch)
+    solves = _count_find_roots(monkeypatch)
+    batches = []
+    batch = solver._find_roots_batch
+    monkeypatch.setattr(
+        solver, "_find_roots_batch", lambda polys, *a, **kw: batches.append(len(polys)) or batch(polys, *a, **kw)
+    )
     series = _family_series(*FAMILY_SERIES["theta"])
-    assert len(calls) == 2  # the degree-N and degree-(N+10) truncations
+    assert batches == [2] and not solves  # the degree-N and degree-(N+10) truncations, in one batch
     alpha_points(series, 0.0, series.trust_radius, k=2)
-    assert len(calls) == 2
+    assert batches == [2] and not solves
 
 
 @pytest.mark.parametrize(
@@ -728,3 +733,61 @@ def test_sparse_compensated_step_matches_extended_precision(k, p, with_cd):
             pv, dv = mp.polyval(cs, mp.mpc(zi), derivative=True)
             want = complex(pv / dv / mp.mpf(2) ** int(ei))
             assert abs(gi - want) <= 1e-12 * abs(want), (zi, gi, want)
+
+
+# ---------------------------------------------------------------------------
+# the batched solve against one find_roots call per polynomial
+# ---------------------------------------------------------------------------
+
+
+def _assert_batch_matches_solo(polys):
+    got = solver._find_roots_batch(polys)
+    assert len(got) == len(polys)
+    for clusters, coeffs in zip(got, polys):
+        assert clusters_bytes(clusters) == clusters_bytes(find_roots(coeffs))
+
+
+@pytest.mark.parametrize("degrees", [(40, 50), (96, 106), (106, 96)], ids=["40-50", "96-106", "106-96"])
+def test_batch_matches_solo_on_random_pairs(degrees):
+    _assert_batch_matches_solo([_random_poly(d + 1000, d) for d in degrees])
+
+
+@pytest.mark.parametrize("family, t, N", QSERIES_GRID, ids=[f"{f}-{t}i-{n}" for f, t, n in QSERIES_GRID])
+def test_batch_matches_solo_on_the_qseries_truncations(family, t, N):
+    from alphasectors.cli import _family_source
+
+    src = np.asarray(_family_source(QSeriesSpec(family, 1j * t, N)), complex)
+    _assert_batch_matches_solo([src[: N + 1], src[: N + 11]])
+
+
+def test_batch_matches_solo_across_strides():
+    polys = [
+        _sparse_alpha_case(7, 2, False, seed=7),
+        _random_poly(5, 30),
+        np.concatenate([[0, 0], _sparse_alpha_case(24, -1, True, seed=24)]),  # two roots at the origin
+        _sparse_alpha_case(7, 2, True, seed=8),
+    ]
+    strides = [solver._stride(np.trim_zeros(np.asarray(c, complex))) for c in polys]
+    assert strides[0].g == 7 and strides[1].g == 1 and strides[2].g == 24
+    _assert_batch_matches_solo(polys)
+
+
+def _raised(solve, *args):
+    with pytest.raises((SolverError, ValueError)) as exc:
+        solve(*args)
+    err = exc.value
+    return type(err), str(err), np.array(getattr(err, "residuals", ())).tobytes()
+
+
+def test_batch_raises_the_error_of_its_first_failing_member():
+    good = partial_theta_coeffs(0.7j, 64)
+    stuck = partial_theta_coeffs(0.9, 80)  # Aberth does not converge
+    bad = [1.0, math.nan, 1.0]
+    assert _raised(find_roots, stuck)[1].startswith("simultaneous iteration did not converge")
+    assert _raised(solver._find_roots_batch, [good, stuck]) == _raised(find_roots, stuck)
+    assert _raised(solver._find_roots_batch, [good, stuck, bad]) == _raised(find_roots, stuck)
+    assert _raised(solver._find_roots_batch, [good, bad, stuck]) == _raised(find_roots, bad)
+    # input order decides, not the stage at which a solve fails: this one fails last, in _finish
+    late = [0, 0, 0, 1, 2, 1]  # a triple root at the origin, beyond max_multiplicity = 1
+    args = (1e-10, 200, 1e-7, 1)
+    assert _raised(solver._find_roots_batch, [good, late, bad, stuck], *args) == _raised(find_roots, late, *args)
