@@ -245,7 +245,10 @@ def _emit_results(points, reports, config) -> list[str]:
     return written
 
 
-def render_svg(points, spec, k: int, size: int = 640) -> str:
+_SVG_SIZE = 640  # width and height of the plot, in pixels
+
+
+def render_svg(points, spec, k: int) -> str:
     """Static plot: alpha-points, the 2k sector rays, zero/pole modulus circles."""
     extent = 1.0
     if points:
@@ -256,15 +259,15 @@ def render_svg(points, spec, k: int, size: int = 640) -> str:
         circles = [(r, "#d22d2d" if is_pole else "#2d7dd2") for r, is_pole in factor_moduli(spec)]
         extent = max([extent] + [r for r, _ in circles])
     extent *= 1.15
-    half = size / 2
+    half = _SVG_SIZE / 2
 
     def xy(z: complex) -> tuple[float, float]:
         return half + z.real / extent * half, half - z.imag / extent * half
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_SIZE}" height="{_SVG_SIZE}" '
+        f'viewBox="0 0 {_SVG_SIZE} {_SVG_SIZE}">',
+        f'<rect width="{_SVG_SIZE}" height="{_SVG_SIZE}" fill="white"/>',
     ]
     for s in range(2 * k):
         x, y = xy(extent * cmath.exp(1j * math.pi * s / k))

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sectors import SectorIndex, phase
+from .sectors import DEFAULT_ANGLE_TOL, SectorIndex, phase
 
 if TYPE_CHECKING:
     from .solver import RootCluster
@@ -74,6 +74,9 @@ class StructuredFunction:
         object.__setattr__(self, "d", tuple(float(x) for x in self.d))
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
+        if not DEFAULT_ANGLE_TOL < math.pi / (4 * self.k):  # classify_sector's bound on its angle tolerance
+            bound = math.pi / (4 * DEFAULT_ANGLE_TOL)
+            raise ValueError(f"k must be below {bound:.10g}, pi/4 over the angle tolerance, got {self.k}")
         if self.p == 0 or math.gcd(abs(self.p), self.k) != 1:
             raise ValueError(f"|p|={abs(self.p)} and k={self.k} must be coprime (p nonzero)")
         for name in ("a", "b", "c", "d"):
@@ -145,8 +148,8 @@ class SeriesFunction:
         object.__setattr__(self, "coeffs", tuple(complex(x) for x in self.coeffs))
         if len(self.coeffs) == 0:
             raise ValueError("coefficient list must be nonempty")
-        if not self.trust_radius >= 0:  # NaN too
-            raise ValueError(f"trust_radius must be nonnegative, got {self.trust_radius}")
+        if not 0 <= self.trust_radius < math.inf:  # NaN too
+            raise ValueError(f"trust_radius must be a nonnegative finite number, got {self.trust_radius}")
 
     @property
     def degree(self) -> int:
@@ -380,6 +383,7 @@ def log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
 
 _TAIL_EXTRA = 10  # degree headroom required of the source series
 _GRID = np.geomspace(1e-3, 1e9, 241)[::-1]  # the trust radii tried, from the top
+_CIRCLE_SAMPLES = 256  # points of each circle on which _min_on_circles takes min |P|
 
 
 def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFunction:
@@ -470,9 +474,9 @@ def _tail_bounds(src: np.ndarray, N: int, rhos: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _min_on_circles(coeffs: np.ndarray, rhos: np.ndarray, samples: int = 256) -> np.ndarray:
-    """min |P| over samples points of the circle |z| = rho, for each radius; 0 where a term passes e^600."""
-    theta = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+def _min_on_circles(coeffs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """min |P| at _CIRCLE_SAMPLES points of the circle |z| = rho, per radius; 0 where a term passes e^600."""
+    theta = np.linspace(0.0, 2 * math.pi, _CIRCLE_SAMPLES, endpoint=False)
     n = len(coeffs) - 1
     logs = np.where(np.abs(coeffs) > 0, np.log(np.where(np.abs(coeffs) > 0, np.abs(coeffs), 1.0)), -np.inf)
     log_rho = np.array([math.log(rho) for rho in rhos])

@@ -16,16 +16,19 @@ formed error-free, all roots and classes at once, the four real products of
 each Horner step in one block; multiple roots take modified-Newton steps in
 50-digit mpmath.  At stride 1 both kernels are bit for bit the dense Horner
 loops.
-Several polynomials can be solved together (_find_roots_batch; find_roots is
-the batch of one): those of one stride and one degree mod g share the
+Every solve is a batch (_find_roots_batch; find_roots is the batch of one,
+on the same path): polynomials of one stride and one degree mod g share the
 Horner tables, zero-padded at the top, so one Aberth loop, one Newton
-polish and one compensated polish serve them all, while each keeps its own
-start, reciprocal sum, stop rule, clusters and checks.  Each gets bit for
-bit the clusters of its own solve; truncate_series solves its two
-truncations this way.
+polish and one compensated polish serve them all, each kernel taking the
+polynomial of every root from an owner index array, while each polynomial
+keeps its own start, reciprocal sum, stop rule, clusters and checks.  Each
+gets bit for bit the clusters of its own solve; truncate_series solves its
+two truncations this way.  The iteration cap (MAX_ITERS) and the cluster
+distance (DEFAULT_CLUSTER_TOL) are fixed; only the root tolerance and the
+multiplicity bound are parameters.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
-reuses the roots truncate_series found for it when the parameters match.
+reuses the roots truncate_series found for it at the default root tolerance.
 """
 
 from __future__ import annotations
@@ -174,13 +177,14 @@ def _powers(x: np.ndarray, exponents: list[int]) -> list[np.ndarray]:
 
 
 def _class_lanes(c: np.ndarray, g: int, offsets: np.ndarray, rows: int) -> np.ndarray:
-    """(rows, len(offsets)) table whose column i holds c_(offsets[i] + g j), j descending.
+    """(rows, len(offsets), ...) table whose column i holds c_(offsets[i] + g j), j descending.
 
-    Exponents beyond the end of c read 0, so every column is zero-padded
-    above to the same number of Horner steps.
+    c is indexed by exponent along its first axis; any trailing axes are
+    carried along.  Exponents beyond the end of c read 0, so every column is
+    zero-padded above to the same number of Horner steps.
     """
     idx = offsets[None, :] + g * np.arange(rows - 1, -1, -1)[:, None]
-    return np.append(c, 0)[np.minimum(idx, len(c))]
+    return np.concatenate([c, np.zeros((1, *c.shape[1:]), c.dtype)])[np.minimum(idx, len(c))]
 
 
 _ROW_BLOCK = 32  # Horner rows gathered per root at a time: bounds the gathered table's size
@@ -204,13 +208,13 @@ class _Horner:
     gives +0, polyval's start.
 
     polys lists (sc, dsc) pairs that share the stride and n mod g, hence the
-    lane weights; each root names its polynomial by owner (default the
-    first).  A shorter polynomial is zero-padded at the top to the longest:
-    from the +0 start, each such step gives +0 again, so a root's lanes sum
-    bit for bit as in a table of its polynomial alone.
+    lane weights; owner[j] names the polynomial of root j.  A shorter
+    polynomial is zero-padded at the top to the longest: from the +0 start,
+    each such step gives +0 again, so a root's lanes sum bit for bit as in a
+    table of its polynomial alone.
     """
 
-    def __init__(self, polys: list[tuple[np.ndarray, np.ndarray]], stride: _Stride = _DENSE):
+    def __init__(self, polys: list[tuple[np.ndarray, np.ndarray]], stride: _Stride):
         self.polys, self.stride = polys, stride
         self.degrees = np.array([len(sc) - 1 for sc, _ in polys])
         n = int(self.degrees[0])
@@ -235,7 +239,7 @@ class _Horner:
         self.weighted = np.flatnonzero(lane_offsets.any(axis=1))
         self.slot = np.searchsorted([0, *self.powers], lane_offsets[self.weighted])
 
-    def __call__(self, u: np.ndarray, owner: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, u: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = len(self.stride.classes)
         m = len(u)
         big = ~(np.abs(u) <= 1.0)
@@ -243,10 +247,7 @@ class _Horner:
         x[big] = 1.0 / u[big]
         side = big.astype(np.intp)
         pw = _powers(x, self.powers)
-        cols = self.base[:, None] + c * side
-        if owner is not None:
-            cols = cols + 4 * c * owner
-        cols = cols.ravel()
+        cols = (self.base[:, None] + c * (side + 4 * owner)).ravel()
         xx = np.concatenate([pw[-1]] * (2 * c))
         y = np.zeros_like(xx)
         for top in range(0, len(self.table), _ROW_BLOCK):  # each root's rows, a block at a time
@@ -260,16 +261,16 @@ class _Horner:
         val, dval = y[::c]
         for i in range(1, c):
             val, dval = val + y[i], dval + y[c + i]
-        n = len(self.polys[0][0]) - 1 if owner is None else self.degrees[owner]
+        n = self.degrees[owner]
         return np.where(big, u * val, val), np.where(big, n * val - x * dval, dval)
 
 
-def _newton_terms(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray, stride: _Stride = _DENSE):
+def _newton_terms(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray, stride: _Stride):
     """(N, D) with P(u)/P'(u) = N/D for the scaled polynomial sc (see _Horner)."""
-    return _Horner([(sc, dsc)], stride)(u)
+    return _Horner([(sc, dsc)], stride)(u, np.zeros(len(u), np.intp))
 
 
-def _newton_corrections(horner: _Horner, u: np.ndarray, owner: np.ndarray | None = None) -> np.ndarray:
+def _newton_corrections(horner: _Horner, u: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """P(u)/P'(u) for the scaled polynomial of each root."""
     num, den = horner(u, owner)
     return num / np.where(den == 0, 1e-300, den)
@@ -305,38 +306,33 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
     return np.concatenate(circles)
 
 
-def _owned(parts: dict[int, np.ndarray], count: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """The arrays of parts end to end, with owner[j] the key entry j came from.
-
-    owner is None, for a stack of one polynomial (count 1).
-    """
-    if count == 1:
-        return next(iter(parts.values())), None
-    return np.concatenate(list(parts.values())), np.repeat(list(parts), [len(x) for x in parts.values()])
+def _owned(parts: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of parts end to end, with owner[j] the key entry j came from."""
+    return np.concatenate(list(parts.values())), np.concatenate([np.full(len(x), key) for key, x in parts.items()])
 
 
 def _pieces(a: np.ndarray, parts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """a, stacked as _owned stacks parts, cut back into one piece per key."""
-    if len(parts) == 1:
-        return dict.fromkeys(parts, a)
-    return dict(zip(parts, np.split(a, np.cumsum([len(x) for x in parts.values()])[:-1])))
+    """a, stacked as _owned stacks parts, cut back into one slice per key."""
+    out, start = {}, 0
+    for key, x in parts.items():
+        out[key] = a[start : start + len(x)]
+        start += len(x)
+    return out
 
 
-def _aberth(scs: list[np.ndarray], tol: float, max_iters: int, horner: _Horner | None = None) -> list:
-    """Aberth-Ehrlich iteration on each scaled polynomial of scs, all in one loop.
+def _aberth(horner: _Horner, tol: float) -> list:
+    """Aberth-Ehrlich iteration on each scaled polynomial of horner's stack, all in one loop.
 
-    horner evaluates the stack (dense by default), one call per iteration for
-    every root still moving.  Each polynomial keeps its own start, its own
-    pairwise reciprocal sum and its own stop and stall rule, and leaves the
-    loop at the iteration where it would stop if solved alone, so its
-    iterates are bit for bit those of a solo run.  Returns, per polynomial,
-    its iterates or the SolverError it raised.
+    horner evaluates the stack, one call per iteration for every root still
+    moving.  Each polynomial keeps its own start, its own pairwise reciprocal
+    sum and its own stop and stall rule, and leaves the loop at the iteration
+    where it would stop if solved alone, so its iterates are bit for bit
+    those of a solo run.  Returns, per polynomial, its iterates or the
+    SolverError it raised.
     """
-    if horner is None:
-        horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for sc in scs])
-    out: list = [None] * len(scs)
+    out: list = [None] * len(horner.polys)
     u: dict[int, np.ndarray] = {}
-    for i, sc in enumerate(scs):
+    for i, (sc, _) in enumerate(horner.polys):
         try:
             u[i] = _start_points(sc)
         except SolverError as exc:
@@ -344,10 +340,10 @@ def _aberth(scs: list[np.ndarray], tol: float, max_iters: int, horner: _Horner |
     last = dict.fromkeys(u, np.inf)
     stall = dict.fromkeys(u, 0)
     with np.errstate(all="ignore"):
-        for _ in range(max_iters):
+        for _ in range(MAX_ITERS):
             if not u:
                 break
-            nv = _newton_corrections(horner, *_owned(u, len(scs)))
+            nv = _newton_corrections(horner, *_owned(u))
             for i, nvi in _pieces(nv, u).items():
                 ui = u[i]
                 diff = ui[:, None] - ui[None, :]
@@ -369,20 +365,21 @@ def _aberth(scs: list[np.ndarray], tol: float, max_iters: int, horner: _Horner |
                     out[i] = u.pop(i)
                 last[i] = step
     if u:
-        res = np.abs(_newton_corrections(horner, *_owned(u, len(scs))))
+        res = np.abs(_newton_corrections(horner, *_owned(u)))
         for i, ri in _pieces(res, u).items():
             out[i] = u[i]
             if np.max(ri / (1.0 + np.abs(u[i]))) > 1e-4:
                 out[i] = SolverError(
-                    f"simultaneous iteration did not converge in {max_iters} iterations",
+                    f"simultaneous iteration did not converge in {MAX_ITERS} iterations",
                     residuals=ri.tolist(),
                 )
     return out
 
 
-def _newton_polish(horner: _Horner, u: np.ndarray, owner: np.ndarray | None, steps: int = 3) -> np.ndarray:
+def _newton_polish(horner: _Horner, u: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Three Newton steps on the scaled polynomial of each root."""
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for _ in range(3):
             w = _newton_corrections(horner, u, owner)
             w[~np.isfinite(w)] = 0.0
             u = u - w
@@ -411,9 +408,9 @@ def _components(near: np.ndarray) -> list[list[int]]:
     return list(groups.values())
 
 
-def _cluster(roots: np.ndarray, cluster_tol: float) -> list[list[int]]:
+def _cluster(roots: np.ndarray) -> list[list[int]]:
     scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
-    return _components(np.abs(roots[:, None] - roots[None, :]) < math.sqrt(cluster_tol) * scale)
+    return _components(np.abs(roots[:, None] - roots[None, :]) < math.sqrt(DEFAULT_CLUSTER_TOL) * scale)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -506,25 +503,20 @@ def _dd_power(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _compensated_newton_step(
-    cf: np.ndarray,
-    e: np.ndarray,
-    f: np.ndarray,
-    u: np.ndarray,
-    stride: _Stride = _DENSE,
-    owner: np.ndarray | None = None,
+    cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np.ndarray, stride: _Stride, owner: np.ndarray
 ) -> np.ndarray:
     """Newton corrections q(u)/q'(u) for q_j(u) = 2^f_j p(2^e_j u), one root per entry of u.
 
-    cf holds the ascending coefficients of p as (re, im) rows: (n + 1, 2) for
-    one polynomial, or (n + 1, P, 2) for P polynomials, each zero-padded
-    above its degree, with owner[j] the one root j takes (default the first).
-    The scaled coefficient c_i 2^(e_j i + f_j) is formed column by column,
-    exactly, so q_j is the caller's polynomial.  q(u) = sum_r u^r Q_r(w),
-    w = u^g, over the stride's classes r: each Q_r(w) comes from compensated
-    Horner in w (Graillat, Langlois & Louvet 2009; complex error-free
-    transformations as in Graillat & Menissier-Morain 2012), about as
-    accurate as Horner in twice the working precision, with every class of
-    every root a lane of one loop.  The zero rows above a shorter
+    cf holds the ascending coefficients of P polynomials as (re, im) rows,
+    (n + 1, P, 2), each zero-padded above its degree; owner[j] names the
+    polynomial of root j.  The scaled coefficient c_i 2^(e_j i + f_j) is
+    formed column by column, exactly, so q_j is the caller's polynomial.
+    q(u) = sum_r u^r Q_r(w), w = u^g, over the stride's classes r: each
+    Q_r(w) comes from compensated Horner in w (Graillat, Langlois & Louvet
+    2009; complex error-free transformations as in Graillat &
+    Menissier-Morain 2012), about as accurate as Horner in twice the working
+    precision, with every class of every root a lane of one loop (its
+    coefficients laid out by _class_lanes, as _Horner's).  The zero rows above a shorter
     polynomial's top coefficient keep its lanes at zero until that row, as
     the leading zero of a derivative lane does.
     w is the double-double w_hi + w_lo (_dd_power); s w_lo joins each step's
@@ -535,24 +527,17 @@ def _compensated_newton_step(
     by 1 would turn a -0 into +0 or an inf into a NaN.
     """
     m = len(u)
-    if cf.ndim == 2:
-        cf = cf[:, None]
-    n = len(cf) - 1
     g, classes = stride
     c = len(classes)
     r = np.array(classes)
-    rows = n // g + 1
-    # the exponent r + g j of each (row, class), j descending; index n + 1 reads 0
-    expo = r[None, :] + g * np.arange(rows - 1, -1, -1)[:, None]
-    coef = np.append(cf, np.zeros((1, *cf.shape[1:])), axis=0)[np.minimum(expo, n + 1)]
-    if owner is not None:
-        coef = coef[:, :, owner]
+    rows = (len(cf) - 1) // g + 1
+    coef = _class_lanes(cf, g, r, rows)[:, :, owner]  # (row, class, root, re/im)
     uf = u.view(float).reshape(m, 2)  # (x, y)
     wf, w_lo = _dd_power(uf, g)
     w = np.tile(wf.view(complex)[:, 0], c)
     w_turns = _turns(np.tile(wf, (c, 1)))
     w_lo = np.tile(w_lo, c)
-    k = expo[0][:, None] * e + f  # (class, root)
+    k = (r + g * (rows - 1))[:, None] * e + f  # the exponent of each class's top row, per root
     s = np.ldexp(coef[0], k[:, :, None]).reshape(c * m, 2)
     err = np.zeros(c * m, complex)
     der = np.zeros(c * m, complex)
@@ -581,17 +566,16 @@ def _compensated_newton_step(
 
 
 def _polish_simple(
-    polys: list[np.ndarray], z: np.ndarray, stride: _Stride, owner: np.ndarray | None
+    polys: list[np.ndarray], z: np.ndarray, stride: _Stride, owner: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton on the original coefficients for every simple root at once.
 
     polys holds the original coefficients of each polynomial, owner[j] the
-    one root j belongs to (None when there is one polynomial).  Each root is
-    scaled by its own power of two, z = 2^e u with |u| ~ 1, and its
-    polynomial by another, 2^f, so that its largest term c_i 2^(e i) is
-    about 1: no scaled coefficient column overflows and none that matters
-    goes subnormal.  Powers of two are exact, so the polynomial solved is the
-    caller's bit for bit.  Each step is compensated Horner in w = u^g for the
+    one root j belongs to.  Each root is scaled by its own power of two,
+    z = 2^e u with |u| ~ 1, and its polynomial by another, 2^f, so that its
+    largest term c_i 2^(e i) is about 1: no scaled coefficient column
+    overflows and none that matters goes subnormal.  Powers of two are exact,
+    so the polynomial solved is the caller's bit for bit.  Each step is compensated Horner in w = u^g for the
     stride of polys, every root of every polynomial in one pass.  Two steps,
     then up to _MAX_POLISH_STEPS for roots whose last step is still above
     rounding level.  Returns the polished roots and the size of each root's
@@ -606,7 +590,7 @@ def _polish_simple(
             logs[i, : len(c)] = np.log2(np.abs(c))
     e = np.round(np.log2(np.abs(z))).astype(np.int64)
     held = np.flatnonzero((logs > -np.inf).any(axis=0))  # exponents with a nonzero coefficient
-    top = (logs[0 if owner is None else owner][..., held] + e[:, None] * held).max(axis=1)
+    top = (logs[owner][:, held] + e[:, None] * held).max(axis=1)
     f = -np.round(top).astype(np.int64)
     cf = cf.view(float).reshape(n + 1, len(polys), 2)
     u = np.ldexp(z.view(float).reshape(-1, 2), -e[:, None]).view(complex)[:, 0]
@@ -614,7 +598,7 @@ def _polish_simple(
     todo = np.arange(len(z))
     for step in range(_MAX_POLISH_STEPS):
         with np.errstate(all="ignore"):
-            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo], stride, None if owner is None else owner[todo])
+            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo], stride, owner[todo])
             w[~np.isfinite(w)] = 0.0
             u[todo] -= w
             last[todo] = np.abs(w) / np.abs(u[todo])
@@ -661,22 +645,18 @@ def _extended_polish(coeffs: np.ndarray, centers: list[complex], nus: list[int])
     return out
 
 
-def find_roots(
-    coeffs,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iters: int = MAX_ITERS,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    max_multiplicity: int | None = None,
-) -> list[RootCluster]:
+def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None) -> list[RootCluster]:
     """All complex roots of an ascending coefficient list, with multiplicities.
 
-    Deterministic: fixed initial circles, fixed iteration schedule.  Clusters
+    The batch of one (_find_roots_batch).  Deterministic: fixed initial
+    circles, at most MAX_ITERS Aberth iterations, each root stopping at the
+    relative step tol, iterates clustered at DEFAULT_CLUSTER_TOL.  Clusters
     whose multiplicity exceeds max_multiplicity (when given), and iterates
     that do not polish onto a simple root of their own, raise SolverError, as
     does a root beyond double range; a non-finite coefficient raises
     ValueError.  Sum of multiplicities equals the (stripped) degree.
     """
-    return _find_roots_batch([coeffs], tol, max_iters, cluster_tol, max_multiplicity)[0]
+    return _find_roots_batch([coeffs], tol, max_multiplicity)[0]
 
 
 class _Solve:
@@ -703,11 +683,11 @@ class _Solve:
             self.stride = _stride(self.original)  # sc may hold fewer nonzeros (underflow), never more
             self.dsc = np.arange(1, self.n + 1) * self.sc[1:]
 
-    def cluster(self, u: np.ndarray, horner: _Horner, which: int, cluster_tol: float) -> np.ndarray:
+    def cluster(self, u: np.ndarray, horner: _Horner, which: int) -> np.ndarray:
         """Group the polished iterates u (polynomial which of horner); returns the simple centres."""
         roots = self.roots = u * self.lam
         self.found: list[tuple[list[int], complex]] = []
-        for idx in _cluster(roots, cluster_tol):
+        for idx in _cluster(roots):
             subgroups = [idx]
             if len(idx) >= 2:
                 # keep close but genuinely distinguishable simple roots separate
@@ -738,11 +718,7 @@ class _Solve:
 
 
 def _find_roots_batch(
-    polys: list,
-    tol: float = DEFAULT_ROOT_TOL,
-    max_iters: int = MAX_ITERS,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
-    max_multiplicity: int | None = None,
+    polys: list, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None
 ) -> list[list[RootCluster]]:
     """find_roots of each coefficient list, bit for bit, the lists solved together.
 
@@ -775,22 +751,22 @@ def _find_roots_batch(
         jobs = [results[i] for i in members]
         horner = _Horner([(job.sc, job.dsc) for job in jobs], stride)
         iterates = {}
-        for p, (i, u) in enumerate(zip(members, _aberth([job.sc for job in jobs], tol, max_iters, horner))):
+        for p, (i, u) in enumerate(zip(members, _aberth(horner, tol))):
             if isinstance(u, SolverError):
                 results[i] = u
             else:
                 iterates[p] = u
         if not iterates:
             continue
-        polished = _pieces(_newton_polish(horner, *_owned(iterates, len(jobs))), iterates)
+        polished = _pieces(_newton_polish(horner, *_owned(iterates)), iterates)
         simple = {}
         for p, u in polished.items():
-            z = attempt(members[p], jobs[p].cluster, u, horner, p, cluster_tol)
+            z = attempt(members[p], jobs[p].cluster, u, horner, p)
             if z is not None:
                 simple[p] = z
         last = {p: np.zeros(0) for p in simple}
         if any(len(z) for z in simple.values()):
-            z, owner = _owned(simple, len(jobs))
+            z, owner = _owned(simple)
             z, steps = _polish_simple([job.original for job in jobs], z, stride, owner)
             simple, last = _pieces(z, simple), _pieces(steps, simple)
         for p, z in simple.items():
@@ -842,7 +818,6 @@ def alpha_points(
     alpha: complex,
     radius: float,
     tol: float = DEFAULT_TOL,
-    cluster_tol: float = DEFAULT_CLUSTER_TOL,
     k: int | None = None,
 ) -> list[AlphaPoint]:
     """Every alpha-point with |z| <= radius, sorted by modulus then argument.
@@ -850,7 +825,11 @@ def alpha_points(
     Structured specs must be rational (A = A0 = 0) and have alpha != 0; series
     specs must carry a trust radius covering the request (alpha = 0 is allowed
     there, meaning plain zeros of the truncation).  For series specs the sector
-    index k defaults to 2, the setting of the quadrant theorems.
+    index k defaults to 2, the setting of the quadrant theorems.  tol bounds
+    the residual of a rational spec's points, and the root tolerance is
+    min(tol, DEFAULT_ROOT_TOL); a series at alpha = 0 solved at the default
+    root tolerance takes the roots truncate_series carried instead of
+    solving again.
     """
     alpha = complex(alpha)
     if radius <= 0:
@@ -875,19 +854,15 @@ def alpha_points(
         raise ValueError(f"degree {len(P) - 1} exceeds the cap {DEGREE_CAP}")
 
     root_tol = min(tol, DEFAULT_ROOT_TOL)
-    if carried is not None and root_tol == DEFAULT_ROOT_TOL and cluster_tol == DEFAULT_CLUSTER_TOL:
-        # find_roots(P) at these parameters, found when the series was truncated
+    if carried is not None and root_tol == DEFAULT_ROOT_TOL:
+        # find_roots(P) at this tolerance, found when the series was truncated
         clusters = _finish(list(carried), 2)
     else:
-        clusters = find_roots(P, tol=root_tol, cluster_tol=cluster_tol, max_multiplicity=2)
+        clusters = find_roots(P, tol=root_tol, max_multiplicity=2)
     if isinstance(spec, SeriesFunction):
-        # P, the series shifted by alpha, at every centre in one Horner loop
-        centers = np.array([cl.center for cl in clusters], complex)
-        values = np.zeros_like(centers)
+        # P, the series shifted by alpha, at every centre
         with np.errstate(all="ignore"):  # centres beyond the radius may overflow
-            for c in P[::-1]:
-                values *= centers
-                values += c
+            values = np.polyval(P[::-1], np.array([cl.center for cl in clusters], complex))
     pts: list[AlphaPoint] = []
     failures = []
     for i, cl in enumerate(clusters):

@@ -147,6 +147,8 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         ({"type": "series", "coeffs": [1, 2, -math.inf], "trust_radius": 1}, solve_args("0"), "field coeffs[2]"),
         ({"type": "series", "coeffs": [1, {"im": 10**400}], "trust_radius": 1}, solve_args("0"), "field coeffs[1]"),
         ({"type": "series", "coeffs": [1, 2], "trust_radius": math.nan}, solve_args("0"), "trust_radius"),
+        ({"type": "series", "coeffs": [1, 2, 1.5], "trust_radius": math.inf}, solve_args("0", radius="trust"),
+         "trust_radius must be a nonnegative finite number"),
         ({**THETA_JSON, "q": {"re": 0, "im": math.nan}}, solve_args("0"), "field q"),
         (FIG1_JSON, solve_args("0", radius="1"), "alpha must be nonzero"),
         (FIG1_JSON, ["predict", "--alpha=0"], "alpha must be nonzero"),
@@ -171,18 +173,23 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
          "error: --theorem main2: Im alpha^k != 0; use --theorem main or auto"),
         ({**THETA_JSON, "q": {"re": 0, "im": 1}, "N": 20}, solve_args("0", radius="trust"),
          "error: --radius trust: the certified trust radius is 0"),
+        # sector rays pi/k apart no farther than 4 angle tolerances: the error names k, not the tolerance
+        ({"type": "rational", "p": 1, "k": 10**9, "a": [1]}, ["predict", "--alpha=0.3+0.2i"],
+         "k must be below 785398163.4"),
     ],
     ids=[
         "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
         "tail-tol-string", "N-list", "coeffs-not-list", "solve-radius-inf", "verify-radius-inf",
         "census-rin-zero", "census-rin-above-rout", "census-rin-nan", "census-rout-inf", "census-inconclusive",
-        "coeffs-re-nan", "coeffs-re-inf", "coeffs-minus-inf", "coeffs-huge-int", "trust-radius-nan", "q-im-nan",
-        "solve-alpha-zero", "predict-alpha-zero", "theta-unconverged", "A-nan", "A0-inf",
+        "coeffs-re-nan", "coeffs-re-inf", "coeffs-minus-inf", "coeffs-huge-int", "trust-radius-nan",
+        "trust-radius-inf", "q-im-nan", "solve-alpha-zero", "predict-alpha-zero", "theta-unconverged", "A-nan",
+        "A0-inf",
         *[f"{spec}-{command}" for spec in ("a-underflow", "ab-overflow", "a-overflow")
           for command in ("solve", "predict", "census")],
         "census-tol-nan", "solve-tol-zero", "verify-tol-negative", "env-tol-string",
         "a-mixed-scale-solve", "a-mixed-scale-census", "a-mixed-scale-predict",
         "verify-main-real-alpha", "verify-main2-generic-alpha", "solve-trust-radius-zero",
+        "predict-k-beyond-angle-tol",
     ],
 )
 def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, monkeypatch, payload, args, field):
