@@ -16,8 +16,10 @@ Every evaluation reads one factor table, built once per spec: rows
 (value, is_pole, on_reciprocal_side) in a, b, c, d order, standing for the
 factors (x + a), 1/(x - b), (x + c), 1/(x - d) with x = z^k on the first two
 lists and x = z^-k on the last two.  The scalar and array evaluators, the log
-derivative, normalization_constant, the polynomial builders, the pole-band
-test and the zero/pole moduli (factor_moduli) all loop over those rows only.
+derivative, the fused G and G'/G pass of the winding integrand
+(eval_log_derivative_many), normalization_constant, the polynomial builders,
+the pole-band test and the zero/pole moduli (factor_moduli) all loop over
+those rows only.
 
 SeriesFunction holds a Maclaurin truncation of an entire target together with
 a certified trust radius; roots inside the trust radius are accepted as roots
@@ -343,7 +345,8 @@ def exponential_alpha_series(spec: StructuredFunction, alpha: complex, N: int) -
 
 
 # ---------------------------------------------------------------------------
-# vectorized raw evaluation, used by the winding oracle (no pole banding)
+# vectorized raw evaluation, used by the winding oracle (no pole banding):
+# eval_many for the detour probe, eval_log_derivative_many for the integrand
 # ---------------------------------------------------------------------------
 
 
@@ -375,6 +378,61 @@ def log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
         x, dx = (zmk, dzmk) if recip else (zk, dzk)
         out = out - dx / (x - v) if is_pole else out + dx / (x + v)
     return out
+
+
+def _power(z: np.ndarray, n: int) -> np.ndarray:
+    """z^n, n >= 1, by repeated squaring: multiplications only, no complex pow."""
+    out, square = None, z
+    while True:
+        if n & 1:
+            out = square if out is None else out * square
+        n >>= 1
+        if not n:
+            return out
+        square = square * square
+
+
+def eval_log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and G'/G at an array of nonzero points, in one pass over the factor table; no pole banding.
+
+    z^k and z^|p| are formed once each, by multiplication.  Each row takes
+    one reciprocal r = 1/(x +- v), x = z^k or z^-k, which serves both the
+    product (a pole row multiplies by r) and the log-derivative sum of its
+    side: S_w = A + sum +-r over the z^k rows and S_r = -A0 - sum +-r over
+    the z^-k rows, a pole row's term negated.  Then
+    G'/G = (p + k (z^k S_w + z^-k S_r)) / z.
+    """
+    z = np.asarray(z, complex)
+    k = spec.k
+    zk = _power(z, k)
+    val = _power(z, abs(spec.p))
+    if spec.p < 0:
+        val = 1.0 / val
+    zmk = 1.0 / zk if spec.c or spec.d or spec.A0 else None
+    if spec.A or spec.A0:
+        expo = spec.A * zk
+        if spec.A0:
+            expo = expo + spec.A0 * zmk
+        val = val * np.exp(expo)
+    sums = [spec.A or None, -spec.A0 or None]  # S_w, S_r; None while a side has no term
+    for v, is_pole, recip in spec.factors:
+        x = zmk if recip else zk
+        t = x - v if is_pole else x + v
+        r = np.reciprocal(t)
+        val = val * r if is_pole else val * t
+        s = sums[recip]
+        if is_pole == recip:
+            sums[recip] = r if s is None else s + r
+        else:
+            sums[recip] = -r if s is None else s - r
+    s_w, s_r = sums
+    if s_r is None:
+        x = zk * s_w
+    elif s_w is None:
+        x = zmk * s_r
+    else:
+        x = zk * s_w + zmk * s_r
+    return val, (spec.p + k * x) / z
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ edge pieces, lines and circles, and its integral is a signed sum of its
 pieces (the edge decomposition of Delves & Lyness, Math. Comp. 21 (1967), and
 Kravanja & Van Barel, LNM 1727 (2000)); a census integrates every edge once,
 each ray serving the two sectors it separates.  One adaptive 12-point
-Gauss-Legendre loop refines all pieces together, many panels per call.
+Gauss-Legendre loop refines all pieces together, many panels per call.  A
+panel's nodes and weights are rows of tables built once per integration
+(one row for the lines, one per circle half-width, at every depth), its
+halves are one multiply-add away from it, and the integrand takes G and
+G'/G from one pass over the factor table (eval_log_derivative_many).  A
+panel is accepted at its share of the tolerance, at the depth cap, or when
+its halves agree with it to rounding, so no tolerance refines forever.
 
 Poles of F sit on the even boundary rays (z^k real positive), so a ray takes
 small semicircular detours around them, one bulging into each region it
@@ -24,12 +30,20 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .functions import SeriesFunction, StructuredFunction, eval_many, factor_moduli, log_derivative_many
+from .functions import SeriesFunction, StructuredFunction, eval_log_derivative_many, eval_many, factor_moduli
+from .functions import log_derivative_many  # noqa: F401  kept for the benchmark, which wraps it here by name
 
 ROUND_GUARD = 0.25
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+_TURN_NODES = np.append(_GL_NODES, [-1.0, 1.0])  # a circle panel's nodes, then its halves' midpoints
 _MAX_DEPTH = 24  # halvings of a panel; at this depth it is accepted whatever its error
+_DEPTHS = _MAX_DEPTH + 2  # depths of the node tables: a pending panel's, and its halves' one deeper
+_SCALE = 0.5 ** np.arange(_DEPTHS)  # a panel's half-width over its piece's
+_SPLIT_SCALE = np.concatenate([[np.inf], _SCALE[: _MAX_DEPTH], [np.inf]])  # tolerance over tol, at the halves' depth
+_LINE_Y = np.broadcast_to(_GL_NODES.astype(complex), (1, _DEPTHS, 12))
+_LINE_W = np.broadcast_to(_GL_WEIGHTS.astype(complex), (1, _DEPTHS, 12))
 _CHUNK = 256  # panels per integrand call; bounds the memory of one step
+_NOISE = 16 * np.finfo(float).eps  # a panel's rounding, in units of its noise scale (see _integrate)
 
 
 class InconclusiveRegion(RuntimeError):
@@ -116,10 +130,47 @@ def _integrand(spec, alpha: complex):
         return fn
 
     def fn(z):
-        f = eval_many(spec, z)
-        return log_derivative_many(spec, z) * f / (f - alpha)
+        f, log_derivative = eval_log_derivative_many(spec, z)
+        return log_derivative * f / (f - alpha)
 
     return fn
+
+
+def _panel_tables(pieces: list[_Piece], tol: float):
+    """Node tables of _integrate, one entry per slot = row * _DEPTHS + depth.
+
+    Row 0 serves every line piece, and row r >= 1 the circle pieces of the
+    r-th distinct parameter half-width h0 (widths within 1e-14 of each
+    other share a row).  A panel of half-width h = h0 2^-depth and midpoint
+    m has nodes z_j = P + Q Y_j and integral Q sum_j f(z_j) W_j, with
+
+        line z = p + q t:       P = p + q m, Q = q h,      Y_j = x_j,         W_j = w_j,
+        circle z = p + q e^it:  P = p,       Q = q e^{im}, Y_j = e^{i h x_j}, W_j = i h w_j Y_j,
+
+    (x_j, w_j) the Gauss-Legendre rule.  The left and right halves of a
+    panel have (P + Q a, Q b), with (a, b) = (-+1/2, 1/2) on a line and
+    (0, e^{-+ih}) on a circle, h the halves' half-width.  `split` holds
+    a_left, a_right, b_left, b_right and the split panel's tolerance,
+    tol 2^-depth (inf at _MAX_DEPTH), at the halves' slot.  Also returns
+    each piece's depth-0 slot, P and Q.
+    """
+    p, q, t0, t1, circle = (np.array(x, dt) for x, dt in zip(zip(*pieces), (complex, complex, float, float, bool)))
+    mid, h0 = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
+    widths = np.sort(h0[circle])
+    widths = widths[np.diff(widths, prepend=-np.inf) > 1e-14 * np.abs(widths)]
+    slot = np.zeros(len(pieces), int)
+    slot[circle] = np.searchsorted(widths, h0[circle], "right") * _DEPTHS
+    h = widths[:, None, None] * _SCALE[:, None]
+    turn = np.exp(1j * h * _TURN_NODES)  # one exp: every circle row's nodes and halves' turns at every depth
+    y = np.concatenate([_LINE_Y, turn[..., :12]])
+    w = np.concatenate([_LINE_W, (1j * h) * _GL_WEIGHTS * turn[..., :12]])
+    split = np.zeros((5, len(widths) + 1, _DEPTHS), complex)
+    split[:4, 0] = [[-0.5], [0.5], [0.5], [0.5]]
+    split[2:4, 1:] = turn[..., 12:].transpose(2, 0, 1)
+    split[4] = tol * _SPLIT_SCALE
+    P = np.where(circle, p, p + q * mid)
+    Q = q * np.where(circle, np.exp(1j * mid), h0)
+    return y.reshape(-1, 12), w.reshape(-1, 12), split.reshape(5, -1), slot, P, Q
 
 
 def _integrate(fn, pieces: list[_Piece], tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -132,61 +183,84 @@ def _integrate(fn, pieces: list[_Piece], tol: float) -> tuple[np.ndarray, np.nda
     level while they fit in one call, and never more than about
     _MAX_DEPTH * _CHUNK pending, however many are rejected.  Returns each
     piece's integral and error estimate, summed over its accepted panels.
-    A non-finite panel raises InconclusiveRegion at once.
+
+    A panel is (piece, slot, P, Q, whole): its nodes and weights are rows
+    of the _panel_tables, and its halves' (P, Q) are one multiply-add from
+    its own, so a step forms no exponential.  The pending panels are a
+    stack in arrays that double when it outgrows them; the accepted ones
+    are summed once, at the end.
+
+    A panel is also accepted when its halves agree with it to rounding:
+    within _NOISE times |halves| + (|P| + |Q|) (|f_11 - f_0| of the left
+    half + that of the right), the rounding of the sums plus that of f at
+    nodes placed to eps |z|.  A tolerance below that is met at no depth,
+    and every panel used to be split down to _MAX_DEPTH for it.  A
+    non-finite panel raises InconclusiveRegion at once.
     """
-    p = np.array([pc.p for pc in pieces], complex)
-    q = np.array([pc.q for pc in pieces], complex)
-    circle = np.array([pc.circle for pc in pieces], bool)
+    n = len(pieces)
+    y, w, split, slot0, P0, Q0 = _panel_tables(pieces, tol)
 
-    def panels(i, a, b):
-        half = 0.5 * (b - a)
-        t = (0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES
-        on_circle = circle[i]
-        e = t.astype(complex)
-        e[on_circle] = np.exp(1j * t[on_circle])
-        z = p[i, None] + q[i, None] * e
-        dz = np.where(on_circle[:, None], (1j * q[i])[:, None] * e, q[i, None])
-        vals = half * np.sum(_GL_WEIGHTS * fn(z.ravel()).reshape(z.shape) * dz, axis=1)
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            piece = pieces[i[np.argmax(bad)]]
-            raise InconclusiveRegion(f"integrand not finite on {piece.edge}", slice_index=piece.label, edge=piece.edge)
-        return vals
+    def panels(piece, slot, P, Q):
+        """The panels' integrals, and their integrands at the nodes."""
+        z = P[..., None] + Q[..., None] * y.take(slot, axis=0)
+        f = fn(z.ravel()).reshape(z.shape)
+        vals = Q * (f[..., None, :] @ w.take(slot, axis=0)[..., None])[..., 0, 0]
+        if not np.isfinite(vals).all():
+            pc = pieces[piece[np.argmax(~np.isfinite(vals).ravel()) % piece.size]]
+            raise InconclusiveRegion(f"integrand not finite on {pc.edge}", slice_index=pc.label, edge=pc.edge)
+        return vals, f
 
-    value = np.zeros(len(pieces), complex)
-    err = np.zeros(len(pieces))
-    # the pending panels, deepest last: piece, interval, whole, depth
-    idx = np.arange(len(pieces))
-    ta = np.array([pc.t0 for pc in pieces], float)
-    tb = np.array([pc.t1 for pc in pieces], float)
-    whole = np.concatenate([panels(*(x[lo : lo + _CHUNK] for x in (idx, ta, tb))) for lo in range(0, idx.size, _CHUNK)])
-    depth = np.zeros(idx.size, int)
-    while idx.size:
-        cut = max(idx.size - _CHUNK // 2, 0)
-        i, a, b, w, d = (x[cut:] for x in (idx, ta, tb, whole, depth))
-        m = 0.5 * (a + b)
-        left, right = np.split(panels(np.concatenate([i, i]), np.concatenate([a, m]), np.concatenate([m, b])), 2)
-        halves = left + right
-        e = np.abs(halves - w)
-        done = (e <= tol * 0.5**d) | (d >= _MAX_DEPTH)
-        np.add.at(value, i[done], halves[done])
-        np.add.at(err, i[done], e[done])
+    # the pending panels, deepest last: (piece, slot of its halves) and (P, Q, whole),
+    # in arrays that double whenever the stack outgrows them
+    ints = np.empty((2, n + _CHUNK // 2), int)
+    cplx = np.empty((3, n + _CHUNK // 2), complex)
+    idx = np.arange(n)
+    ints[:, :n] = idx, slot0 + 1
+    cplx[:, :n] = P0, Q0, np.concatenate(
+        [panels(*(x[lo : lo + _CHUNK] for x in (idx, slot0, P0, Q0)))[0] for lo in range(0, n, _CHUNK)]
+    )
+    top = n
+    accepted = []  # (piece, value, error estimate) of each step's accepted panels
+    while top:
+        cut = max(top - _CHUNK // 2, 0)
+        piece, slot = ints[:, cut:top]
+        P, Q, whole = cplx[:, cut:top]
+        ab = split.take(slot, axis=1)
+        halves_P, halves_Q = P + Q * ab[:2], Q * ab[2:4]  # (left, right) x panel
+        vals, f = panels(piece, slot, halves_P, halves_Q)
+        halves = vals[0] + vals[1]
+        e = np.abs(halves - whole)
+        # the halves' rounding scale: their sums, and f at nodes placed to eps |z|
+        swing = np.abs(f[..., -1] - f[..., 0])
+        noise = np.abs(halves) + (np.abs(P) + np.abs(Q)) * (swing[0] + swing[1])
+        done = e <= np.maximum(ab[4].real, _NOISE * noise)
+        accepted.append((piece[done], halves[done], e[done]))
         more = ~done
-        i, a, m, b, d = i[more], a[more], m[more], b[more], d[more] + 1
-        idx = np.concatenate([idx[:cut], i, i])
-        ta = np.concatenate([ta[:cut], a, m])
-        tb = np.concatenate([tb[:cut], m, b])
-        whole = np.concatenate([whole[:cut], left[more], right[more]])
-        depth = np.concatenate([depth[:cut], d, d])
-    return value, err
+        m = int(np.count_nonzero(more))
+        kids = ints[:, cut:top][:, more]
+        kids[1] += 1
+        if cut + 2 * m > ints.shape[1]:
+            ints = np.concatenate([ints, np.empty_like(ints)], axis=1)
+            cplx = np.concatenate([cplx, np.empty_like(cplx)], axis=1)
+        ints[:, cut : cut + m] = kids
+        ints[:, cut + m : cut + 2 * m] = kids
+        for x, kid in zip(cplx, (halves_P, halves_Q, vals)):
+            x[cut : cut + 2 * m] = kid[:, more].ravel()
+        top = cut + 2 * m
+    piece, value, err = (np.concatenate(x) for x in zip(*accepted))
+    value = np.bincount(piece, value.real, n) + 1j * np.bincount(piece, value.imag, n)
+    return value, np.bincount(piece, err, n)
 
 
-def _singular_radii_on_ray(spec, s: int, r_in: float, r_out: float) -> list[float]:
-    """Radii in (r_in, r_out) where F has a pole or zero on the ray angle s*pi/k."""
-    if isinstance(spec, SeriesFunction):
-        return []
+def _moduli(spec) -> list[tuple[float, bool]]:
+    """(modulus, is_pole) of every zero and pole circle of F: factor_moduli, none for a series."""
+    return [] if isinstance(spec, SeriesFunction) else factor_moduli(spec)
+
+
+def _singular_radii_on_ray(moduli, s: int, r_in: float, r_out: float) -> list[float]:
+    """Radii in (r_in, r_out) where F has a pole or zero on the ray angle s*pi/k; `moduli` as _moduli gives."""
     # z^k > 0 on even rays, where the poles b, 1/d sit; z^k < 0 on odd rays, the zeros -a, -1/c
-    return sorted({r for r, is_pole in factor_moduli(spec) if is_pole == (s % 2 == 0) and r_in < r < r_out})
+    return sorted({r for r, is_pole in moduli if is_pole == (s % 2 == 0) and r_in < r < r_out})
 
 
 def _certify_detours(spec, alpha: complex, centers: np.ndarray, eps0: np.ndarray, is_pole: np.ndarray) -> np.ndarray:
@@ -212,17 +286,17 @@ def _certify_detours(spec, alpha: complex, centers: np.ndarray, eps0: np.ndarray
     return np.where(done, eps, np.nan)
 
 
-def _contours(spec, alpha: complex, regions) -> tuple[list[_Piece], list[list[tuple[int, float]]]]:
+def _contours(spec, alpha: complex, regions, moduli) -> tuple[list[_Piece], list[list[tuple[int, float]]]]:
     """Edge pieces of the regions' boundaries, and each region's signed terms.
 
     `regions` holds (label, AnnularSector) pairs; the label (the census slice,
-    or None) goes into any InconclusiveRegion.  A ray is cut into straight
-    pieces once, integrated outward; a region on its counterclockwise side
-    takes them with sign +1, one on its clockwise side with sign -1.  Each
-    detour is a semicircle bulging into one region, traversed in that
-    region's direction of travel.  The detours of all rays are certified
-    together before any piece is built; an uncertifiable one raises for the
-    first ray met that has one.
+    or None) goes into any InconclusiveRegion, and `moduli` is _moduli(spec).
+    A ray is cut into straight pieces once, integrated outward; a region on
+    its counterclockwise side takes them with sign +1, one on its clockwise
+    side with sign -1.  Each detour is a semicircle bulging into one region,
+    traversed in that region's direction of travel.  The detours of all rays
+    are certified together before any piece is built; an uncertifiable one
+    raises for the first ray met that has one.
     """
     # every ray the regions use, in the order first met: the first region's
     # label, the ray's direction and its singular radii
@@ -234,7 +308,7 @@ def _contours(spec, alpha: complex, regions) -> tuple[list[_Piece], list[list[tu
                 if key not in rays:
                     angle = s * math.pi / region.k
                     u = complex(math.cos(angle), math.sin(angle))
-                    rays[key] = label, u, _singular_radii_on_ray(spec, s, region.r_in, region.r_out)
+                    rays[key] = label, u, _singular_radii_on_ray(moduli, s, region.r_in, region.r_out)
     sing = []  # (ray key, rho, centre, eps0) of every on-ray singularity
     for key, (_, u, radii) in rays.items():
         gaps = [key[2]] + radii + [key[3]]
@@ -297,16 +371,14 @@ def _contours(spec, alpha: complex, regions) -> tuple[list[_Piece], list[list[tu
     return pieces, terms
 
 
-def _poles_inside(spec, region: AnnularSector) -> int:
-    """Pole count (with multiplicity) strictly inside the region.
+def _poles_inside(moduli, region: AnnularSector) -> int:
+    """Pole count (with multiplicity) strictly inside the region; `moduli` as _moduli gives.
 
     All poles lie on even rays; a ray at angle 2t*pi/k is strictly inside the
     angular span when both adjacent sectors 2t-1 and 2t belong to it.
     """
-    if isinstance(spec, SeriesFunction):
-        return 0
-    k = spec.k
-    inside = sum(1 for rho, is_pole in factor_moduli(spec) if is_pole and region.r_in < rho < region.r_out)
+    k = region.k
+    inside = sum(1 for rho, is_pole in moduli if is_pole and region.r_in < rho < region.r_out)
     if region.full:
         return inside * k
     return inside * sum(1 for t in range(k) if 1 <= (2 * t - region.s_from) % (2 * k) <= region.span - 1)
@@ -322,14 +394,17 @@ def _count(spec, alpha: complex, regions, quad_tol: float) -> list[int]:
         elif isinstance(spec, StructuredFunction):
             if region.r_in <= 0:
                 raise ValueError("structured specs need a punctured annulus (r_in > 0)")
+            if region.k != spec.k:
+                raise ValueError("the region's k disagrees with the spec")
+    moduli = _moduli(spec)
     with np.errstate(all="ignore"):
-        pieces, terms = _contours(spec, alpha, regions)
+        pieces, terms = _contours(spec, alpha, regions, moduli)
         values, errs = _integrate(_integrand(spec, alpha), pieces, quad_tol)
     counts = []
     for (label, region), ts in zip(regions, terms):
         raw = sum(sign * values[j] for j, sign in ts) / (2j * math.pi)
         err = sum(errs[j] for j, _ in ts)
-        value = raw.real + _poles_inside(spec, region)
+        value = raw.real + _poles_inside(moduli, region)
         nearest = round(value)
         slack = abs(value - nearest) + abs(raw.imag)
         if slack + err > ROUND_GUARD:

@@ -216,6 +216,21 @@ def test_overflowing_spec_ends_in_one_error_line(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "not a finite number" in lines[0]
 
 
+def test_census_below_rounding_tolerance_finishes(tmp_path):
+    # tol / 2^d under a panel's rounding noise is met at no depth; a panel
+    # whose halves agree with it to rounding is accepted, where every panel
+    # was split down to depth 24 and the command never ended
+    spec_path = write_spec(tmp_path, FIG1_JSON)
+    src = os.path.dirname(os.path.dirname(alphasectors.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alphasectors.cli", "census", "--spec", spec_path, "--alpha=-1-1i",
+         "--rin", "0.01", "--rout", "10", "--tol", "1e-300"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == ["Q0,1", "Q1,2", "Q2,2", "Q3,1", "Q4,2", "Q5,1", "total,9"]
+
+
 def test_verify_exit_status_and_report(tmp_path):
     spec_path = write_spec(tmp_path, FIG1_JSON)
     report = tmp_path / "report.json"

@@ -19,6 +19,7 @@ from alphasectors.functions import (
     _TAIL_EXTRA,
     DEFAULT_POLE_TOL,
     alpha_polynomial,
+    eval_log_derivative_many,
     eval_many,
     log_derivative_many,
 )
@@ -35,21 +36,26 @@ FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
 FIG3 = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))
 
 
+def mp_G(spec, z):
+    """G(z) in mpmath at the working precision, the product written out."""
+    z = mp.mpc(z)
+    zk = z**spec.k
+    val = z**spec.p * mp.exp(spec.A * zk + (spec.A0 / zk if spec.A0 else 0))
+    for a in spec.a:
+        val *= zk + a
+    for b in spec.b:
+        val /= zk - b
+    for c in spec.c:
+        val *= 1 / zk + c
+    for d in spec.d:
+        val /= 1 / zk - d
+    return val
+
+
 def mp_eval_G(spec, z, dps=60):
     """Independent high-precision product evaluation (oracle)."""
     with mp.workdps(dps):
-        z = mp.mpc(z)
-        zk = z**spec.k
-        val = z**spec.p * mp.exp(spec.A * zk + (spec.A0 / zk if spec.A0 else 0))
-        for a in spec.a:
-            val *= zk + a
-        for b in spec.b:
-            val /= zk - b
-        for c in spec.c:
-            val *= 1 / zk + c
-        for d in spec.d:
-            val /= 1 / zk - d
-        return complex(val)
+        return complex(mp_G(spec, z))
 
 
 @pytest.mark.parametrize("growth", [{"A": math.nan}, {"A0": math.inf}, {"A": -0.5}])
@@ -661,6 +667,77 @@ def test_factor_table_matches_the_written_out_loops_bitwise():
         assert _outcome(eval_many, spec, arr) == _outcome(ref_eval_many, spec, arr)
         assert _outcome(log_derivative_many, spec, arr) == _outcome(ref_log_derivative_many, spec, arr)
     assert pole_outcomes > 100
+
+
+def _conditioning(spec: StructuredFunction, z: np.ndarray):
+    """Rounding scales of G and G'/G at z, and each point's least relative factor distance |x +- v| / v.
+
+    kappa = k + |p| + k (A |z^k| + A0 |z^-k|) + sum over rows of k (|x| + v) / |x +- v|
+    bounds the relative error of G in units of eps, up to a small factor;
+    the log derivative's error is measured against the size of its terms,
+    (|p| + k (A |z^k| + A0 |z^-k| + sum |x| / |x +- v|)) / |z|, times kappa.
+    """
+    zk = z**spec.k
+    growth = spec.k * (spec.A * np.abs(zk) + (spec.A0 / np.abs(zk) if spec.A0 else 0.0))
+    kappa = spec.k + abs(spec.p) + growth
+    terms = abs(spec.p) + growth
+    nearest = np.full(z.shape, np.inf)
+    for v, is_pole, recip in spec.factors:
+        x = 1.0 / zk if recip else zk
+        gap = np.abs(x - v if is_pole else x + v)
+        kappa = kappa + spec.k * (np.abs(x) + v) / gap
+        terms = terms + spec.k * np.abs(x) / gap
+        nearest = np.minimum(nearest, gap / v)
+    return kappa, terms / np.abs(z), nearest
+
+
+def test_fused_kernel_matches_the_two_evaluators():
+    # G and G'/G from one pass over the factor table against the frozen
+    # two-pass evaluators, within 4 eps kappa (see _conditioning); the
+    # largest deviation seen on this set is about 0.5 eps kappa
+    rng = np.random.default_rng(2029)
+    eps = np.finfo(float).eps
+    compared = 0
+    for _ in range(120):
+        spec = _random_spec(rng)
+        z = np.array(_probe_points(rng, spec))
+        z = np.concatenate([z, z[:2] * 1e160, z[:2] * 1e-160])  # z^k beyond double range both ways
+        with np.errstate(all="ignore"):
+            g, ld = eval_log_derivative_many(spec, z)
+            g_ref, ld_ref = ref_eval_many(spec, z), ref_log_derivative_many(spec, z)
+            kappa, terms, nearest = _conditioning(spec, z)
+        # a probe exactly on a pole lands on it, or next to it, as the last bit of z^k falls
+        fair = nearest > 1e-12
+        assert (np.isfinite(g) == np.isfinite(g_ref))[fair].all(), spec
+        assert (np.isfinite(ld) == np.isfinite(ld_ref))[fair].all(), spec
+        both = np.isfinite(g_ref) & np.isfinite(ld_ref) & fair
+        assert (np.abs(g - g_ref) <= 4 * eps * kappa * np.abs(g_ref))[both].all(), spec
+        assert (np.abs(ld - ld_ref) <= 4 * eps * kappa * terms)[both].all(), spec
+        compared += both.sum()
+    assert compared > 3000
+
+
+def test_fused_kernel_against_high_precision_oracle():
+    # G from the product and G'/G by differentiating it, both in 40 digits
+    rng = np.random.default_rng(2030)
+    eps = np.finfo(float).eps
+    specs = [
+        FIG1,
+        FIG3,
+        StructuredFunction(p=-3, k=5, a=(0.7,), b=(1.3, 2.0), c=(0.8,), d=(1.5,), A=0.3, A0=0.2),
+        StructuredFunction(p=7, k=40, b=(1.1,), d=(0.9,)),
+    ]
+    for spec in specs:
+        z = np.array([complex(*rng.normal(size=2)) for _ in range(5)])
+        g, ld = eval_log_derivative_many(spec, z)
+        kappa, terms, _ = _conditioning(spec, z)
+        for j, zj in enumerate(z):
+            with mp.workdps(40):
+                exact = mp_G(spec, zj)
+                exact_ld = complex(mp.diff(lambda w: mp_G(spec, w), mp.mpc(zj)) / exact)
+                exact = complex(exact)
+            assert abs(g[j] - exact) <= 4 * eps * kappa[j] * abs(exact), (spec, zj)
+            assert abs(ld[j] - exact_ld) <= 4 * eps * kappa[j] * terms[j], (spec, zj)
 
 
 def test_polynomial_builder_matches_the_written_out_loops_bitwise():

@@ -14,16 +14,17 @@ from alphasectors import (
     sector_census,
     winding,
 )
-from alphasectors.functions import eval_many, log_derivative_many
+from alphasectors.functions import eval_log_derivative_many, eval_many
 from alphasectors.winding import (
     _GL_NODES,
     _GL_WEIGHTS,
     ROUND_GUARD,
     _integrand,
+    _moduli,
     _poles_inside,
     _singular_radii_on_ray,
 )
-from helpers import annulus_off_moduli, pole_radii, random_alpha_generic, random_structured
+from helpers import annulus_off_moduli, load_frozen, pole_radii, random_alpha_generic, random_structured
 
 FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
 
@@ -109,6 +110,12 @@ def test_census_random_instances_match_solver():
         done += 1
 
 
+def test_count_rejects_a_region_of_another_k():
+    # the rays, detours and interior poles of a region follow its own k
+    with pytest.raises(ValueError, match="disagrees with the spec"):
+        count_in_contour(FIG1, -1 - 1j, AnnularSector(0.3, 2.2, 0, 1, 2))
+
+
 def test_annular_sector_validation():
     with pytest.raises(ValueError):
         AnnularSector(2.0, 1.0, 0, 0, 3)
@@ -185,17 +192,17 @@ def test_uncertifiable_detour_names_the_edge():
 
 
 def test_fig1_census_integrand_calls(monkeypatch):
-    # panels of all edges share batched calls; one call per 12-point panel
-    # would be 1,056 calls here
+    # panels of all edges share batched calls of the fused G, G'/G kernel;
+    # one call per 12-point panel would be 1,056 calls here
     calls = []
 
     def counted(spec, z):
         calls.append(len(z))
-        return log_derivative_many(spec, z)
+        return eval_log_derivative_many(spec, z)
 
-    monkeypatch.setattr(winding, "log_derivative_many", counted)
+    monkeypatch.setattr(winding, "eval_log_derivative_many", counted)
     assert sector_census(FIG1, -1 - 1j, 0.01, 10.0) == [1, 2, 2, 1, 2, 1]
-    assert len(calls) <= 50
+    assert 0 < len(calls) <= 50
 
 
 def test_fig1_census_detour_probe_calls(monkeypatch):
@@ -235,7 +242,7 @@ def _per_singularity_detours(spec, alpha: complex, regions) -> dict[complex, flo
             seen.add((s, region.r_in, region.r_out))
             angle = s * math.pi / region.k
             u = complex(math.cos(angle), math.sin(angle))
-            sing = _singular_radii_on_ray(spec, s, region.r_in, region.r_out)
+            sing = _singular_radii_on_ray(_moduli(spec), s, region.r_in, region.r_out)
             gaps = [region.r_in] + sing + [region.r_out]
             for i, rho in enumerate(sing):
                 gap = min(rho - gaps[i], gaps[i + 2] - rho)
@@ -278,7 +285,7 @@ def test_batched_detour_radii_match_the_per_singularity_probe():
             raised.append(exc.edge)
         with np.errstate(all="ignore"):
             try:
-                pieces, _ = winding._contours(spec, alpha, regions)
+                pieces, _ = winding._contours(spec, alpha, regions, _moduli(spec))
                 got = {pc.p: pc.q for pc in pieces if pc.edge.startswith("detour")}
                 assert len(got) == len(expected)
             except InconclusiveRegion as exc:
@@ -291,7 +298,8 @@ def test_batched_detour_radii_match_the_per_singularity_probe():
 # ---------------------------------------------------------------------------
 # differential test against the per-slice recursive census this module used
 # before its edges were shared (verbatim but for the names of the two public
-# functions, old_count_in_contour and old_sector_census)
+# functions, old_count_in_contour and old_sector_census, and the zero and pole
+# moduli that _singular_radii_on_ray and _poles_inside now take)
 # ---------------------------------------------------------------------------
 
 
@@ -362,7 +370,7 @@ def _radial_with_detours(
     """
     direction = 1.0 if r_b > r_a else -1.0
     lo, hi = min(r_a, r_b), max(r_a, r_b)
-    sing = _singular_radii_on_ray(spec, s_ray, lo, hi)
+    sing = _singular_radii_on_ray(_moduli(spec), s_ray, lo, hi)
     u = complex(math.cos(angle), math.sin(angle))
 
     def seg(ra, rb):
@@ -459,7 +467,7 @@ def old_count_in_contour(spec, alpha: complex, region: AnnularSector, quad_tol: 
             total += val
             err += e
     raw = total / (2j * math.pi)
-    value = raw.real + _poles_inside(spec, region)
+    value = raw.real + _poles_inside(_moduli(spec), region)
     nearest = round(value)
     slack = abs(value - nearest) + abs(raw.imag)
     if slack + err > ROUND_GUARD:
@@ -575,3 +583,88 @@ def test_count_in_contour_matches_the_recursive_contour():
         assert _outcome(count_in_contour, FIG1, -1 - 1j, region) == expected, region
         outcomes.append(expected)
     assert outcomes[-1] == ("inconclusive", None)
+
+
+# ---------------------------------------------------------------------------
+# differential test against the quadrature engine as it stood before its
+# panels were read off node tables (tests/reference_integrate.py)
+# ---------------------------------------------------------------------------
+
+REFERENCE = load_frozen("reference_integrate.py")
+
+
+def _engine_cases():
+    """_differential_census_cases, and two censuses whose outer arc is not finite."""
+    return _differential_census_cases() + [
+        (FIG1, -1 - 1j, 0.5, math.inf, {}),
+        (StructuredFunction(p=1, k=40, a=(1.2,), b=(0.8,)), 1 + 1j, 0.5, 1e9, {}),  # z^40 overflows
+    ]
+
+
+def _slice_values(engine, spec, alpha, r_in, r_out, kw):
+    """Each census slice's winding integral on the unnudged contours, by the engine's
+    _integrand and _integrate; or the (slice, edge) of the InconclusiveRegion raised."""
+    k = spec.k if isinstance(spec, StructuredFunction) else kw.get("k", 2)
+    regions = [(s, AnnularSector(r_in, r_out, s, s, k)) for s in range(2 * k)]
+    with np.errstate(all="ignore"):
+        try:
+            pieces, terms = winding._contours(spec, complex(alpha), regions, _moduli(spec))
+            values, _ = engine._integrate(engine._integrand(spec, complex(alpha)), pieces, kw.get("quad_tol", 1e-6))
+        except InconclusiveRegion as exc:
+            return exc.slice_index, exc.edge
+    return np.array([sum(sign * values[j] for j, sign in ts) for ts in terms]) / (2j * math.pi)
+
+
+def _census_outcome(spec, alpha, r_in, r_out, kw):
+    try:
+        return sector_census(spec, alpha, r_in, r_out, **kw)
+    except InconclusiveRegion as exc:
+        return ("inconclusive", exc.slice_index, exc.edge)
+
+
+def test_quadrature_matches_the_frozen_engine(monkeypatch):
+    cases = _engine_cases()
+    raised = []
+    for case in cases:
+        got, expected = _slice_values(winding, *case), _slice_values(REFERENCE, *case)
+        if isinstance(expected, tuple):
+            assert got == expected, case
+            raised.append(expected)
+        else:
+            assert np.abs(got - expected).max() <= 1e-4, case
+    assert raised == [(0, "detour r=1 on ray 0"), (0, "arc r=inf"), (0, "arc r=1e+09")]
+    outcomes = [_census_outcome(*case) for case in cases]
+    monkeypatch.setattr(winding, "_integrate", REFERENCE._integrate)
+    monkeypatch.setattr(winding, "_integrand", REFERENCE._integrand)
+    assert [_census_outcome(*case) for case in cases] == outcomes
+    assert sum(isinstance(out, tuple) for out in outcomes) == 3
+
+
+def test_census_below_rounding_tolerance_keeps_every_outcome():
+    # quad_tol = 1e-300 is met at no depth; each panel is taken once its
+    # halves agree with it to rounding, where every panel was once split to
+    # depth 24 and a census never ended
+    for spec, alpha, r_in, r_out, kw in _differential_census_cases():
+        expected = _census_outcome(spec, alpha, r_in, r_out, kw)
+        assert _census_outcome(spec, alpha, r_in, r_out, {**kw, "quad_tol": 1e-300}) == expected, (spec, alpha)
+
+
+def test_deep_refinement_matches_the_frozen_engine():
+    # e^{i omega z} at omega = 1000 on three copies of [0, 1] and on the
+    # upper unit half circle: each piece is cut into some 2^7 panels, and the
+    # pending panels outgrow the stack's first allocation
+    omega = 1000.0
+    line = winding._Piece(0j, 1 + 0j, 0.0, 1.0, False, "ray 0", None)
+    arc = winding._Piece(0j, 1 + 0j, 0.0, math.pi, True, "arc r=1", None)
+    pieces = [line, line, line, arc]
+
+    def fn(z):
+        return np.exp(1j * omega * z)
+
+    exact = np.array([(np.exp(1j * omega) - 1)] * 3 + [np.exp(-1j * omega) - np.exp(1j * omega)]) / (1j * omega)
+    value, err = winding._integrate(fn, pieces, 1e-10)
+    frozen_value, frozen_err = REFERENCE._integrate(fn, pieces, 1e-10)
+    assert np.abs(value - exact).max() <= 1e-14
+    assert np.abs(value - frozen_value).max() <= 1e-14
+    assert err.max() <= 1e-10 and frozen_err.max() <= 1e-10
+
