@@ -17,6 +17,8 @@ and sectors.DEFAULT_ANGLE_TOL (radians).  Each geometric predicate has one
 definition shared by every verifier: _modulus_tie (two moduli count as
 equal), _same_direction (two arguments name one ray) and _mirrored (two
 points are reflections of each other across a line through the origin).
+The verifiers read their lists in modulus order; _report, which every
+report goes through, names each step that descends in modulus.
 """
 
 from __future__ import annotations
@@ -89,7 +91,20 @@ class VerificationReport:
         }
 
 
-def _report(theorem: str, checks: int, violations: list[Violation], notes=()) -> VerificationReport:
+def _report(theorem: str, points, checks: int, violations: list[Violation], notes=()) -> VerificationReport:
+    """The report of a verifier run on points, led by a modulus-order violation at each descent.
+
+    Every verifier reads its list in modulus order, and the order is checked
+    here, once for all of them: a step with |z_(i+1)| < |z_i| is a violation
+    at (i, i + 1).  It does not count in checks_run, so a list sorted by
+    modulus, as every solver list is, keeps its verifier's report unchanged.
+    """
+    order = [
+        Violation("modulus-order", (i, i + 1), (u.modulus, v.modulus))
+        for i, (u, v) in enumerate(zip(points, points[1:]))
+        if v.modulus < u.modulus
+    ]
+    violations = order + violations
     return VerificationReport(theorem, not violations, checks, tuple(violations), tuple(notes))
 
 
@@ -175,7 +190,7 @@ def verify_generic_interlacing(
         expected = predict_next_sector(p, k, alpha_sector, a.sector)
         if b.sector.s != expected.s:
             violations.append(Violation("sector-hop", (i, i + 1), (a.sector.s, b.sector.s, expected.s)))
-    return _report("sector-hop interlacing", checks, violations)
+    return _report("sector-hop interlacing", points, checks, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +322,7 @@ def verify_real_power_case(
                     violations.append(Violation("lone-simple-ray-point", (grp.indices[0],), (pt.value,)))
                 if pt.multiplicity == 2 and prev_same:
                     violations.append(Violation("double-after-ray-partner", (grp.indices[0],), (pt.value,)))
-    return _report("reflection pairing", checks, violations)
+    return _report("reflection pairing", points, checks, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +386,7 @@ def verify_first_location(
 ) -> VerificationReport:
     """Check the minimum-modulus point(s) against a forecast."""
     if not points:
-        return _report("first-point forecast", 1, [Violation("empty-alpha-set", ())])
+        return _report("first-point forecast", points, 1, [Violation("empty-alpha-set", ())])
     violations: list[Violation] = []
     first = group_by_modulus(points)[0]
     z0 = points[first[0]]
@@ -405,7 +420,7 @@ def verify_first_location(
                 violations.append(Violation("first-pair-structure", tuple(first), (z0.value,)))
         else:
             violations.append(Violation("first-pair-structure", tuple(first), ()))
-    return _report("first-point forecast", 3, violations)
+    return _report("first-point forecast", points, 3, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +471,7 @@ def _k2_blocks(
         if u is v:  # a double point occupying both slots
             if _axis_kind(u.value) != axis:
                 violations.append(Violation("double-off-axis", (blk[0],), (u.value,)))
-        elif abs(v.modulus - u.modulus) <= DEFAULT_GAP_TOL * max(v.modulus, 1e-300):
+        elif _modulus_tie(u, v):
             if not _mirrored(u.value, v.value, reflect):
                 violations.append(Violation("pair-reflection", tuple(blk), (u.value, v.value)))
         else:
@@ -571,7 +586,7 @@ def verify_k2_distribution(
     note = (f"case: {case}",) + tuple(notes)
     if tail_lone:
         note += ("trailing point left unpaired at the radius boundary",)
-    return _report("quadrant distribution (k=2)", checks, violations, note)
+    return _report("quadrant distribution (k=2)", points, checks, violations, note)
 
 
 def verify_k2_generic(
@@ -610,7 +625,7 @@ def verify_k2_generic(
             ok = alpha.imag * z1.imag > 0 and alpha.real * z1.real > 0
         if not ok:
             violations.append(Violation("first-sign", (0,), (z1,)))
-    return _report("quadrant distribution (k=2)", checks, violations)
+    return _report("quadrant distribution (k=2)", points, checks, violations)
 
 
 def points_census(points: list[AlphaPoint], k: int, r_in: float, r_out: float) -> list[int]:

@@ -404,8 +404,10 @@ def cmd_census(args) -> int:
         counts = sector_census(spec, alpha, r_in, r_out, quad_tol=args.tol)
     except InconclusiveRegion as exc:
         raise SystemExit(f"error: census slice Q{exc.slice_index}, edge {exc.edge}: {exc}") from None
-    except ValueError as exc:  # the flags are valid; only a series' trust radius is left to exceed
-        raise SystemExit(f"error: --rout: {exc}")
+    except ValueError as exc:
+        if isinstance(spec, SeriesFunction):  # the flags are valid; only the trust radius is left to exceed
+            raise SystemExit(f"error: --rout: {exc}") from None
+        raise
     for s, n in enumerate(counts):
         print(f"Q{s},{n}")
     print(f"total,{sum(counts)}")

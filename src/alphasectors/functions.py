@@ -15,11 +15,12 @@ predictors divide alpha by that constant before any sector arithmetic.
 Every evaluation reads one factor table, built once per spec: rows
 (value, is_pole, on_reciprocal_side) in a, b, c, d order, standing for the
 factors (x + a), 1/(x - b), (x + c), 1/(x - d) with x = z^k on the first two
-lists and x = z^-k on the last two.  The scalar and array evaluators, the log
-derivative, the fused G and G'/G pass of the winding integrand
-(eval_log_derivative_many), normalization_constant, the polynomial builders,
-the pole-band test and the zero/pole moduli (factor_moduli) all loop over
-those rows only.
+lists and x = z^-k on the last two.  _product evaluates G alone, on scalars
+(evaluate_G, evaluate_R) and on arrays (eval_many); one fused pass
+(eval_log_derivative_many) evaluates G with G'/G, and is the only code that
+computes G'/G.  normalization_constant, the polynomial builders, the
+pole-band test and the zero/pole moduli (factor_moduli) also loop over those
+rows only.
 
 SeriesFunction holds a Maclaurin truncation of an entire target together with
 a certified trust radius; roots inside the trust radius are accepted as roots
@@ -359,37 +360,18 @@ def eval_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
 
 
 def log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
-    """G'/G at an array of nonzero points (closed form, no pole banding)."""
-    z = np.asarray(z, complex)
-    k = spec.k
-    zk = z**k
-    zk1 = z ** (k - 1)
-    out = spec.p / z
-    if spec.A:
-        out = out + spec.A * k * zk1
-    if spec.A0:
-        out = out - spec.A0 * k / (zk * z)
-    dzk = k * zk1
-    zmk = dzmk = None
-    if spec.c or spec.d:
-        zmk = 1.0 / zk
-        dzmk = -k * zmk / z  # d/dz z^-k
-    for v, is_pole, recip in spec.factors:
-        x, dx = (zmk, dzmk) if recip else (zk, dzk)
-        out = out - dx / (x - v) if is_pole else out + dx / (x + v)
-    return out
+    """G'/G at an array of nonzero points (no pole banding): the second output of eval_log_derivative_many."""
+    return eval_log_derivative_many(spec, z)[1]
 
 
-def _power(z: np.ndarray, n: int) -> np.ndarray:
-    """z^n, n >= 1, by repeated squaring: multiplications only, no complex pow."""
-    out, square = None, z
-    while True:
-        if n & 1:
-            out = square if out is None else out * square
-        n >>= 1
-        if not n:
-            return out
-        square = square * square
+def _power(x: np.ndarray, e: int) -> np.ndarray:
+    """x^e for e >= 1 by binary powering, left to right; x itself for e = 1."""
+    y = x
+    for bit in bin(e)[3:]:
+        y = y * y
+        if bit == "1":
+            y = y * x
+    return y
 
 
 def eval_log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

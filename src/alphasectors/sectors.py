@@ -38,11 +38,6 @@ class SectorIndex:
     def shifted(self, steps: int) -> "SectorIndex":
         return SectorIndex(self.s + steps, self.k)
 
-    @property
-    def lower_angle(self) -> float:
-        """Angle of the lower boundary ray, s*pi/k."""
-        return self.s * math.pi / self.k
-
     def __int__(self) -> int:
         return self.s
 

@@ -45,6 +45,7 @@ from .functions import (
     PoleProximity,
     SeriesFunction,
     StructuredFunction,
+    _power,
     alpha_polynomial,
     evaluate_G,
     pole_in_band,
@@ -156,16 +157,6 @@ def _stride(coeffs: np.ndarray) -> _Stride:
         return _DENSE
     g = int(g[best])
     return _Stride(g, tuple(np.unique(support % g).tolist()))
-
-
-def _power(x: np.ndarray, e: int) -> np.ndarray:
-    """x^e for e >= 1 by binary powering, x itself for e = 1."""
-    y = x
-    for bit in bin(e)[3:]:
-        y = y * y
-        if bit == "1":
-            y = y * x
-    return y
 
 
 def _powers(x: np.ndarray, exponents: list[int]) -> list[np.ndarray]:

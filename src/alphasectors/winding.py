@@ -387,6 +387,9 @@ def _poles_inside(moduli, region: AnnularSector) -> int:
 def _count(spec, alpha: complex, regions, quad_tol: float) -> list[int]:
     """Alpha-point count of each (label, region) pair; see count_in_contour."""
     alpha = complex(alpha)
+    # the zeros of G lie on the odd rays, which every census integrates along
+    if isinstance(spec, StructuredFunction) and alpha == 0:
+        raise ValueError("alpha must be nonzero for structured specs")
     for _, region in regions:
         if isinstance(spec, SeriesFunction):
             if region.r_out > spec.trust_radius:

@@ -2,23 +2,75 @@
 
 A verbatim copy of winding._integrand and winding._integrate from the form
 that placed every node with its own complex exponential, kept each step's
-pending panels by concatenation and evaluated G and G'/G in two passes
-(eval_many, log_derivative_many).  Loaded inside the package (see
-helpers.load_frozen) so that its relative imports resolve; test_winding runs
-the census with this engine and with the current one and compares each
-slice's winding value and every count or InconclusiveRegion.
+pending panels by concatenation and evaluated G and G'/G in two passes.
+Those two passes are copied here too, as the written-out loops of
+functions.eval_many and functions.log_derivative_many that they were
+(ref_eval_many, ref_log_derivative_many), so that no live evaluator reaches
+the frozen engine.  Loaded inside the package (see helpers.load_frozen) so
+that its relative imports resolve; test_winding runs the census with this
+engine and with the current one and compares each slice's winding value and
+every count or InconclusiveRegion, and test_functions checks the evaluators
+against the two reference passes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functions import SeriesFunction, eval_many, log_derivative_many
+from .functions import SeriesFunction, StructuredFunction
 from .winding import InconclusiveRegion, _Piece
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 _MAX_DEPTH = 24  # halvings of a panel; at this depth it is accepted whatever its error
 _CHUNK = 256  # panels per integrand call; bounds the memory of one step
+
+
+def ref_eval_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
+    """G at an array of nonzero points; no pole-band checks."""
+    z = np.asarray(z, complex)
+    zk = z**spec.k
+    val = z ** float(spec.p) if spec.p >= 0 else 1.0 / z ** float(-spec.p)
+    if spec.A or spec.A0:
+        expo = spec.A * zk
+        if spec.A0:
+            expo = expo + spec.A0 / zk
+        val = val * np.exp(expo)
+    for a in spec.a:
+        val = val * (zk + a)
+    for b in spec.b:
+        val = val / (zk - b)
+    if spec.c or spec.d:
+        zmk = 1.0 / zk
+        for c in spec.c:
+            val = val * (zmk + c)
+        for d in spec.d:
+            val = val / (zmk - d)
+    return val
+
+
+def ref_log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> np.ndarray:
+    """G'/G at an array of nonzero points (closed form, no pole banding)."""
+    z = np.asarray(z, complex)
+    k = spec.k
+    zk = z**k
+    zk1 = z ** (k - 1)
+    out = spec.p / z
+    if spec.A:
+        out = out + spec.A * k * zk1
+    if spec.A0:
+        out = out - spec.A0 * k / (zk * z)
+    for a in spec.a:
+        out = out + k * zk1 / (zk + a)
+    for b in spec.b:
+        out = out - k * zk1 / (zk - b)
+    if spec.c or spec.d:
+        zmk = 1.0 / zk
+        dz = -k * zmk / z  # d/dz z^-k
+        for c in spec.c:
+            out = out + dz / (zmk + c)
+        for d in spec.d:
+            out = out - dz / (zmk - d)
+    return out
 
 
 def _integrand(spec, alpha: complex):
@@ -34,8 +86,8 @@ def _integrand(spec, alpha: complex):
         return fn
 
     def fn(z):
-        f = eval_many(spec, z)
-        return log_derivative_many(spec, z) * f / (f - alpha)
+        f = ref_eval_many(spec, z)
+        return ref_log_derivative_many(spec, z) * f / (f - alpha)
 
     return fn
 

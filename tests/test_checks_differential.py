@@ -6,7 +6,11 @@ modulus, direction and reflection tests.  On seeded specs, with generic,
 real-direction and k = 2 axis alphas, and on the solver's lists as well as
 broken ones (a point turned, moved or nudged, a multiplicity bumped, a
 point duplicated, the first and last points swapped), every report, forecast and
-raised message of the current module must be repr-equal to the copy's.
+raised message of the current module must be repr-equal to the copy's.  The
+copy read a list out of modulus order without saying so, where every
+verifier now reports each descent as a modulus-order violation; so the
+broken lists are compared after sorting by (modulus, argument), as the solver
+sorts, and the out-of-order lists are checked on their own below.
 """
 
 import cmath
@@ -16,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from alphasectors import alpha_points, checks
-from alphasectors.functions import AlphaPoint
+from alphasectors.functions import AlphaPoint, StructuredFunction
 from alphasectors.sectors import DEFAULT_ANGLE_TOL, classify_sector
 from alphasectors.solver import SolverError
 
@@ -32,26 +36,30 @@ def _run(fn, *args, **kwargs):
         return f"{type(exc).__name__}: {exc}"
 
 
-def _outcomes(module, spec, alpha, lists) -> list[str]:
-    """repr of every verifier's result (or raised message) on each list."""
-    out = []
+def _results(module, spec, alpha, lists) -> list:
+    """The forecast, then each list's modulus groups and every verifier's result (or raised message)."""
     forecast = _run(module.predict_first_location, spec, alpha)
-    out.append(repr(forecast))
+    out = [forecast]
     an = module.normalized_alpha(spec, alpha)
     for pts in lists:
-        out.append(repr(module.group_by_modulus(pts)))
-        out.append(repr(_run(module.verify_generic_interlacing, pts, alpha, spec)))
-        out.append(repr(_run(module.verify_real_power_case, pts, alpha, spec)))
+        out.append(module.group_by_modulus(pts))
+        out.append(_run(module.verify_generic_interlacing, pts, alpha, spec))
+        out.append(_run(module.verify_real_power_case, pts, alpha, spec))
         if not isinstance(forecast, str):
-            out.append(repr(module.verify_first_location(pts, forecast, spec.k)))
+            out.append(module.verify_first_location(pts, forecast, spec.k))
         if spec.k == 2:
             for first_point_checks in (True, False):
                 report = _run(
                     module.verify_k2_distribution, pts, an, j=(spec.p - 1) // 2,
                     sign_of_p=1 if spec.p > 0 else -1, first_point_checks=first_point_checks, notes=("n",),
                 )
-                out.append(repr(report))
+                out.append(report)
     return out
+
+
+def _outcomes(module, spec, alpha, lists) -> list[str]:
+    """repr of every result _results lists."""
+    return [repr(result) for result in _results(module, spec, alpha, lists)]
 
 
 def _moved(pt: AlphaPoint, z: complex, k: int) -> AlphaPoint:
@@ -74,6 +82,10 @@ def _broken_lists(pts: list[AlphaPoint], k: int, rng: np.random.Generator) -> li
     return lists
 
 
+def _sorted(pts: list[AlphaPoint]) -> list[AlphaPoint]:
+    return sorted(pts, key=lambda pt: (pt.modulus, pt.argument))
+
+
 def test_verifiers_match_the_reference_copy():
     rng = np.random.default_rng(1010)
     done = 0
@@ -90,6 +102,50 @@ def test_verifiers_match_the_reference_copy():
                 continue
             if not pts:
                 continue
-            lists = _broken_lists(pts, spec.k, rng)
+            lists = [_sorted(pts) for pts in _broken_lists(pts, spec.k, rng)]
             assert _outcomes(checks, spec, alpha, lists) == _outcomes(REFERENCE, spec, alpha, lists), (spec, alpha)
         done += 1
+
+
+def test_every_verifier_names_each_modulus_descent():
+    # the stretched point and the first-and-last swap: every verifier's
+    # report opens with a modulus-order violation at each descending step
+    rng = np.random.default_rng(1011)
+    seen = 0
+    for _ in range(30):
+        spec = random_structured(rng, with_cd=rng.random() < 0.25)
+        for alpha in (random_alpha_generic(rng, spec), random_alpha_real_direction(rng, spec)):
+            try:
+                pts = alpha_points(spec, alpha, 20.0)
+            except SolverError:
+                continue
+            lists = _broken_lists(pts, spec.k, rng)
+            for broken in (lists[2], lists[-1]):
+                mods = [pt.modulus for pt in broken]
+                steps = [(i, i + 1) for i in range(len(mods) - 1) if mods[i + 1] < mods[i]]
+                if not steps:
+                    continue
+                reports = [r for r in _results(checks, spec, alpha, [broken]) if isinstance(r, checks.VerificationReport)]
+                for report in reports:
+                    order = [v.indices for v in report.violations[: len(steps)] if v.predicate == "modulus-order"]
+                    assert order == steps and not report.passed, (spec, alpha, report)
+                    assert sum(v.predicate == "modulus-order" for v in report.violations) == len(steps)
+                    seen += 1
+    assert seen > 200
+
+
+def test_swapped_fig3_list_gets_one_verdict_from_both_verifiers():
+    # fig3 at alpha = 1i, first and last points swapped (moduli 2.52, 0.89,
+    # 2.52, 0.89): both verifiers tie the pair at (0, 1) by the signed
+    # modulus test, and both name the descent there
+    spec = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))
+    pts = alpha_points(spec, 1j, 10.0)
+    swapped = pts[-1:] + pts[1:-1] + pts[:1]
+    pairing = checks.verify_real_power_case(swapped, 1j, spec)
+    quadrant = checks.verify_k2_distribution(swapped, checks.normalized_alpha(spec, 1j), j=0, sign_of_p=1)
+
+    def at_first_pair(report):
+        return [(v.predicate, v.values) for v in report.violations if v.indices == (0, 1)]
+
+    assert at_first_pair(pairing) == at_first_pair(quadrant)
+    assert [name for name, _ in at_first_pair(pairing)] == ["modulus-order", "pair-reflection"]

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -161,6 +162,8 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
             for args in (solve_args(radius="1"), ["predict", "--alpha=1"], census_args(alpha="1"))
         ],
         (FIG1_JSON, [*census_args(rin="0.01", rout="10"), "--tol", "nan"], "error: --tol"),
+        # the zeros of G lie on the rays the census integrates along: refused as solve refuses it, not as --rout
+        (FIG1_JSON, census_args(rin="0.01", rout="10", alpha="0"), "error: alpha must be nonzero for structured specs"),
         (FIG1_JSON, [*solve_args(), "--tol", "0"], "error: --tol"),
         (FIG1_JSON, [*solve_args(command="verify"), "--tol=-1"], "error: --tol"),
         (FIG1_JSON, ["ALPHASECTORS_TOL=abc", *solve_args()], "error: ALPHASECTORS_TOL"),
@@ -186,7 +189,7 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         "A0-inf",
         *[f"{spec}-{command}" for spec in ("a-underflow", "ab-overflow", "a-overflow")
           for command in ("solve", "predict", "census")],
-        "census-tol-nan", "solve-tol-zero", "verify-tol-negative", "env-tol-string",
+        "census-tol-nan", "census-alpha-zero", "solve-tol-zero", "verify-tol-negative", "env-tol-string",
         "a-mixed-scale-solve", "a-mixed-scale-census", "a-mixed-scale-predict",
         "verify-main-real-alpha", "verify-main2-generic-alpha", "solve-trust-radius-zero",
         "predict-k-beyond-angle-tol",
@@ -201,6 +204,19 @@ def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, monkeypatch
     with pytest.raises(SystemExit) as exc:
         main([args[0], "--spec", spec_path, *args[1:]])
     assert field in str(exc.value)
+
+
+def test_every_traced_boundary_resolves_to_a_callable():
+    # the benchmark's traced run wraps each (module, attribute) of
+    # perfbench/spans.py by name; read the file without importing it as a
+    # module, so that nothing is written beside it
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+    namespace = {"__name__": "spans"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    boundaries = namespace["_BOUNDARIES"]
+    assert len(boundaries) > 10
+    for module, attr, *_ in boundaries:
+        assert callable(getattr(module, attr, None)), (module.__name__, attr)
 
 
 def test_overflowing_spec_ends_in_one_error_line(tmp_path):
