@@ -16,7 +16,8 @@ Every evaluation reads one factor table, built once per spec: rows
 (value, is_pole, on_reciprocal_side) in a, b, c, d order, standing for the
 factors (x + a), 1/(x - b), (x + c), 1/(x - d) with x = z^k on the first two
 lists and x = z^-k on the last two.  _product evaluates G alone, on scalars
-(evaluate_G, evaluate_R) and on arrays (eval_many); one fused pass
+(evaluate_G, evaluate_R) and on arrays (eval_many, and the winding oracle's
+real x(t) on the sector rays); one fused pass
 (eval_log_derivative_many) evaluates G with G'/G, and is the only code that
 computes G'/G.  normalization_constant, the polynomial builders, the
 pole-band test and the zero/pole moduli (factor_moduli) also loop over those
@@ -346,8 +347,8 @@ def exponential_alpha_series(spec: StructuredFunction, alpha: complex, N: int) -
 
 
 # ---------------------------------------------------------------------------
-# vectorized raw evaluation, used by the winding oracle (no pole banding):
-# eval_many for the detour probe, eval_log_derivative_many for the integrand
+# vectorized raw evaluation (no pole banding): eval_log_derivative_many for
+# the winding oracle's integrand; eval_many has no caller in the package
 # ---------------------------------------------------------------------------
 
 

@@ -2,36 +2,41 @@
 
 Independent of the polynomial solver: the integrand F'/(F - alpha) is built
 from closed-form evaluation of the spec.  A region's boundary is cut into
-edge pieces, lines and circles, and its integral is a signed sum of its
-pieces (the edge decomposition of Delves & Lyness, Math. Comp. 21 (1967), and
-Kravanja & Van Barel, LNM 1727 (2000)); a census integrates every edge once,
-each ray serving the two sectors it separates.  One adaptive 12-point
-Gauss-Legendre loop refines all pieces together, many panels per call.  A
-panel's nodes and weights are rows of tables built once per integration
-(one row for the lines, one per circle half-width, at every depth), its
-halves are one multiply-add away from it, and the integrand takes G and
-G'/G from one pass over the factor table (eval_log_derivative_many).  A
-panel is accepted at its share of the tolerance, at the depth cap, or when
-its halves agree with it to rounding, so no tolerance refines forever.
+edge pieces, arcs and rays, and its integral is a signed sum of its pieces
+(the edge decomposition of Delves & Lyness, Math. Comp. 21 (1967), and
+Kravanja & Van Barel, LNM 1727 (2000)); a census takes every edge once,
+each ray serving the two sectors it separates.
 
-Poles of F sit on the even boundary rays (z^k real positive), so a ray takes
-small semicircular detours around them, one bulging into each region it
-bounds, with radii certified free of alpha-points; poles strictly inside a
-region are added back analytically from the known parameter lists.  The
-detours of every ray are certified together: each probe round evaluates the
-circles of all singularities not yet certified in one batched call.
+The arcs are integrated by one adaptive 12-point Gauss-Legendre loop over
+all of them, many panels per call.  A panel's nodes and weights are rows of
+tables built once per set of circle half-widths and tolerance, its halves
+are one multiply-add away from it, and the integrand takes G and G'/G from
+one pass over the factor table (eval_log_derivative_many).  A panel is
+accepted at its share of the tolerance, at the depth cap, or when its
+halves agree with it to rounding, so no tolerance refines forever.
+
+On the rays, where z^k is real, G has a fixed phase, so the rays of a
+structured spec are taken in closed form (_ray_integrals): a principal
+value, with each on-ray pole counted half to the regions beside it and the
+poles strictly inside a region added from the parameter lists.  A ray on
+which alpha's direction is real is first certified free of alpha-points
+(_monotone_parts); one that is not fails as InconclusiveRegion, edge
+"ray s".  A series has no such structure; its rays are integrated with its
+arcs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .functions import SeriesFunction, StructuredFunction, eval_log_derivative_many, eval_many, factor_moduli
-from .functions import log_derivative_many  # noqa: F401  kept for the benchmark, which wraps it here by name
+from .functions import SeriesFunction, StructuredFunction, _product, eval_log_derivative_many, factor_moduli
+from .functions import eval_many, log_derivative_many  # noqa: F401 kept for the benchmark, which wraps them here
+from .sectors import unit_rotation
 
 ROUND_GUARD = 0.25
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
@@ -44,14 +49,15 @@ _LINE_Y = np.broadcast_to(_GL_NODES.astype(complex), (1, _DEPTHS, 12))
 _LINE_W = np.broadcast_to(_GL_WEIGHTS.astype(complex), (1, _DEPTHS, 12))
 _CHUNK = 256  # panels per integrand call; bounds the memory of one step
 _NOISE = 16 * np.finfo(float).eps  # a panel's rounding, in units of its noise scale (see _integrate)
+_REAL_POWER = 16 * np.finfo(float).eps  # |Im beta| / |beta| at most this: rounding of alpha's rotation onto a ray
+_ON_RAY = 1e-12  # |x - Re beta| / |beta| at most this counts as 0: x(t) carries a few eps of rounding per factor
 
 
 class InconclusiveRegion(RuntimeError):
-    """The winding integral did not resolve to an integer within the guard.
+    """The winding integral did not resolve to an integer within the guard, or a ray carries an alpha-point.
 
     `slice_index` is the census slice at fault (None outside a census) and
-    `edge` names the contour piece, e.g. "ray 3", "arc r=1.5" or
-    "detour r=0.36 on ray 0".
+    `edge` names the contour piece, "ray 3" or "arc r=1.5".
     """
 
     def __init__(
@@ -136,13 +142,35 @@ def _integrand(spec, alpha: complex):
     return fn
 
 
+@functools.lru_cache(maxsize=16)
+def _tables(lines: int, widths: tuple[float, ...], tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Y, W and `split` of _panel_tables: `lines` (0 or 1) line rows, then a circle row per half-width.
+
+    They depend on these and tol alone, so they are built once for each (a
+    census has no line row and one half-width, pi/2k) and shared read-only.
+    """
+    h = np.array(widths)[:, None, None] * _SCALE[:, None]
+    turn = np.exp(1j * h * _TURN_NODES)  # one exp: every circle row's nodes and halves' turns at every depth
+    y = np.concatenate([_LINE_Y[:lines], turn[..., :12]]).reshape(-1, 12)
+    w = np.concatenate([_LINE_W[:lines], (1j * h) * _GL_WEIGHTS * turn[..., :12]]).reshape(-1, 12)
+    split = np.zeros((5, lines + len(widths), _DEPTHS), complex)
+    split[:4, :lines] = np.array([-0.5, 0.5, 0.5, 0.5])[:, None, None]
+    split[2:4, lines:] = turn[..., 12:].transpose(2, 0, 1)
+    split[4] = tol * _SPLIT_SCALE
+    split = split.reshape(5, -1)
+    for table in (y, w, split):
+        table.flags.writeable = False
+    return y, w, split
+
+
 def _panel_tables(pieces: list[_Piece], tol: float):
     """Node tables of _integrate, one entry per slot = row * _DEPTHS + depth.
 
-    Row 0 serves every line piece, and row r >= 1 the circle pieces of the
-    r-th distinct parameter half-width h0 (widths within 1e-14 of each
-    other share a row).  A panel of half-width h = h0 2^-depth and midpoint
-    m has nodes z_j = P + Q Y_j and integral Q sum_j f(z_j) W_j, with
+    Row 0 serves every line piece, if there is one, and each later row the
+    circle pieces of one distinct parameter half-width h0, in increasing
+    order (widths within 1e-14 of each other share a row).  A panel of
+    half-width h = h0 2^-depth and midpoint m has nodes z_j = P + Q Y_j and
+    integral Q sum_j f(z_j) W_j, with
 
         line z = p + q t:       P = p + q m, Q = q h,      Y_j = x_j,         W_j = w_j,
         circle z = p + q e^it:  P = p,       Q = q e^{im}, Y_j = e^{i h x_j}, W_j = i h w_j Y_j,
@@ -156,21 +184,15 @@ def _panel_tables(pieces: list[_Piece], tol: float):
     """
     p, q, t0, t1, circle = (np.array(x, dt) for x, dt in zip(zip(*pieces), (complex, complex, float, float, bool)))
     mid, h0 = 0.5 * (t0 + t1), 0.5 * (t1 - t0)
-    widths = np.sort(h0[circle])
-    widths = widths[np.diff(widths, prepend=-np.inf) > 1e-14 * np.abs(widths)]
+    distinct = sorted(set(h0[circle].tolist()))
+    widths = tuple(h for h, below in zip(distinct, [-math.inf] + distinct) if h - below > 1e-14 * abs(h))
+    lines = int(not circle.all())
     slot = np.zeros(len(pieces), int)
-    slot[circle] = np.searchsorted(widths, h0[circle], "right") * _DEPTHS
-    h = widths[:, None, None] * _SCALE[:, None]
-    turn = np.exp(1j * h * _TURN_NODES)  # one exp: every circle row's nodes and halves' turns at every depth
-    y = np.concatenate([_LINE_Y, turn[..., :12]])
-    w = np.concatenate([_LINE_W, (1j * h) * _GL_WEIGHTS * turn[..., :12]])
-    split = np.zeros((5, len(widths) + 1, _DEPTHS), complex)
-    split[:4, 0] = [[-0.5], [0.5], [0.5], [0.5]]
-    split[2:4, 1:] = turn[..., 12:].transpose(2, 0, 1)
-    split[4] = tol * _SPLIT_SCALE
+    slot[circle] = (np.searchsorted(widths, h0[circle], "right") - 1 + lines) * _DEPTHS
+    y, w, split = _tables(lines, widths, tol)
     P = np.where(circle, p, p + q * mid)
     Q = q * np.where(circle, np.exp(1j * mid), h0)
-    return y.reshape(-1, 12), w.reshape(-1, 12), split.reshape(5, -1), slot, P, Q
+    return y, w, split, slot, P, Q
 
 
 def _integrate(fn, pieces: list[_Piece], tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -257,106 +279,30 @@ def _moduli(spec) -> list[tuple[float, bool]]:
     return [] if isinstance(spec, SeriesFunction) else factor_moduli(spec)
 
 
-def _singular_radii_on_ray(moduli, s: int, r_in: float, r_out: float) -> list[float]:
-    """Radii in (r_in, r_out) where F has a pole or zero on the ray angle s*pi/k; `moduli` as _moduli gives."""
-    # z^k > 0 on even rays, where the poles b, 1/d sit; z^k < 0 on odd rays, the zeros -a, -1/c
-    return sorted({r for r, is_pole in moduli if is_pole == (s % 2 == 0) and r_in < r < r_out})
-
-
-def _certify_detours(spec, alpha: complex, centers: np.ndarray, eps0: np.ndarray, is_pole: np.ndarray) -> np.ndarray:
-    """Largest detour radius eps0 / 4^j (j < 12) certified free of alpha-points, per centre; NaN where none.
-
-    By the maximum principle, |F| > |alpha| on the probe circle certifies the
-    whole disk when F has only the central pole inside (apply it to 1/F), and
-    |F| < |alpha| on the circle certifies the disk around a zero of F.  Each
-    round probes every centre not yet certified in one eval_many call and
-    quarters the radius of those that failed.
-    """
-    eps = eps0.copy()
-    done = np.zeros(eps.size, bool)
-    probes = np.exp(2j * math.pi * np.arange(16) / 16)
-    for _ in range(12):
-        todo = np.flatnonzero(~done)
-        if not todo.size:
-            break
-        vals = np.abs(eval_many(spec, (centers[todo, None] + eps[todo, None] * probes).ravel())).reshape(-1, 16)
-        ok = np.where(is_pole[todo], vals.min(axis=1) > 4.0 * abs(alpha), vals.max(axis=1) < 0.25 * abs(alpha))
-        done[todo[ok]] = True
-        eps[todo[~ok]] /= 4.0
-    return np.where(done, eps, np.nan)
-
-
-def _contours(spec, alpha: complex, regions, moduli) -> tuple[list[_Piece], list[list[tuple[int, float]]]]:
-    """Edge pieces of the regions' boundaries, and each region's signed terms.
+def _contours(regions) -> tuple[list[_Piece], list[list[tuple[int, float]]], dict[int, tuple[int, float, float]]]:
+    """Edge pieces of the regions' boundaries, each region's signed terms, and (s, r_in, r_out) of each ray piece.
 
     `regions` holds (label, AnnularSector) pairs; the label (the census slice,
-    or None) goes into any InconclusiveRegion, and `moduli` is _moduli(spec).
-    A ray is cut into straight pieces once, integrated outward; a region on
-    its counterclockwise side takes them with sign +1, one on its clockwise
-    side with sign -1.  Each detour is a semicircle bulging into one region,
-    traversed in that region's direction of travel.  The detours of all rays
-    are certified together before any piece is built; an uncertifiable one
-    raises for the first ray met that has one.
+    or None) goes into any InconclusiveRegion.  A region takes its outer arc
+    with sign +1 and its inner arc with sign -1.  A ray is one straight
+    piece from r_in to r_out, shared: a region on its counterclockwise side
+    takes it with sign +1, one on its clockwise side with sign -1.
     """
-    # every ray the regions use, in the order first met: the first region's
-    # label, the ray's direction and its singular radii
-    rays: dict[tuple, tuple[int | None, complex, list[float]]] = {}
-    for label, region in regions:
-        if not region.full:
-            for s in (region.s_from, (region.s_to + 1) % (2 * region.k)):
-                key = (s, region.k, region.r_in, region.r_out)
-                if key not in rays:
-                    angle = s * math.pi / region.k
-                    u = complex(math.cos(angle), math.sin(angle))
-                    rays[key] = label, u, _singular_radii_on_ray(moduli, s, region.r_in, region.r_out)
-    sing = []  # (ray key, rho, centre, eps0) of every on-ray singularity
-    for key, (_, u, radii) in rays.items():
-        gaps = [key[2]] + radii + [key[3]]
-        for i, rho in enumerate(radii):
-            gap = min(rho - gaps[i], gaps[i + 2] - rho)
-            sing.append((key, rho, rho * u, min(0.25 * gap, 0.01 * (1.0 + rho))))
-    certified = _certify_detours(
-        spec,
-        alpha,
-        np.array([centre for _, _, centre, _ in sing], complex),
-        np.array([eps0 for *_, eps0 in sing], float),
-        np.array([key[0] % 2 == 0 for key, *_ in sing], bool),
-    )
-    detours: dict[tuple, list[tuple[float, float]]] = {key: [] for key in rays}
-    for (key, rho, centre, _), eps in zip(sing, certified.tolist()):
-        if math.isnan(eps):
-            raise InconclusiveRegion(
-                f"cannot certify a detour around the on-contour singularity at {centre:.6g}",
-                slice_index=rays[key][0],
-                edge=f"detour r={rho:.6g} on ray {key[0]}",
-            )
-        detours[key].append((rho, eps))
-
     pieces: list[_Piece] = []
     terms: list[list[tuple[int, float]]] = []
-    straight_pieces: dict[tuple, list[int]] = {}
+    rays: dict[tuple, int] = {}
 
     def add(piece: _Piece) -> int:
         pieces.append(piece)
         return len(pieces) - 1
 
-    def ray(label, region: AnnularSector, s: int, sign: float) -> list[tuple[int, float]]:
+    def ray(label, region: AnnularSector, s: int) -> int:
         key = (s, region.k, region.r_in, region.r_out)
-        u = rays[key][1]
-        if key not in straight_pieces:
-            bounds = [region.r_in] + [r for rho, eps in detours[key] for r in (rho - eps, rho + eps)] + [region.r_out]
-            straight_pieces[key] = [
-                add(_Piece(0j, u, a, b, False, f"ray {s}", label)) for a, b in zip(bounds[::2], bounds[1::2])
-            ]
-        straight = straight_pieces[key]
-        travel = sign * u
-        psi = math.atan2(travel.imag, travel.real)
-        out = [(j, sign) for j in straight]
-        for rho, eps in detours[key]:
-            # from entry to exit, passing left of travel, i.e. into the region
-            detour = _Piece(rho * u, eps, psi + math.pi, psi, True, f"detour r={rho:.6g} on ray {s}", label)
-            out.append((add(detour), 1.0))
-        return out
+        if key not in rays:
+            angle = s * math.pi / region.k
+            u = complex(math.cos(angle), math.sin(angle))
+            rays[key] = add(_Piece(0j, u, region.r_in, region.r_out, False, f"ray {s}", label))
+        return rays[key]
 
     for label, region in regions:
         th0, th1 = (0.0, 2 * math.pi) if region.full else (region.theta_from, region.theta_to)
@@ -365,29 +311,182 @@ def _contours(spec, alpha: complex, regions, moduli) -> tuple[list[_Piece], list
             for r, sign in ((region.r_out, 1.0), (region.r_in, -1.0))
         ]
         if not region.full:
-            region_terms += ray(label, region, region.s_from, 1.0)
-            region_terms += ray(label, region, (region.s_to + 1) % (2 * region.k), -1.0)
+            s_to = (region.s_to + 1) % (2 * region.k)
+            region_terms += [(ray(label, region, region.s_from), 1.0), (ray(label, region, s_to), -1.0)]
         terms.append(region_terms)
-    return pieces, terms
+    return pieces, terms, {j: (s, r_in, r_out) for (s, _, r_in, r_out), j in rays.items()}
 
 
-def _poles_inside(moduli, region: AnnularSector) -> int:
-    """Pole count (with multiplicity) strictly inside the region; `moduli` as _moduli gives.
+def _x_on_ray(spec: StructuredFunction, t: np.ndarray, odd: bool) -> np.ndarray:
+    """x(t) = G(t e^{is pi/k}) e^{-ips pi/k} at radii t of a ray of parity `odd`.
+
+    Real: every factor of the table is real at w = z^k = +-t^k.
+    """
+    w = t**spec.k
+    return _product(spec, -w if odd else w, t ** float(spec.p), np.exp)
+
+
+def _phi_on_ray(spec: StructuredFunction, t: np.ndarray, odd: bool) -> np.ndarray:
+    """zG'/G = k Phi(z^k) at radii t of a ray of parity `odd`, from the fused pass; real but for rounding."""
+    z = t * unit_rotation(int(odd), spec.k)
+    return (z * eval_log_derivative_many(spec, z)[1]).real
+
+
+def _monotone_parts(spec: StructuredFunction, odd: bool, r_in: float, r_out: float, moduli) -> np.ndarray:
+    """x at both ends of each piece of r_in < t < r_out, on a ray of parity `odd`, where x is monotone.
+
+    Phi(w) = p/k + A w - A0/w + sum w/(w+a) - sum w/(w-b) - sum 1/(1+cw)
+    + sum 1/(1-dw) increases in w from -inf to +inf between consecutive
+    zeros and poles of G, which lie on the odd and the even rays.  So on
+    each interval between them and the radii r_in, r_out, x has at most one
+    critical point, where Phi changes sign; bisection on Phi finds it.  An
+    end at a zero of G is 0; one at a pole is +-inf, with the sign x takes
+    at the critical point or the end radius inside the interval (x has no
+    zero on an even ray), so nothing is evaluated near the pole.
+    """
+    knots = sorted({rho for rho, is_pole in moduli if is_pole != odd and r_in < rho < r_out})
+    lo, hi = np.array([r_in] + knots), np.array(knots + [r_out])
+    ends = np.array([r_in, r_out])
+    x_ends, phi_ends = _x_on_ray(spec, ends, odd), _phi_on_ray(spec, ends, odd)
+    climb = -1.0 if odd else 1.0  # sign of dPhi/dt: w = -t^k on an odd ray
+    phi_lo, phi_hi = np.full(lo.size, -climb * math.inf), np.full(lo.size, climb * math.inf)
+    phi_lo[0], phi_hi[-1] = phi_ends
+    crit = np.sign(phi_lo) * np.sign(phi_hi) < 0
+    a, b, side = lo[crit], hi[crit], np.sign(phi_lo[crit])
+    while True:
+        mid = 0.5 * (a + b)
+        live = (a < mid) & (mid < b)
+        if not live.any():
+            break
+        right = np.sign(_phi_on_ray(spec, mid, odd)) == side  # the zero of Phi lies right of mid
+        a, b = np.where(live & right, mid, a), np.where(live & ~right, mid, b)
+    x_crit = iter(_x_on_ray(spec, a, odd))
+    parts = []
+    for i in range(lo.size):
+        inner = next(x_crit) if crit[i] else None
+        if odd:
+            at_knot = 0.0
+        else:
+            at_knot = math.copysign(math.inf, x_ends[0] if i == 0 else x_ends[1] if inner is None else inner)
+        left = x_ends[0] if i == 0 else at_knot
+        right = x_ends[1] if i == lo.size - 1 else at_knot
+        parts += [(left, inner), (inner, right)] if crit[i] else [(left, right)]
+    return np.array(parts)
+
+
+def _ray_integrals(spec: StructuredFunction, alpha: complex, rays: dict[int, tuple[int, float, float]], moduli) -> dict:
+    """Integral of d log(G - alpha) outward along each ray, in closed form, or the reason it has none.
+
+    `rays` maps a piece to its (s, r_in, r_out).  On ray s,
+    G - alpha = e^{ips pi/k} (x(t) - beta) with x real and
+    beta = alpha e^{-ips pi/k}, so Im(x - beta) is the constant -Im beta.
+    The modulus part is log|x - beta| from r_in to r_out.  The argument
+    part is atan2(-Im beta, x - Re beta) from end to end of each straight
+    piece between the on-ray poles, where x -> +-inf and the angle is 0 or
+    sign(-Im beta) pi; the pieces between two poles cancel, and on an even
+    ray the two end pieces add the angles at +-inf with the signs of x(r_in)
+    and x(r_out) (a zero term when no pole lies between).  This is the
+    principal value; each pole of order m on a ray leaves i pi m to each
+    region beside it, which _poles_inside counts as half the pole.
+
+    Where |Im beta| is at rounding level (alpha on a real-power direction)
+    x - beta may vanish on the ray.  The ray is kept only when x - Re beta
+    keeps its sign, clear of rounding, on every piece where x is monotone
+    (_monotone_parts); otherwise an alpha-point lies on it, or next to it.
+    """
+    out: dict[int, complex | str] = {}
+    cache: dict[tuple, tuple] = {}
+    for j, (s, r_in, r_out) in rays.items():
+        odd = s % 2 == 1
+        key = (odd, r_in, r_out)
+        if key not in cache:
+            cache[key] = tuple(float(x) for x in _x_on_ray(spec, np.array([r_in, r_out]), odd)), None
+        (x_in, x_out), parts = cache[key]
+        if not (math.isfinite(x_in) and math.isfinite(x_out)):
+            out[j] = f"G is not finite at an end of ray {s}"
+            continue
+        beta = alpha * unit_rotation(-spec.p * s, spec.k)
+        if abs(beta.imag) <= _REAL_POWER * abs(beta):
+            if parts is None:
+                parts = _monotone_parts(spec, odd, r_in, r_out, moduli)
+                cache[key] = (x_in, x_out), parts
+            gap = parts - beta.real
+            if (np.sign(gap[:, 0]) != np.sign(gap[:, 1])).any() or (np.abs(gap) <= _ON_RAY * abs(beta)).any():
+                out[j] = f"alpha has a real-power direction on ray {s}, and an alpha-point lies on it or next to it"
+                continue
+
+        def angle(x: float) -> float:
+            return math.atan2(-beta.imag, x - beta.real)
+
+        arg = angle(x_out) - angle(x_in)
+        if not odd:
+            arg += angle(math.copysign(math.inf, x_in)) - angle(math.copysign(math.inf, x_out))
+        out[j] = complex(math.log(abs(x_out - beta)) - math.log(abs(x_in - beta)), arg)
+    return out
+
+
+def _poles_inside(moduli, region: AnnularSector) -> float:
+    """Poles (with multiplicity) inside the region, those on its rays counted half; `moduli` as _moduli gives.
 
     All poles lie on even rays; a ray at angle 2t*pi/k is strictly inside the
-    angular span when both adjacent sectors 2t-1 and 2t belong to it.
+    angular span when both adjacent sectors 2t-1 and 2t belong to it.  The
+    principal value along a ray through a pole leaves half of it to each
+    region beside the ray (_ray_integrals).
     """
     k = region.k
     inside = sum(1 for rho, is_pole in moduli if is_pole and region.r_in < rho < region.r_out)
     if region.full:
         return inside * k
-    return inside * sum(1 for t in range(k) if 1 <= (2 * t - region.s_from) % (2 * k) <= region.span - 1)
+    interior = sum(1 for t in range(k) if 1 <= (2 * t - region.s_from) % (2 * k) <= region.span - 1)
+    edges = (region.s_from % 2 == 0) + ((region.s_to + 1) % 2 == 0)
+    return inside * (interior + 0.5 * edges)
+
+
+def _windings(spec, alpha: complex, regions, quad_tol: float) -> list:
+    """Each region's winding number before rounding, in the order of `regions`.
+
+    An entry is (w, err, edge): w is (1/2 pi i) times the integral of
+    d log(F - alpha) round the region's boundary plus its poles
+    (_poles_inside), so Re w estimates its alpha-point count and Im w, the
+    drift of log|F - alpha| round the contour, is 0 but for quadrature
+    error; err is the error estimate of its edges and edge the one with the
+    largest.  Or the entry is the InconclusiveRegion of its first ray that
+    has no closed form.
+
+    The arcs are integrated first, so a non-finite arc raises under its own
+    name; the rays of a structured spec are then taken in closed form with
+    no error estimate, and a series integrates its rays with the arcs.
+    """
+    moduli = _moduli(spec)
+    pieces, terms, rays = _contours(regions)
+    if isinstance(spec, SeriesFunction):
+        rays = {}
+    quad = [j for j in range(len(pieces)) if j not in rays]
+    values, errs = np.zeros(len(pieces), complex), np.zeros(len(pieces))
+    failed: dict[int, str] = {}
+    with np.errstate(all="ignore"):
+        values[quad], errs[quad] = _integrate(_integrand(spec, alpha), [pieces[j] for j in quad], quad_tol)
+        for j, value in _ray_integrals(spec, alpha, rays, moduli).items():
+            if isinstance(value, str):
+                failed[j] = value
+            else:
+                values[j] = value
+    out = []
+    for (label, region), ts in zip(regions, terms):
+        bad = [j for j, _ in ts if j in failed]
+        if bad:
+            out.append(InconclusiveRegion(failed[bad[0]], slice_index=label, edge=pieces[bad[0]].edge))
+            continue
+        raw = sum(sign * values[j] for j, sign in ts) / (2j * math.pi)
+        worst = max(ts, key=lambda term: errs[term[0]])[0]
+        out.append((raw + _poles_inside(moduli, region), sum(errs[j] for j, _ in ts), pieces[worst].edge))
+    return out
 
 
 def _count(spec, alpha: complex, regions, quad_tol: float) -> list[int]:
     """Alpha-point count of each (label, region) pair; see count_in_contour."""
     alpha = complex(alpha)
-    # the zeros of G lie on the odd rays, which every census integrates along
+    # the zeros of G lie on the odd rays, which every census takes the integral along
     if isinstance(spec, StructuredFunction) and alpha == 0:
         raise ValueError("alpha must be nonzero for structured specs")
     for _, region in regions:
@@ -399,23 +498,18 @@ def _count(spec, alpha: complex, regions, quad_tol: float) -> list[int]:
                 raise ValueError("structured specs need a punctured annulus (r_in > 0)")
             if region.k != spec.k:
                 raise ValueError("the region's k disagrees with the spec")
-    moduli = _moduli(spec)
-    with np.errstate(all="ignore"):
-        pieces, terms = _contours(spec, alpha, regions, moduli)
-        values, errs = _integrate(_integrand(spec, alpha), pieces, quad_tol)
     counts = []
-    for (label, region), ts in zip(regions, terms):
-        raw = sum(sign * values[j] for j, sign in ts) / (2j * math.pi)
-        err = sum(errs[j] for j, _ in ts)
-        value = raw.real + _poles_inside(moduli, region)
-        nearest = round(value)
-        slack = abs(value - nearest) + abs(raw.imag)
+    for (label, _), entry in zip(regions, _windings(spec, alpha, regions, quad_tol)):
+        if isinstance(entry, InconclusiveRegion):
+            raise entry
+        value, err, edge = entry
+        nearest = round(value.real)
+        slack = abs(value.real - nearest) + abs(value.imag)
         if slack + err > ROUND_GUARD:
-            edge = pieces[max(ts, key=lambda term: errs[term[0]])[0]].edge
             raise InconclusiveRegion(
-                f"winding integral {value:.6f} (err est {err:.2g}) not within {ROUND_GUARD} of an integer; "
+                f"winding integral {value.real:.6f} (err est {err:.2g}) not within {ROUND_GUARD} of an integer; "
                 f"largest error on {edge}",
-                value=value,
+                value=value.real,
                 slice_index=label,
                 edge=edge,
             )
@@ -428,9 +522,10 @@ def count_in_contour(spec, alpha: complex, region: AnnularSector, quad_tol: floa
 
     Computes (1/2 pi i) contour-integral of F'/(F - alpha), adds the known
     pole count, and rounds only when the result is within the 0.25 guard.
-    An InconclusiveRegion names the edge at fault: the first one whose
-    integrand is not finite, one whose detour cannot be certified, or the
-    one with the largest error estimate when the guard fails.
+    An InconclusiveRegion names the edge at fault: the first arc whose
+    integrand is not finite, a ray that carries an alpha-point (or whose
+    ends are not finite), or the edge with the largest error estimate when
+    the guard fails.
     """
     return _count(spec, alpha, [(None, region)], quad_tol)[0]
 
@@ -445,7 +540,7 @@ def sector_census(
 ) -> list[int]:
     """Alpha-point counts per sector Q_0 .. Q_{2k-1} in r_in < |z| < r_out.
 
-    The 2k slices share their rays, so every edge is integrated once and each
+    The 2k slices share their rays, so every edge is taken once and each
     slice's count is a signed sum of its edges; each slice keeps its own
     guard.  Radii are auto-nudged (globally, so slices stay consistent) when
     a slice integral is inconclusive, e.g. because a boundary circle passes

@@ -142,7 +142,7 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         (FIG1_JSON, census_args(rin="2", rout="1"), "--rin"),
         (FIG1_JSON, census_args(rin="nan"), "--rin"),
         (FIG1_JSON, census_args(rout="inf"), "--rout"),
-        (FIG1_JSON, census_args(alpha="1e30"), "slice Q0, edge detour r=1 on ray 0"),
+        (FIG1_JSON, census_args(alpha="1e30"), "slice Q0, edge ray 0"),
         ({"type": "series", "coeffs": [1, {"re": math.nan}], "trust_radius": 1}, solve_args("0"), "field coeffs[1]"),
         ({"type": "series", "coeffs": [1, {"re": math.inf}], "trust_radius": 1}, solve_args("1"), "field coeffs[1]"),
         ({"type": "series", "coeffs": [1, 2, -math.inf], "trust_radius": 1}, solve_args("0"), "field coeffs[2]"),

@@ -14,19 +14,16 @@ from alphasectors import (
     sector_census,
     winding,
 )
-from alphasectors.functions import eval_log_derivative_many, eval_many
-from alphasectors.winding import (
-    _GL_NODES,
-    _GL_WEIGHTS,
-    ROUND_GUARD,
-    _integrand,
-    _moduli,
-    _poles_inside,
-    _singular_radii_on_ray,
-)
+from alphasectors.functions import eval_log_derivative_many, eval_many, evaluate_G
+from alphasectors.sectors import unit_rotation
+from alphasectors.winding import _GL_NODES, _GL_WEIGHTS, ROUND_GUARD, _integrand, _moduli
 from helpers import annulus_off_moduli, load_frozen, pole_radii, random_alpha_generic, random_structured
 
 FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
+
+# the census before its rays were taken in closed form: its detoured contours and
+# its quadrature engine, as it stood before its panels were read off node tables
+REFERENCE = load_frozen("reference_integrate.py")
 
 
 def test_count_simple_polynomial():
@@ -185,10 +182,11 @@ def test_guard_failure_names_the_edge():
 
 
 def test_uncertifiable_detour_names_the_edge():
-    # |alpha| = 1e30 is beyond any probe circle around the pole at z = 1
+    # alpha = 1e30 is real on ray 0, and G reaches it next to the pole at z = 1:
+    # the ray is named, where its detour round that pole was
     with pytest.raises(InconclusiveRegion) as exc:
         sector_census(FIG1, 1e30, 0.5, 2.0)
-    assert (exc.value.slice_index, exc.value.edge) == (0, "detour r=1 on ray 0")
+    assert (exc.value.slice_index, exc.value.edge) == (0, "ray 0")
 
 
 def test_fig1_census_integrand_calls(monkeypatch):
@@ -205,32 +203,10 @@ def test_fig1_census_integrand_calls(monkeypatch):
     assert 0 < len(calls) <= 50
 
 
-def test_fig1_census_detour_probe_calls(monkeypatch):
-    # the 15 on-ray singularities of the fig1 census share one eval_many call
-    # per probe round; probing them one by one took at least 15 calls
-    calls, per_attempt = [], []
-    real_eval, real_contours = winding.eval_many, winding._contours
-
-    def counted_eval(spec, z):
-        calls.append(len(z))
-        return real_eval(spec, z)
-
-    def counted_contours(*args):
-        before = len(calls)
-        out = real_contours(*args)
-        per_attempt.append(len(calls) - before)
-        return out
-
-    monkeypatch.setattr(winding, "eval_many", counted_eval)
-    monkeypatch.setattr(winding, "_contours", counted_contours)
-    assert sector_census(FIG1, -1 - 1j, 0.01, 10.0) == [1, 2, 2, 1, 2, 1]
-    assert per_attempt and all(0 < n <= 12 for n in per_attempt)
-
-
 def _per_singularity_detours(spec, alpha: complex, regions) -> dict[complex, float]:
     """{centre: radius} of every detour, each probed on its own by the frozen
     _certified_detour_radius below, rays in the order the regions first use
-    them; the first uncertifiable one raises as _contours does."""
+    them; the first uncertifiable one raises as the frozen _contours does."""
     radii = {}
     seen = set()
     for label, region in regions:
@@ -242,7 +218,7 @@ def _per_singularity_detours(spec, alpha: complex, regions) -> dict[complex, flo
             seen.add((s, region.r_in, region.r_out))
             angle = s * math.pi / region.k
             u = complex(math.cos(angle), math.sin(angle))
-            sing = _singular_radii_on_ray(_moduli(spec), s, region.r_in, region.r_out)
+            sing = REFERENCE._singular_radii_on_ray(_moduli(spec), s, region.r_in, region.r_out)
             gaps = [region.r_in] + sing + [region.r_out]
             for i, rho in enumerate(sing):
                 gap = min(rho - gaps[i], gaps[i + 2] - rho)
@@ -276,6 +252,7 @@ def _detour_cases():
 
 
 def test_batched_detour_radii_match_the_per_singularity_probe():
+    # the frozen census certified all its detours in batched probe rounds
     raised = []
     for spec, alpha, regions in _detour_cases():
         try:
@@ -285,7 +262,7 @@ def test_batched_detour_radii_match_the_per_singularity_probe():
             raised.append(exc.edge)
         with np.errstate(all="ignore"):
             try:
-                pieces, _ = winding._contours(spec, alpha, regions, _moduli(spec))
+                pieces, _ = REFERENCE._contours(spec, alpha, regions, _moduli(spec))
                 got = {pc.p: pc.q for pc in pieces if pc.edge.startswith("detour")}
                 assert len(got) == len(expected)
             except InconclusiveRegion as exc:
@@ -299,7 +276,7 @@ def test_batched_detour_radii_match_the_per_singularity_probe():
 # differential test against the per-slice recursive census this module used
 # before its edges were shared (verbatim but for the names of the two public
 # functions, old_count_in_contour and old_sector_census, and the zero and pole
-# moduli that _singular_radii_on_ray and _poles_inside now take)
+# moduli that the frozen _singular_radii_on_ray and _poles_inside take)
 # ---------------------------------------------------------------------------
 
 
@@ -370,7 +347,7 @@ def _radial_with_detours(
     """
     direction = 1.0 if r_b > r_a else -1.0
     lo, hi = min(r_a, r_b), max(r_a, r_b)
-    sing = _singular_radii_on_ray(_moduli(spec), s_ray, lo, hi)
+    sing = REFERENCE._singular_radii_on_ray(_moduli(spec), s_ray, lo, hi)
     u = complex(math.cos(angle), math.sin(angle))
 
     def seg(ra, rb):
@@ -467,7 +444,7 @@ def old_count_in_contour(spec, alpha: complex, region: AnnularSector, quad_tol: 
             total += val
             err += e
     raw = total / (2j * math.pi)
-    value = raw.real + _poles_inside(_moduli(spec), region)
+    value = raw.real + REFERENCE._poles_inside(_moduli(spec), region)
     nearest = round(value)
     slack = abs(value - nearest) + abs(raw.imag)
     if slack + err > ROUND_GUARD:
@@ -586,11 +563,10 @@ def test_count_in_contour_matches_the_recursive_contour():
 
 
 # ---------------------------------------------------------------------------
-# differential test against the quadrature engine as it stood before its
+# differential test against the census as it stood before its rays were taken
+# in closed form: detoured contours and the quadrature engine from before its
 # panels were read off node tables (tests/reference_integrate.py)
 # ---------------------------------------------------------------------------
-
-REFERENCE = load_frozen("reference_integrate.py")
 
 
 def _engine_cases():
@@ -601,43 +577,126 @@ def _engine_cases():
     ]
 
 
-def _slice_values(engine, spec, alpha, r_in, r_out, kw):
-    """Each census slice's winding integral on the unnudged contours, by the engine's
-    _integrand and _integrate; or the (slice, edge) of the InconclusiveRegion raised."""
+def _census_regions(spec, r_in, r_out, kw):
     k = spec.k if isinstance(spec, StructuredFunction) else kw.get("k", 2)
-    regions = [(s, AnnularSector(r_in, r_out, s, s, k)) for s in range(2 * k)]
+    return [(s, AnnularSector(r_in, r_out, s, s, k)) for s in range(2 * k)]
+
+
+def _frozen_slice_values(spec, alpha, r_in, r_out, kw):
+    """Each census slice's winding value on the unnudged contours of the frozen census:
+    (1/2 pi i) times its integral plus the poles inside; or the (slice, edge) of the
+    InconclusiveRegion raised, a detour's renamed to its ray."""
+    regions = _census_regions(spec, r_in, r_out, kw)
+    moduli = _moduli(spec)
     with np.errstate(all="ignore"):
         try:
-            pieces, terms = winding._contours(spec, complex(alpha), regions, _moduli(spec))
-            values, _ = engine._integrate(engine._integrand(spec, complex(alpha)), pieces, kw.get("quad_tol", 1e-6))
+            pieces, terms = REFERENCE._contours(spec, complex(alpha), regions, moduli)
+            fn = REFERENCE._integrand(spec, complex(alpha))
+            values, _ = REFERENCE._integrate(fn, pieces, kw.get("quad_tol", 1e-6))
         except InconclusiveRegion as exc:
-            return exc.slice_index, exc.edge
-    return np.array([sum(sign * values[j] for j, sign in ts) for ts in terms]) / (2j * math.pi)
+            return exc.slice_index, _ray_of(exc.edge)
+    raw = np.array([sum(sign * values[j] for j, sign in ts) for ts in terms]) / (2j * math.pi)
+    return raw + [REFERENCE._poles_inside(moduli, region) for _, region in regions]
+
+
+def _slice_values(spec, alpha, r_in, r_out, kw):
+    """The same from winding._windings, up to the first slice whose ray has no closed form."""
+    regions, out = _census_regions(spec, r_in, r_out, kw), []
+    try:
+        for entry in winding._windings(spec, complex(alpha), regions, kw.get("quad_tol", 1e-6)):
+            if isinstance(entry, InconclusiveRegion):
+                return entry.slice_index, entry.edge
+            out.append(entry[0])
+    except InconclusiveRegion as exc:
+        return exc.slice_index, exc.edge
+    return np.array(out)
+
+
+def _ray_of(edge: str) -> str:
+    """A detour's edge name as its ray's: the census has no detours, and a ray that
+    cannot be taken in closed form fails where its detour could not be certified."""
+    return f"ray {edge.rsplit(' ', 1)[1]}" if edge.startswith("detour") else edge
 
 
 def _census_outcome(spec, alpha, r_in, r_out, kw):
     try:
         return sector_census(spec, alpha, r_in, r_out, **kw)
     except InconclusiveRegion as exc:
-        return ("inconclusive", exc.slice_index, exc.edge)
+        return ("inconclusive", exc.slice_index, _ray_of(exc.edge))
 
 
 def test_quadrature_matches_the_frozen_engine(monkeypatch):
     cases = _engine_cases()
     raised = []
     for case in cases:
-        got, expected = _slice_values(winding, *case), _slice_values(REFERENCE, *case)
+        got, expected = _slice_values(*case), _frozen_slice_values(*case)
         if isinstance(expected, tuple):
             assert got == expected, case
-            raised.append(expected)
+            raised.append(got)
         else:
             assert np.abs(got - expected).max() <= 1e-4, case
-    assert raised == [(0, "detour r=1 on ray 0"), (0, "arc r=inf"), (0, "arc r=1e+09")]
+    assert raised == [(0, "ray 0"), (0, "arc r=inf"), (0, "arc r=1e+09")]
     outcomes = [_census_outcome(*case) for case in cases]
-    monkeypatch.setattr(winding, "_integrate", REFERENCE._integrate)
-    monkeypatch.setattr(winding, "_integrand", REFERENCE._integrand)
+    monkeypatch.setattr(winding, "_count", REFERENCE._count)
     assert [_census_outcome(*case) for case in cases] == outcomes
     assert sum(isinstance(out, tuple) for out in outcomes) == 3
+
+
+def _real_power_cases():
+    """300 censuses at alpha = r e^{ij pi/k}, where G - alpha may vanish on the rays."""
+    rng = np.random.default_rng(1967)
+    cases = []
+    for i in range(300):
+        k = int(rng.integers(2, 7))
+        p = int(rng.choice([x for x in (-5, -2, -1, 1, 2, 5) if math.gcd(abs(x), k) == 1]))
+        na, nb = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        cd = i % 3 == 0
+        c = tuple(np.exp(rng.uniform(-1.0, 1.0, int(rng.integers(1, 3))))) if cd else ()
+        d = tuple(np.exp(rng.uniform(-1.0, 1.0, int(rng.integers(0, 3))))) if cd else ()
+        spec = StructuredFunction(
+            p=p, k=k, a=tuple(np.exp(rng.uniform(-1.5, 1.5, na))), b=tuple(np.exp(rng.uniform(-1.5, 1.5, nb))), c=c, d=d
+        )
+        alpha = float(np.exp(rng.uniform(-1.0, 1.0))) * unit_rotation(int(rng.integers(0, 2 * k)), k)
+        cases.append((spec, alpha, float(rng.uniform(0.2, 0.6)), float(rng.uniform(1.4, 2.5))))
+    return cases
+
+
+def test_real_power_census_matches_the_frozen_census(monkeypatch):
+    # a ray on which alpha's direction is real is certified free of alpha-points, or
+    # fails on the slice where the frozen census failed
+    cases = _real_power_cases()
+    outcomes = [_outcome(sector_census, *case) for case in cases]
+    monkeypatch.setattr(winding, "_count", REFERENCE._count)
+    assert [_outcome(sector_census, *case) for case in cases] == outcomes
+    counted = sum(isinstance(out, list) for out in outcomes)
+    assert 30 <= counted <= 270
+
+
+def test_a_point_next_to_a_ray_costs_no_more_points(monkeypatch):
+    # an alpha-point 1e-7 pi/3 off ray 1 took the ray quadrature 7,044 points,
+    # against 3,252 at 0.1 pi/3; the closed-form rays cost the same at both
+    points = []
+
+    def counted(spec, z):
+        points.append(len(z))
+        return eval_log_derivative_many(spec, z)
+
+    monkeypatch.setattr(winding, "eval_log_derivative_many", counted)
+    used = []
+    for offset in (1e-7, 0.1):
+        alpha = evaluate_G(FIG1, 1.3 * np.exp(1j * math.pi / 3 * (1 + offset)))
+        before = sum(points)
+        counts = sector_census(FIG1, alpha, 0.01, 10.0)
+        used.append(sum(points) - before)
+        assert counts == points_census(alpha_points(FIG1, alpha, 10.0), 3, 0.01, 10.0)
+    assert used[0] == used[1]
+
+
+def test_near_double_pole_census_counts_right():
+    # two poles 9e-5 apart on every even ray: each is counted half to the slices beside it
+    spec, alpha, r_in, r_out = CENSUS_EDGE
+    expected = points_census(alpha_points(spec, alpha, r_out), spec.k, r_in, r_out)
+    assert sector_census(spec, alpha, r_in, r_out) == expected
 
 
 def test_census_below_rounding_tolerance_keeps_every_outcome():
@@ -668,3 +727,16 @@ def test_deep_refinement_matches_the_frozen_engine():
     assert np.abs(value - frozen_value).max() <= 1e-14
     assert err.max() <= 1e-10 and frozen_err.max() <= 1e-10
 
+
+
+def test_node_tables_are_built_once_and_shared_read_only():
+    # every arc of a census has the half-width pi/2k: its node tables are built
+    # once for that width and tolerance, and no caller can write into them
+    regions = [(s, AnnularSector(0.3, 2.0, s, s, 3)) for s in range(6)]
+    pieces, _, rays = winding._contours(regions)
+    arcs = [pc for j, pc in enumerate(pieces) if j not in rays]
+    first, again = winding._panel_tables(arcs, 1e-6)[:3], winding._panel_tables(arcs[::-1], 1e-6)[:3]
+    for table, shared in zip(first, again):
+        assert table is shared and not table.flags.writeable
+    fresh = winding._tables.__wrapped__(0, (min(0.5 * (pc.t1 - pc.t0) for pc in arcs),), 1e-6)
+    assert all(table.tobytes() == built.tobytes() for table, built in zip(first, fresh))
