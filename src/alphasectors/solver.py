@@ -14,18 +14,24 @@ it.  Simple roots then take Newton steps on the original coefficients with a
 compensated (twice-working-precision) Horner residual in w, with w = z^g
 formed error-free, all roots and classes at once, the four real products of
 each Horner step in one block; multiple roots take modified-Newton steps in
-50-digit mpmath.  At stride 1 both kernels are bit for bit the dense Horner
-loops.
+50-digit mpmath.  At stride 1 the Horner kernel is bit for bit the dense
+Horner loop.  The compensated polish runs at the solve's stride, except on
+dense input of degree 12 or more: there it takes the polish stride 3 with
+classes 0, 1 and 2 (_POLYPHASE), a third of the Horner rows on lanes three
+times wider, since its row loop costs tens of numpy calls a row.
 Every solve is a batch (_find_roots_batch; find_roots is the batch of one,
-on the same path): polynomials of one stride and one degree mod g share the
-Horner tables, zero-padded at the top, so one Aberth loop, one Newton
-polish and one compensated polish serve them all, each kernel taking the
-polynomial of every root from an owner index array, while each polynomial
-keeps its own start, reciprocal sum, stop rule, clusters and checks.  Each
-gets bit for bit the clusters of its own solve; truncate_series solves its
-two truncations this way.  The iteration cap (MAX_ITERS) and the cluster
-distance (DEFAULT_CLUSTER_TOL) are fixed; only the root tolerance and the
-multiplicity bound are parameters.
+on the same path): polynomials of one stride, one degree mod g and one
+polish stride share the Horner tables, zero-padded at the top, so one Aberth
+loop, one Newton polish and one compensated polish serve them all, each
+kernel taking the polynomial of every root from an owner index array, while
+each polynomial keeps its own start, reciprocal sum, stop rule, clusters and
+checks.  Each distinct polynomial (after stripping, with its roots at the
+origin) is solved once: a later member equal to an earlier one takes a copy
+of its clusters, or its error.  Each gets bit for bit the clusters of its
+own solve; truncate_series solves its two truncations this way.  The
+iteration cap (MAX_ITERS) and the cluster distance (DEFAULT_CLUSTER_TOL)
+are fixed; only the root tolerance and the multiplicity bound are
+parameters.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it at the default root tolerance.
@@ -287,14 +293,15 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
                 break
             hull.pop()
         hull.append((i, lg))
-    circles = []
-    for (ia, la), (ib, lb) in zip(hull, hull[1:]):
-        m = ib - ia
-        if (la - lb) / m > _LOG_MAX:
-            raise SolverError(f"scaled root moduli near e^{(la - lb) / m:.0f} lie beyond double range")
-        angles = 2 * np.pi * np.arange(m) / m + _ANGLE_OFFSET + 2 * np.pi * ia / n
-        circles.append(math.exp((la - lb) / m) * np.exp(1j * angles))
-    return np.concatenate(circles)
+    ends, lgs = np.array([i for i, _ in hull]), np.array([lg for _, lg in hull])
+    m = np.diff(ends)
+    logr = (lgs[:-1] - lgs[1:]) / m  # the log radius of each edge's circle
+    over = np.flatnonzero(logr > _LOG_MAX)
+    if len(over):
+        raise SolverError(f"scaled root moduli near e^{logr[over[0]]:.0f} lie beyond double range")
+    j = np.arange(ends[0], ends[-1]) - np.repeat(ends[:-1], m)  # each point's place on its circle
+    angles = 2 * np.pi * j / np.repeat(m, m) + _ANGLE_OFFSET + np.repeat(2 * np.pi * ends[:-1] / n, m)
+    return np.repeat([math.exp(x) for x in logr.tolist()], m) * np.exp(1j * angles)
 
 
 def _owned(parts: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -318,7 +325,10 @@ def _aberth(horner: _Horner, tol: float) -> list:
     moving.  Each polynomial keeps its own start, its own pairwise reciprocal
     sum and its own stop and stall rule, and leaves the loop at the iteration
     where it would stop if solved alone, so its iterates are bit for bit
-    those of a solo run.  Returns, per polynomial, its iterates or the
+    those of a solo run.  The moving roots live in one stacked array, each
+    polynomial's a view of it, restacked (with their owner index) only when
+    a polynomial leaves; each reciprocal matrix is formed in one buffer kept
+    across iterations.  Returns, per polynomial, its iterates or the
     SolverError it raised.
     """
     out: list = [None] * len(horner.polys)
@@ -330,22 +340,28 @@ def _aberth(horner: _Horner, tol: float) -> list:
             out[i] = exc
     last = dict.fromkeys(u, np.inf)
     stall = dict.fromkeys(u, 0)
+    buf = np.empty(max(map(len, u.values()), default=0) ** 2, complex)
+    moving = None  # the stacked roots still moving and their owner index
     with np.errstate(all="ignore"):
         for _ in range(MAX_ITERS):
             if not u:
                 break
-            nv = _newton_corrections(horner, *_owned(u))
+            if moving is None:
+                moving = _owned(u)
+                u = _pieces(moving[0], u)
+            nv = _newton_corrections(horner, *moving)
             for i, nvi in _pieces(nv, u).items():
                 ui = u[i]
-                diff = ui[:, None] - ui[None, :]
-                np.fill_diagonal(diff, np.inf)
-                s = (1.0 / diff).sum(axis=1)
+                recip = buf[: len(ui) ** 2].reshape(len(ui), len(ui))
+                np.subtract(ui[:, None], ui[None, :], out=recip)
+                np.fill_diagonal(recip, np.inf)
+                s = np.divide(1.0, recip, out=recip).sum(axis=1)
                 w = nvi / (1.0 - nvi * s)
                 bad = ~np.isfinite(w)
                 if bad.any():
                     w[bad] = nvi[bad]
                     w[~np.isfinite(w)] = 0.0
-                ui = u[i] = ui - w
+                ui -= w
                 step = float(np.max(np.abs(w) / (1.0 + np.abs(ui))))
                 # stagnation on a multiple-root limit cycle also counts as converged
                 if step >= 0.5 * last[i]:
@@ -353,7 +369,8 @@ def _aberth(horner: _Horner, tol: float) -> list:
                 else:
                     stall[i] = 0
                 if step <= tol or (stall[i] >= 10 and step <= 1e-5):
-                    out[i] = u.pop(i)
+                    out[i] = u.pop(i)  # a view of a stack that no later step writes
+                    moving = None
                 last[i] = step
     if u:
         res = np.abs(_newton_corrections(horner, *_owned(u)))
@@ -425,6 +442,11 @@ def _subsplit(horner: _Horner, members_scaled: list[complex], which: int) -> lis
     return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
 
 
+# the compensated polish's stride on dense input of degree _POLYPHASE_DEGREE or more: a
+# third of the Horner rows, each three lanes wide (strides 2-5 polish about as fast, 6
+# slower); below that degree, forming u^3 and adding the classes cost what the rows save
+_POLYPHASE = _Stride(3, (0, 1, 2))
+_POLYPHASE_DEGREE = 12
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitting constant for 53-bit doubles
 _DUPLICATE_TOL = 1e-8  # simple roots closer than this (relative) are one root found twice
 _MAX_POLISH_STEPS = 4  # roots of a close pair can need more than two steps
@@ -566,11 +588,15 @@ def _polish_simple(
     z = 2^e u with |u| ~ 1, and its polynomial by another, 2^f, so that its
     largest term c_i 2^(e i) is about 1: no scaled coefficient column
     overflows and none that matters goes subnormal.  Powers of two are exact,
-    so the polynomial solved is the caller's bit for bit.  Each step is compensated Horner in w = u^g for the
-    stride of polys, every root of every polynomial in one pass.  Two steps,
-    then up to _MAX_POLISH_STEPS for roots whose last step is still above
-    rounding level.  Returns the polished roots and the size of each root's
-    last step relative to |u|.
+    so the polynomial solved is the caller's bit for bit.  Each step is
+    compensated Horner in w = u^g, every root of every polynomial in one
+    pass.  Any stride whose classes hold every exponent of polys serves:
+    the batch passes the solve's stride, or on dense input of degree 12 or
+    more the polish stride 3 with all three classes (_POLYPHASE), whose row
+    loop runs n // 3 + 1 times instead of n + 1.  Two steps, then up to
+    _MAX_POLISH_STEPS for roots whose last step is still above rounding
+    level.  Returns the polished roots and the size of each root's last step
+    relative to |u|.
     """
     n = max(len(c) for c in polys) - 1
     cf = np.zeros((n + 1, len(polys)), complex)
@@ -671,7 +697,10 @@ class _Solve:
             self.clusters = _finish([*self.clusters, RootCluster(root, (root,), 1, 0.0)], max_multiplicity)
         if self.n >= 2:
             self.original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + self.n + 1])
+            self.key = (m0, self.original.tobytes())  # equal keys, equal solves
             self.stride = _stride(self.original)  # sc may hold fewer nonzeros (underflow), never more
+            dense = self.stride == _DENSE and self.n >= _POLYPHASE_DEGREE
+            self.polish_stride = _POLYPHASE if dense else self.stride
             self.dsc = np.arange(1, self.n + 1) * self.sc[1:]
 
     def cluster(self, u: np.ndarray, horner: _Horner, which: int) -> np.ndarray:
@@ -713,15 +742,22 @@ def _find_roots_batch(
 ) -> list[list[RootCluster]]:
     """find_roots of each coefficient list, bit for bit, the lists solved together.
 
-    Polynomials of one stride and one degree mod g share one _Horner stack:
-    one Aberth loop in which each keeps its own start, reciprocal sum and
-    stop rule, one Newton polish pass, and one compensated polish pass for
-    their simple roots.  Stripping, clustering, splitting, the multiple-root
-    polish and the checks stay per polynomial.  The first polynomial, in
-    input order, whose own solve fails raises its error.
+    Polynomials of one stride, one degree mod g and one polish stride share
+    one _Horner stack: one Aberth loop in which each keeps its own start,
+    reciprocal sum and stop rule, one Newton polish pass, and one
+    compensated polish pass for their simple roots, at the polish stride
+    (_POLYPHASE for dense input of degree 12 or more, else the stride).
+    Stripping, clustering, splitting, the multiple-root polish and the
+    checks stay per polynomial.  A member whose origin multiplicity and
+    stripped coefficients equal an earlier member's is not stacked again: it
+    takes its own copy of that member's cluster list, or its error, which is
+    what its own solve gives.  The first polynomial, in input order, whose
+    own solve fails raises its error.
     """
     results: list = []
     groups: dict[tuple, list[int]] = {}
+    first: dict[tuple, int] = {}  # the first member of each distinct polynomial
+    twins: dict[int, int] = {}  # a later member with the same polynomial -> that first member
     for i, coeffs in enumerate(polys):
         try:
             job = _Solve(coeffs, max_multiplicity)
@@ -730,7 +766,11 @@ def _find_roots_batch(
             continue
         results.append(job)
         if job.n >= 2:
-            groups.setdefault((job.stride, job.n % job.stride.g), []).append(i)
+            if job.key in first:
+                twins[i] = first[job.key]
+                continue
+            first[job.key] = i
+            groups.setdefault((job.stride, job.n % job.stride.g, job.polish_stride), []).append(i)
 
     def attempt(i, step, *args):
         try:
@@ -738,7 +778,7 @@ def _find_roots_batch(
         except SolverError as exc:
             results[i] = exc
 
-    for (stride, _), members in groups.items():
+    for (stride, _, polish_stride), members in groups.items():
         jobs = [results[i] for i in members]
         horner = _Horner([(job.sc, job.dsc) for job in jobs], stride)
         iterates = {}
@@ -758,15 +798,17 @@ def _find_roots_batch(
         last = {p: np.zeros(0) for p in simple}
         if any(len(z) for z in simple.values()):
             z, owner = _owned(simple)
-            z, steps = _polish_simple([job.original for job in jobs], z, stride, owner)
+            z, steps = _polish_simple([job.original for job in jobs], z, polish_stride, owner)
             simple, last = _pieces(z, simple), _pieces(steps, simple)
         for p, z in simple.items():
             attempt(members[p], jobs[p].finish, z, last[p])
 
+    for i, j in twins.items():
+        results[i] = results[j]
     for result in results:
         if isinstance(result, Exception):
             raise result
-    return [job.clusters for job in results]
+    return [list(job.clusters) for job in results]
 
 
 def _check_simple(z: np.ndarray, last: np.ndarray) -> None:

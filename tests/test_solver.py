@@ -28,7 +28,9 @@ from alphasectors.functions import alpha_polynomial
 from alphasectors import solver
 from alphasectors.solver import DEGREE_CAP, _check_simple
 
-from helpers import QSERIES_GRID, clusters_bytes, random_alpha_generic, random_structured
+from helpers import QSERIES_GRID, clusters_bytes, load_frozen, random_alpha_generic, random_structured
+
+REFERENCE = load_frozen("reference_solver.py")
 
 FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
 
@@ -328,7 +330,13 @@ DIFFERENTIAL_CASES = {
     # the polish leaves some binomial ones 50-200 ulp off
     "far-theta": lambda: (partial_theta_coeffs(0.5j, 64), "far"),
     "far-binomial": lambda: (QSeriesSpec("sokal-poly", 0.6j, 64).coefficients(), "far"),
-    **{f"random-{d}": (lambda d=d: (_random_poly(100 + d, d), max(1, d // 12))) for d in (16, 48, 96, 160, 256)},
+    # dense input of degree 12 or more takes its compensated polish at stride 3
+    "theta-0.5i-80": lambda: (partial_theta_coeffs(0.5j, 80), "all"),
+    "theta-0.7i-80": lambda: (partial_theta_coeffs(0.7j, 80), "all"),
+    "dexp-0.7i-80": lambda: (disturbed_exp_coeffs(0.7j, 80), "all"),
+    "dexp-0.9i-80": lambda: (disturbed_exp_coeffs(0.9j, 80), "all"),
+    "binomial-0.6i-80": lambda: (sokal_poly_coeffs(0.6j, 80), "all"),
+    **{f"random-{d}": (lambda d=d: (_random_poly(100 + d, d), max(1, d // 12))) for d in (16, 32, 48, 96, 160, 256, 512)},
 }
 
 
@@ -761,6 +769,13 @@ def test_batch_matches_solo_on_the_qseries_truncations(family, t, N):
     _assert_batch_matches_solo([src[: N + 1], src[: N + 11]])
 
 
+def test_batch_matches_solo_across_polish_strides():
+    # dense degrees on either side of _POLYPHASE_DEGREE: the compensated polish
+    # runs at stride 1 below it and at stride 3 from it, which moves some
+    # partial theta roots in their last bits
+    _assert_batch_matches_solo([_random_poly(10, 10), partial_theta_coeffs(0.7j, 64), _random_poly(11, 11)])
+
+
 def test_batch_matches_solo_across_strides():
     polys = [
         _sparse_alpha_case(7, 2, False, seed=7),
@@ -792,3 +807,112 @@ def test_batch_raises_the_error_of_its_first_failing_member():
     late = [0, 0, 0, 1, 2, 1]  # a triple root at the origin, beyond max_multiplicity = 1
     args = (1e-10, 1)
     assert _raised(solver._find_roots_batch, [good, late, bad, stuck], *args) == _raised(find_roots, late, *args)
+
+
+def test_batch_solves_a_repeated_polynomial_once(monkeypatch):
+    # zeros on top strip away, so both members are one polynomial
+    p = list(partial_theta_coeffs(0.7j, 40))
+    starts = []
+    start = solver._start_points
+    monkeypatch.setattr(solver, "_start_points", lambda sc: starts.append(len(sc) - 1) or start(sc))
+    got = solver._find_roots_batch([p, p + [0] * 10])
+    assert starts == [40]
+    assert got[0] == got[1] and got[0] is not got[1]
+    # roots at the origin make a different polynomial: [0] + p is solved on its own
+    starts.clear()
+    twice = solver._find_roots_batch([p, [0] + p, p])
+    assert starts == [40, 40]
+    assert twice[0] == twice[2] == got[0] and twice[1][0].center == 0 and twice[1][1:] == got[0]
+    monkeypatch.undo()
+    assert clusters_bytes(got[1]) == clusters_bytes(find_roots(p))
+
+
+def test_batch_raises_the_error_of_a_repeated_failing_member():
+    stuck = list(partial_theta_coeffs(0.9, 80))  # Aberth does not converge
+    good = partial_theta_coeffs(0.7j, 64)
+    assert _raised(solver._find_roots_batch, [good, stuck, stuck + [0] * 3]) == _raised(find_roots, stuck)
+    assert _raised(solver._find_roots_batch, [stuck + [0] * 3, good, stuck]) == _raised(find_roots, stuck)
+    late = [0, 0, 0, 1, 2, 1]  # a triple root at the origin, beyond max_multiplicity = 1
+    args = (1e-10, 1)
+    assert _raised(solver._find_roots_batch, [late, good, late], *args) == _raised(find_roots, late, *args)
+
+
+# ---------------------------------------------------------------------------
+# start circles and Aberth iterates against the per-edge, per-iteration forms
+# ---------------------------------------------------------------------------
+
+
+def _start_cases() -> dict:
+    """Ascending coefficients: the qseries truncations, verify-shaped alpha-polynomials, dense random ones."""
+    from alphasectors.cli import _family_source
+
+    cases = {}
+    for family, t, N in QSERIES_GRID:
+        src = np.asarray(_family_source(QSeriesSpec(family, 1j * t, N)), complex)
+        cases[f"{family}-{t}i-{N}"] = src[: N + 1]
+        cases[f"{family}-{t}i-{N}+10"] = src[: N + 11]
+    for k, p in ((7, 2), (8, 1), (13, -2), (16, 5), (24, 5), (24, -1)):
+        for with_cd in (False, True):
+            cases[f"alpha-k{k}-p{p}-cd{int(with_cd)}"] = _sparse_alpha_case(k, p, with_cd, seed=k + int(with_cd))
+    for d in (13, 16, 24, 32, 48, 64, 96, 128, 192, 256, 384, 512):
+        cases[f"random-{d}"] = _random_poly(d, d)
+    # the Newton polygon is one edge: every coefficient on it, or only the two ends held
+    cases["unimodular-40"] = np.exp(2j * np.pi * np.random.default_rng(40).uniform(size=41))
+    cases["ends-64"] = np.array([2.0] + [0.0] * 63 + [1.0j])
+    return cases
+
+
+def test_start_points_match_the_per_edge_circles_bit_for_bit():
+    hulls = set()
+    for name, coeffs in _start_cases().items():
+        sc = solver._strip_and_scale(coeffs)[0]
+        got, want = solver._start_points(sc), REFERENCE._start_points(sc)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        hulls.add(len(np.unique(np.round(np.log(np.abs(got)), 9))))  # one circle per hull edge
+    assert 1 in hulls and max(hulls) >= 10  # one-edge hulls and many-edge ones
+
+
+@pytest.mark.parametrize(
+    "sc",
+    [
+        [1.0, math.exp(-10), math.exp(-735)],  # the second edge's circle lies near e^725
+        [math.exp(700), math.exp(-10), math.exp(-722)],  # both edges' circles, near e^710 and e^712
+    ],
+)
+def test_start_points_beyond_double_range_name_the_first_such_edge(sc):
+    sc = np.array(sc, complex)
+    assert _raised(solver._start_points, sc) == _raised(REFERENCE._start_points, sc)
+    assert "beyond double range" in _raised(solver._start_points, sc)[1]
+    assert "e^712" not in _raised(solver._start_points, sc)[1]
+
+
+def _aberth_outcomes(aberth, polys, stride):
+    """Per polynomial, the bytes of its iterates or its error's type, text and residuals."""
+    scaled = [solver._strip_and_scale(c)[0] for c in polys]
+    horner = solver._Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for sc in scaled], stride)
+    return [
+        (type(u), str(u), np.array(u.residuals).tobytes()) if isinstance(u, SolverError) else u.tobytes()
+        for u in aberth(horner, solver.DEFAULT_ROOT_TOL)
+    ]
+
+
+ABERTH_CASES = {
+    **{f"alpha-k{k}-p{p}": lambda k=k, p=p: [_sparse_alpha_case(k, p, True, seed=k)] for k, p in ((8, 1), (16, 5), (24, -1))},
+    **{f"random-{d}": (lambda d=d: [_random_poly(d, d)]) for d in (96, 192, 256)},
+    # four dense members that leave the loop at different iterations, one of them
+    # not at all: it runs to MAX_ITERS and raises
+    "batch": lambda: [_random_poly(40, 40), partial_theta_coeffs(0.7j, 80), partial_theta_coeffs(0.9, 80), _random_poly(96, 96)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ABERTH_CASES))
+def test_aberth_iterates_match_the_per_iteration_stack_bit_for_bit(monkeypatch, name):
+    polys = ABERTH_CASES[name]()
+    strides = {solver._stride(np.trim_zeros(np.asarray(c, complex))) for c in polys}
+    assert len(strides) == 1
+    stride = strides.pop()
+    got = _aberth_outcomes(solver._aberth, polys, stride)
+    assert got == _aberth_outcomes(REFERENCE._aberth, polys, stride)
+    if name == "batch":
+        assert [isinstance(u, bytes) for u in got] == [True, True, False, True]
+        assert len({_aberth_iterations(monkeypatch, c) for c in polys}) == len(polys)
