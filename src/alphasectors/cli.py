@@ -240,7 +240,7 @@ def _emit_results(points, reports, config) -> list[str]:
     if config.get("svg"):
         path = config["svg"]
         with open(path, "w") as fh:
-            fh.write(render_svg(points, config.get("spec"), config.get("k", 2)))
+            fh.write(render_svg(points, config.get("spec")))
         written.append(path)
     return written
 
@@ -248,8 +248,9 @@ def _emit_results(points, reports, config) -> list[str]:
 _SVG_SIZE = 640  # width and height of the plot, in pixels
 
 
-def render_svg(points, spec, k: int) -> str:
-    """Static plot: alpha-points, the 2k sector rays, zero/pole modulus circles."""
+def render_svg(points, spec) -> str:
+    """Static plot: alpha-points, the 2k sector rays (k = 2 for a series), zero/pole modulus circles."""
+    k = 2
     extent = 1.0
     if points:
         extent = max(extent, max(pt.modulus for pt in points))
@@ -503,17 +504,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, alpha=True):
+    def common(p, tol_help=None):
+        """--spec and --alpha; --tol when the command has a tolerance to set."""
         p.add_argument("--spec", required=True, help="path to a JSON function spec")
-        if alpha:
-            p.add_argument("--alpha", required=True, help="complex target, e.g. -1-1i")
-        p.add_argument("--tol", type=_number_flag, default=_default_tol(), help="solver tolerance")
+        p.add_argument("--alpha", required=True, help="complex target, e.g. -1-1i")
+        if tol_help:
+            p.add_argument("--tol", type=_number_flag, default=_default_tol(), help=tol_help)
+
+    def outputs(p):
+        """The artifacts of the commands that solve: a points CSV, a JSON report, an SVG plot."""
         p.add_argument("--csv", help="write a points CSV here")
         p.add_argument("--json", dest="json_out", help="write a JSON report here")
         p.add_argument("--svg", help="write a static SVG plot here")
 
     p = sub.add_parser("solve", help="find all alpha-points in a disk")
-    common(p)
+    common(p, "solver tolerance")
+    outputs(p)
     p.add_argument("--radius", required=True, help="disk radius (or 'trust' for series)")
     p.set_defaults(func=cmd_solve)
 
@@ -522,13 +528,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("verify", help="solve and check theorem predictions")
-    common(p)
+    common(p, "solver tolerance")
+    outputs(p)
     p.add_argument("--radius", required=True)
     p.add_argument("--theorem", choices=["auto", "main", "main2", "first", "k2"], default="auto")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("census", help="argument-principle sector census")
-    common(p)
+    common(p, "quadrature tolerance")
     p.add_argument("--rin", required=True, help="inner radius")
     p.add_argument("--rout", required=True, help="outer radius")
     p.set_defaults(func=cmd_census)

@@ -440,11 +440,12 @@ def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFu
         to 10*tail_tol relative.
 
     Both truncations are solved in one batched solve (bit for bit two
-    find_roots calls), and the grid is scanned at once: the tail bound and
-    the root agreement of every radius as arrays, then the minimum of |P_N|
-    on the circles of only those radii, above the first that a tail within
-    tail_tol accepts outright, that still need it, a doubling number of
-    circles per evaluation.
+    find_roots calls), or in one solve when the _TAIL_EXTRA extra
+    coefficients are all zero and the two are one polynomial.  The grid is
+    scanned at once: the tail bound and the root agreement of every radius
+    as arrays, then the minimum of |P_N| on the circles of only those radii,
+    above the first that a tail within tail_tol accepts outright, that still
+    need it, a doubling number of circles per evaluation.
 
     Non-decaying tails give trust_radius 0.  The result carries the roots of
     the degree-N solve (SeriesFunction.roots) unless the tail check returned
@@ -469,7 +470,10 @@ def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFu
 
     from . import solver  # deferred: solver depends on this module
 
-    clusters, clusters_w = solver._find_roots_batch([head, wide])
+    if wide[N + 1 :].any():
+        clusters, clusters_w = solver._find_roots_batch([head, wide])
+    else:  # the wider truncation is the same polynomial
+        clusters = clusters_w = solver._find_roots_batch([head])[0]
     tail = _tail_bounds(src, N, _GRID)
     agree = _roots_agree([cl.center for cl in clusters], [cl.center for cl in clusters_w], _GRID, 10 * tail_tol)
     accept = agree & (tail <= tail_tol)  # whatever min |P_N|: the bound's floor max(1, ...) is at least 1

@@ -2,36 +2,33 @@
 
 find_roots runs an Aberth-Ehrlich iteration from deterministic initial guesses
 on circles read off the Newton polygon of the coefficients (fixed irrational
-angular offset, no randomness), polishes by Newton on the scaled polynomial,
-and clusters near-coincident roots into multiplicities.  The support of the
-coefficients fixes a stride g once per solve (_stride): the alpha-polynomial
-z^s1 N(z^k) - alpha z^s2 D(z^k) holds its nonzeros in two residue classes
-mod k, so P(z) = sum_r z^r Q_r(z^g) with g = k, while dense input keeps
-g = 1, one class.  Each step evaluates every root in one Horner loop in
-w = z^g over stacked lanes (_Horner): each class of P and P' inside the
-unit circle, of the reversed polynomial and its derivative at 1/u outside
-it.  Simple roots then take Newton steps on the original coefficients with a
-compensated (twice-working-precision) Horner residual in w, with w = z^g
-formed error-free, all roots and classes at once, the four real products of
-each Horner step in one block; multiple roots take modified-Newton steps in
+angular offset, no randomness) and clusters near-coincident iterates into
+multiplicities.  The support of the coefficients fixes a stride g once per
+solve (_stride): the alpha-polynomial z^s1 N(z^k) - alpha z^s2 D(z^k) holds
+its nonzeros in two residue classes mod k, so P(z) = sum_r z^r Q_r(z^g) with
+g = k, while dense input keeps g = 1, one class.  Each step evaluates every
+root in one Horner loop in w = z^g over stacked lanes (_Horner): each class
+of P and P' inside the unit circle, of the reversed polynomial and its
+derivative at 1/u outside it.  Aberth's iterates are polished once: simple
+roots take Newton steps on the original coefficients with a compensated
+(twice-working-precision) Horner residual in w, with w = z^g formed
+error-free, all roots and classes at once, the four real products of each
+Horner step in one block; multiple roots take modified-Newton steps in
 50-digit mpmath.  At stride 1 the Horner kernel is bit for bit the dense
 Horner loop.  The compensated polish runs at the solve's stride, except on
-dense input of degree 12 or more: there it takes the polish stride 3 with
-classes 0, 1 and 2 (_POLYPHASE), a third of the Horner rows on lanes three
-times wider, since its row loop costs tens of numpy calls a row.
+dense input: there it takes the polish stride 3 with classes 0, 1 and 2
+(_POLYPHASE), a third of the Horner rows on lanes three times wider, since
+its row loop costs tens of numpy calls a row.
 Every solve is a batch (_find_roots_batch; find_roots is the batch of one,
-on the same path): polynomials of one stride, one degree mod g and one
-polish stride share the Horner tables, zero-padded at the top, so one Aberth
-loop, one Newton polish and one compensated polish serve them all, each
-kernel taking the polynomial of every root from an owner index array, while
-each polynomial keeps its own start, reciprocal sum, stop rule, clusters and
-checks.  Each distinct polynomial (after stripping, with its roots at the
-origin) is solved once: a later member equal to an earlier one takes a copy
-of its clusters, or its error.  Each gets bit for bit the clusters of its
-own solve; truncate_series solves its two truncations this way.  The
-iteration cap (MAX_ITERS) and the cluster distance (DEFAULT_CLUSTER_TOL)
-are fixed; only the root tolerance and the multiplicity bound are
-parameters.
+on the same path): polynomials of one stride and one degree mod g share the
+Horner tables, zero-padded at the top, so one Aberth loop and one
+compensated polish serve them all, each kernel taking the polynomial of
+every root from an owner index array, while each polynomial keeps its own
+start, reciprocal sum, stop rule, clusters and checks, and gets bit for bit
+the clusters of its own solve; truncate_series solves its two truncations
+this way.  The iteration cap (MAX_ITERS) and the cluster distance
+(DEFAULT_CLUSTER_TOL) are fixed; only the root tolerance and the
+multiplicity bound are parameters.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it at the default root tolerance.
@@ -384,16 +381,6 @@ def _aberth(horner: _Horner, tol: float) -> list:
     return out
 
 
-def _newton_polish(horner: _Horner, u: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Three Newton steps on the scaled polynomial of each root."""
-    with np.errstate(all="ignore"):
-        for _ in range(3):
-            w = _newton_corrections(horner, u, owner)
-            w[~np.isfinite(w)] = 0.0
-            u = u - w
-    return u
-
-
 def _components(near: np.ndarray) -> list[list[int]]:
     """Connected components of the graph whose adjacency is the upper triangle of `near`.
 
@@ -442,13 +429,11 @@ def _subsplit(horner: _Horner, members_scaled: list[complex], which: int) -> lis
     return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
 
 
-# the compensated polish's stride on dense input of degree _POLYPHASE_DEGREE or more: a
-# third of the Horner rows, each three lanes wide (strides 2-5 polish about as fast, 6
-# slower).  Below it, forming u^3 and adding the classes cost more than the rows save:
-# timed alternately on random dense input, find_roots took 29 % longer at stride 3 at
-# degree 2, 7 % at degree 10, broke even at 12-13, and took 5-17 % less from 16 to 32
+# the compensated polish's stride on dense input: a third of the Horner rows, each three
+# lanes wide (strides 2-5 polish about as fast, 6 slower).  Below about degree 10, forming
+# u^3 and adding the classes cost more than the rows save (find_roots about a quarter
+# slower at degree 2); only the small figure demos solve dense input that short
 _POLYPHASE = _Stride(3, (0, 1, 2))
-_POLYPHASE_DEGREE = 12
 _SPLIT = 134217729.0  # 2^27 + 1: Dekker's splitting constant for 53-bit doubles
 _DUPLICATE_TOL = 1e-8  # simple roots closer than this (relative) are one root found twice
 _MAX_POLISH_STEPS = 4  # roots of a close pair can need more than two steps
@@ -593,9 +578,9 @@ def _polish_simple(
     so the polynomial solved is the caller's bit for bit.  Each step is
     compensated Horner in w = u^g, every root of every polynomial in one
     pass.  Any stride whose classes hold every exponent of polys serves:
-    the batch passes the solve's stride, or on dense input of degree 12 or
-    more the polish stride 3 with all three classes (_POLYPHASE), whose row
-    loop runs n // 3 + 1 times instead of n + 1.  Two steps, then up to
+    the batch passes the solve's stride, or on dense input the polish
+    stride 3 with all three classes (_POLYPHASE), whose row loop runs
+    n // 3 + 1 times instead of n + 1.  Two steps, then up to
     _MAX_POLISH_STEPS for roots whose last step is still above rounding
     level.  Returns the polished roots and the size of each root's last step
     relative to |u|.
@@ -699,14 +684,11 @@ class _Solve:
             self.clusters = _finish([*self.clusters, RootCluster(root, (root,), 1, 0.0)], max_multiplicity)
         if self.n >= 2:
             self.original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + self.n + 1])
-            self.key = (m0, self.original.tobytes())  # equal keys, equal solves
             self.stride = _stride(self.original)  # sc may hold fewer nonzeros (underflow), never more
-            dense = self.stride == _DENSE and self.n >= _POLYPHASE_DEGREE
-            self.polish_stride = _POLYPHASE if dense else self.stride
             self.dsc = np.arange(1, self.n + 1) * self.sc[1:]
 
     def cluster(self, u: np.ndarray, horner: _Horner, which: int) -> np.ndarray:
-        """Group the polished iterates u (polynomial which of horner); returns the simple centres."""
+        """Group the iterates u (polynomial which of horner); returns the simple centres."""
         roots = self.roots = u * self.lam
         self.found: list[tuple[list[int], complex]] = []
         for idx in _cluster(roots):
@@ -744,22 +726,16 @@ def _find_roots_batch(
 ) -> list[list[RootCluster]]:
     """find_roots of each coefficient list, bit for bit, the lists solved together.
 
-    Polynomials of one stride, one degree mod g and one polish stride share
-    one _Horner stack: one Aberth loop in which each keeps its own start,
-    reciprocal sum and stop rule, one Newton polish pass, and one
-    compensated polish pass for their simple roots, at the polish stride
-    (_POLYPHASE for dense input of degree 12 or more, else the stride).
+    Polynomials of one stride and one degree mod g share one _Horner stack:
+    one Aberth loop in which each keeps its own start, reciprocal sum and
+    stop rule, and one compensated polish pass for their simple roots, at
+    the polish stride (_POLYPHASE for dense input, else the stride).
     Stripping, clustering, splitting, the multiple-root polish and the
-    checks stay per polynomial.  A member whose origin multiplicity and
-    stripped coefficients equal an earlier member's is not stacked again: it
-    takes its own copy of that member's cluster list, or its error, which is
-    what its own solve gives.  The first polynomial, in input order, whose
+    checks stay per polynomial.  The first polynomial, in input order, whose
     own solve fails raises its error.
     """
     results: list = []
     groups: dict[tuple, list[int]] = {}
-    first: dict[tuple, int] = {}  # the first member of each distinct polynomial
-    twins: dict[int, int] = {}  # a later member with the same polynomial -> that first member
     for i, coeffs in enumerate(polys):
         try:
             job = _Solve(coeffs, max_multiplicity)
@@ -768,11 +744,7 @@ def _find_roots_batch(
             continue
         results.append(job)
         if job.n >= 2:
-            if job.key in first:
-                twins[i] = first[job.key]
-                continue
-            first[job.key] = i
-            groups.setdefault((job.stride, job.n % job.stride.g, job.polish_stride), []).append(i)
+            groups.setdefault((job.stride, job.n % job.stride.g), []).append(i)
 
     def attempt(i, step, *args):
         try:
@@ -780,37 +752,30 @@ def _find_roots_batch(
         except SolverError as exc:
             results[i] = exc
 
-    for (stride, _, polish_stride), members in groups.items():
+    for (stride, _), members in groups.items():
         jobs = [results[i] for i in members]
         horner = _Horner([(job.sc, job.dsc) for job in jobs], stride)
-        iterates = {}
+        simple = {}
         for p, (i, u) in enumerate(zip(members, _aberth(horner, tol))):
             if isinstance(u, SolverError):
                 results[i] = u
-            else:
-                iterates[p] = u
-        if not iterates:
-            continue
-        polished = _pieces(_newton_polish(horner, *_owned(iterates)), iterates)
-        simple = {}
-        for p, u in polished.items():
-            z = attempt(members[p], jobs[p].cluster, u, horner, p)
+                continue
+            z = attempt(i, jobs[p].cluster, u, horner, p)
             if z is not None:
                 simple[p] = z
         last = {p: np.zeros(0) for p in simple}
         if any(len(z) for z in simple.values()):
             z, owner = _owned(simple)
+            polish_stride = _POLYPHASE if stride == _DENSE else stride
             z, steps = _polish_simple([job.original for job in jobs], z, polish_stride, owner)
             simple, last = _pieces(z, simple), _pieces(steps, simple)
         for p, z in simple.items():
             attempt(members[p], jobs[p].finish, z, last[p])
 
-    for i, j in twins.items():
-        results[i] = results[j]
     for result in results:
         if isinstance(result, Exception):
             raise result
-    return [list(job.clusters) for job in results]
+    return [job.clusters for job in results]
 
 
 def _check_simple(z: np.ndarray, last: np.ndarray) -> None:

@@ -7,6 +7,7 @@ import importlib.util
 import math
 import pathlib
 import sys
+import types
 
 import numpy as np
 
@@ -87,6 +88,18 @@ def load_frozen(filename: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses look their module up while decorating
     spec.loader.exec_module(module)
+    return module
+
+
+def load_workloads():
+    """perfbench/workloads.py, the benchmark's seeded pools, run from its source so that nothing is written beside it."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    sys.modules[module.__name__] = module  # dataclasses look their module up while decorating
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
     return module
 
 

@@ -1,12 +1,17 @@
-"""The start circles and the Aberth loop as they stood before their bookkeeping moved to arrays.
+"""The start circles, the Aberth loop and the root polish as they stood before they were simplified.
 
 A verbatim copy of solver._start_points, which built each Newton-polygon
 circle with its own np.arange/np.exp, and of solver._aberth, which stacked
 the moving roots and their owner index and allocated the pairwise difference
-and reciprocal matrices afresh on every iteration.  Loaded inside the
-package (see helpers.load_frozen) so that its relative imports resolve;
-test_solver compares the current start points and iterates with these, byte
-for byte.
+and reciprocal matrices afresh on every iteration; test_solver compares the
+current start points and iterates with these, byte for byte.  Also a
+verbatim copy of _newton_polish, the three plain Newton steps on the scaled
+polynomial that every solve once ran on Aberth's iterates before clustering
+them, and find_roots as it ran then: with that pass, and with the
+compensated polish of dense input below degree _POLYPHASE_DEGREE at stride
+1.  test_solver holds the current solve to this one's multiplicities and
+centres.  Loaded inside the package (see helpers.load_frozen) so that its
+relative imports resolve.
 """
 
 from __future__ import annotations
@@ -15,7 +20,23 @@ import math
 
 import numpy as np
 
-from .solver import _ANGLE_OFFSET, _LOG_MAX, MAX_ITERS, SolverError, _Horner, _newton_corrections, _owned, _pieces
+from .solver import (
+    _ANGLE_OFFSET,
+    _DENSE,
+    _LOG_MAX,
+    _POLYPHASE,
+    DEFAULT_ROOT_TOL,
+    MAX_ITERS,
+    SolverError,
+    _Horner,
+    _newton_corrections,
+    _owned,
+    _pieces,
+    _polish_simple,
+    _Solve,
+)
+
+_POLYPHASE_DEGREE = 12  # dense input below this degree took its compensated polish at stride 1
 
 
 def _start_points(sc: np.ndarray) -> np.ndarray:
@@ -102,3 +123,32 @@ def _aberth(horner: _Horner, tol: float) -> list:
                     residuals=ri.tolist(),
                 )
     return out
+
+
+def _newton_polish(horner: _Horner, u: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Three Newton steps on the scaled polynomial of each root."""
+    with np.errstate(all="ignore"):
+        for _ in range(3):
+            w = _newton_corrections(horner, u, owner)
+            w[~np.isfinite(w)] = 0.0
+            u = u - w
+    return u
+
+
+def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None) -> list:
+    """solver.find_roots with _newton_polish between Aberth and the clustering, and the degree cutoff."""
+    job = _Solve(coeffs, max_multiplicity)
+    if job.n < 2:
+        return job.clusters
+    horner = _Horner([(job.sc, job.dsc)], job.stride)
+    (u,) = _aberth(horner, tol)
+    if isinstance(u, SolverError):
+        raise u
+    u = _newton_polish(horner, u, np.zeros(len(u), np.intp))
+    z = job.cluster(u, horner, 0)
+    last = np.zeros(0)
+    if len(z):
+        dense = job.stride == _DENSE and job.n >= _POLYPHASE_DEGREE
+        z, last = _polish_simple([job.original], z, _POLYPHASE if dense else job.stride, np.zeros(len(z), np.intp))
+    job.finish(z, last)
+    return job.clusters

@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import json
 import math
@@ -23,6 +24,7 @@ from alphasectors.checks import (
 from alphasectors.cli import (
     DEMO_NAMES,
     _default_tol,
+    build_parser,
     emit_results,
     main,
     parse_spec_file,
@@ -204,6 +206,56 @@ def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, monkeypatch
     with pytest.raises(SystemExit) as exc:
         main([args[0], "--spec", spec_path, *args[1:]])
     assert field in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("predict", flag) for flag in ("--tol", "--csv", "--json", "--svg")]
+    + [("census", flag) for flag in ("--csv", "--json", "--svg")],
+)
+def test_a_flag_the_command_would_not_read_is_refused(tmp_path, capsys, command, flag):
+    spec_path = write_spec(tmp_path, FIG1_JSON)
+    out = tmp_path / "out"
+    argv = [command, "--spec", spec_path, "--alpha=-1-1i", flag, "1e-9" if flag == "--tol" else str(out)]
+    if command == "census":
+        argv += ["--rin", "0.01", "--rout", "10"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _recording_namespace(read: set) -> argparse.Namespace:
+    """A namespace that adds the name of every attribute read from it to read."""
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    return Recording()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "solve --spec {spec} --alpha=-1-1i --radius 10 --tol 1e-9 --csv {out}.csv --json {out}.json --svg {out}.svg",
+        "predict --spec {spec} --alpha=-1-1i",
+        "verify --spec {spec} --alpha=-1-1i --radius 10 --theorem main --tol 1e-9"
+        " --csv {out}.csv --json {out}.json --svg {out}.svg",
+        "census --spec {spec} --alpha=-1-1i --rin 0.01 --rout 10 --tol 1e-9",
+        "demo fig2a --outdir {out} --tol 1e-9",
+    ],
+    ids=lambda argv: argv.split()[0],
+)
+def test_every_flag_is_read_by_its_command(tmp_path, capsys, argv):
+    argv = argv.format(spec=write_spec(tmp_path, FIG1_JSON), out=tmp_path / "out").split()
+    read = set()
+    args = build_parser().parse_args(argv, namespace=_recording_namespace(read))
+    read.clear()
+    assert args.func(args) == 0
+    assert set(vars(args)) - {"command", "func"} <= read
 
 
 def test_every_traced_boundary_resolves_to_a_callable():
@@ -530,9 +582,10 @@ def test_demo_matches_the_reference_pipeline(tmp_path, capsys, name):
 
 
 # The modulus, sector, boundary, multiplicity and residual columns of the
-# q-series demo tables, as the solve printed them with its compensated polish
-# at stride 1.  The dense polish now runs at stride 3 (solver._POLYPHASE),
-# which may move a root's tiny component in its last bits, never these.
+# q-series demo tables, as the solve printed them with a plain Newton pass on
+# Aberth's iterates and its compensated polish at stride 1.  Dropping the
+# plain pass and polishing dense input at stride 3 (solver._POLYPHASE) each
+# moved a root's tiny component in its last bits, never these.
 DEMO_GOLDEN_COLUMNS = {
     "theta": """\
 0.70061517100754322,2,false,1,5.6375908720829021e-18

@@ -21,14 +21,22 @@ from alphasectors import (
     find_roots,
     partial_theta_coeffs,
     sokal_poly_coeffs,
+    truncate_series,
     unit_rotation,
 )
-from alphasectors.cli import FIG2_A, FIG2_B, FIG3_SPEC, spec_from_dict
+from alphasectors.cli import FIG2_A, FIG2_B, FIG3_SPEC, _family_source, _parse_complex, parse_spec_file, spec_from_dict
 from alphasectors.functions import alpha_polynomial
 from alphasectors import solver
 from alphasectors.solver import DEGREE_CAP, _check_simple
 
-from helpers import QSERIES_GRID, clusters_bytes, load_frozen, random_alpha_generic, random_structured
+from helpers import (
+    QSERIES_GRID,
+    clusters_bytes,
+    load_frozen,
+    load_workloads,
+    random_alpha_generic,
+    random_structured,
+)
 
 REFERENCE = load_frozen("reference_solver.py")
 
@@ -330,7 +338,7 @@ DIFFERENTIAL_CASES = {
     # the polish leaves some binomial ones 50-200 ulp off
     "far-theta": lambda: (partial_theta_coeffs(0.5j, 64), "far"),
     "far-binomial": lambda: (QSeriesSpec("sokal-poly", 0.6j, 64).coefficients(), "far"),
-    # dense input of degree 12 or more takes its compensated polish at stride 3
+    # dense input takes its compensated polish at stride 3
     "theta-0.5i-80": lambda: (partial_theta_coeffs(0.5j, 80), "all"),
     "theta-0.7i-80": lambda: (partial_theta_coeffs(0.7j, 80), "all"),
     "dexp-0.7i-80": lambda: (disturbed_exp_coeffs(0.7j, 80), "all"),
@@ -359,6 +367,53 @@ def test_compensated_polish_matches_extended_precision(name):
         # no worse than the reference, or than a root one ulp from exact
         floor = _mp_abs_value(coeffs, ref, derivative=True) * ulp
         assert _mp_abs_value(coeffs, cl.center) <= max(_mp_abs_value(coeffs, ref), floor)
+
+
+# ---------------------------------------------------------------------------
+# Aberth's iterates polished once, against the solve that first took three
+# plain Newton steps on them (REFERENCE.find_roots)
+# ---------------------------------------------------------------------------
+
+
+def _verify_pool_polynomials(seed: int, workdir) -> list:
+    """The alpha-polynomial of each job of the verify-highdeg bench pool of a seed."""
+    polys = []
+    for job in load_workloads().build("verify-highdeg", seed, str(workdir)):
+        spec = parse_spec_file(job.argv[job.argv.index("--spec") + 1])
+        alpha = _parse_complex(next(arg for arg in job.argv if arg.startswith("--alpha=")).split("=", 1)[1])
+        polys.append(alpha_polynomial(spec, alpha))
+    return polys
+
+
+def test_one_polish_keeps_the_verify_pool_centres(tmp_path):
+    # sparse solves at strides k = 8-24, as verify runs them
+    polys = _verify_pool_polynomials(1, tmp_path)
+    assert len(polys) == 48
+    for coeffs in polys:
+        got, want = (solve(coeffs, max_multiplicity=2) for solve in (find_roots, REFERENCE.find_roots))
+        assert [(np.complex128(cl.center).tobytes(), cl.multiplicity) for cl in got] == [
+            (np.complex128(cl.center).tobytes(), cl.multiplicity) for cl in want
+        ]
+
+
+def _assert_centres_agree_to_rounding(coeffs):
+    got, want = find_roots(coeffs), REFERENCE.find_roots(coeffs)
+    assert [cl.multiplicity for cl in got] == [cl.multiplicity for cl in want]
+    for a, b in zip(got, want):
+        # the plain pass moved at most the smaller component of a centre, within its rounding
+        assert abs(a.center - b.center) <= 1e-28 * abs(b.center), (a.center, b.center)
+
+
+@pytest.mark.parametrize("family, t, N", QSERIES_GRID, ids=[f"{f}-{t}i-{n}" for f, t, n in QSERIES_GRID])
+def test_one_polish_moves_the_qseries_centres_by_rounding_only(family, t, N):
+    src = np.asarray(_family_source(QSeriesSpec(family, 1j * t, N)), complex)
+    for coeffs in (src[: N + 1], src[: N + 11]):
+        _assert_centres_agree_to_rounding(coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_one_polish_moves_the_differential_centres_by_rounding_only(name):
+    _assert_centres_agree_to_rounding(np.asarray(DIFFERENTIAL_CASES[name]()[0], complex))
 
 
 def _polyval_newton_terms(sc, dsc, u):
@@ -763,16 +818,12 @@ def test_batch_matches_solo_on_random_pairs(degrees):
 
 @pytest.mark.parametrize("family, t, N", QSERIES_GRID, ids=[f"{f}-{t}i-{n}" for f, t, n in QSERIES_GRID])
 def test_batch_matches_solo_on_the_qseries_truncations(family, t, N):
-    from alphasectors.cli import _family_source
-
     src = np.asarray(_family_source(QSeriesSpec(family, 1j * t, N)), complex)
     _assert_batch_matches_solo([src[: N + 1], src[: N + 11]])
 
 
-def test_batch_matches_solo_across_polish_strides():
-    # dense degrees on either side of _POLYPHASE_DEGREE: the compensated polish
-    # runs at stride 1 below it and at stride 3 from it, which moves some
-    # partial theta roots in their last bits
+def test_batch_matches_solo_on_dense_degrees():
+    # dense polynomials of degree 10, 64 and 11 share one stack, and one compensated polish at stride 3
     _assert_batch_matches_solo([_random_poly(10, 10), partial_theta_coeffs(0.7j, 64), _random_poly(11, 11)])
 
 
@@ -809,22 +860,23 @@ def test_batch_raises_the_error_of_its_first_failing_member():
     assert _raised(solver._find_roots_batch, [good, late, bad, stuck], *args) == _raised(find_roots, late, *args)
 
 
-def test_batch_solves_a_repeated_polynomial_once(monkeypatch):
-    # zeros on top strip away, so both members are one polynomial
-    p = list(partial_theta_coeffs(0.7j, 40))
+@pytest.mark.parametrize(
+    "family, t, N, solves",
+    [("sokal-poly", 0.6, 40, 1), ("partial-theta", 0.7, 80, 1), ("partial-theta", 0.7, 64, 2)],
+    ids=["binomial", "theta-underflow", "theta"],
+)
+def test_truncate_series_solves_a_zero_tail_once(monkeypatch, family, t, N, solves):
+    # the binomial's tail is zero by construction; partial theta at q = 0.7i, N = 80 has
+    # underflowed to zero beyond N, so both truncations strip to one polynomial
+    src = _family_source(QSeriesSpec(family, 1j * t, N))
     starts = []
     start = solver._start_points
     monkeypatch.setattr(solver, "_start_points", lambda sc: starts.append(len(sc) - 1) or start(sc))
-    got = solver._find_roots_batch([p, p + [0] * 10])
-    assert starts == [40]
-    assert got[0] == got[1] and got[0] is not got[1]
-    # roots at the origin make a different polynomial: [0] + p is solved on its own
-    starts.clear()
-    twice = solver._find_roots_batch([p, [0] + p, p])
-    assert starts == [40, 40]
-    assert twice[0] == twice[2] == got[0] and twice[1][0].center == 0 and twice[1][1:] == got[0]
+    series = truncate_series(SeriesFunction(tuple(src)), N, 1e-9)
+    assert len(starts) == solves  # one Aberth run per distinct truncation
     monkeypatch.undo()
-    assert clusters_bytes(got[1]) == clusters_bytes(find_roots(p))
+    assert series.trust_radius > 0
+    assert clusters_bytes(series.roots) == clusters_bytes(find_roots(src[: N + 1]))
 
 
 def test_batch_raises_the_error_of_a_repeated_failing_member():
@@ -844,8 +896,6 @@ def test_batch_raises_the_error_of_a_repeated_failing_member():
 
 def _start_cases() -> dict:
     """Ascending coefficients: the qseries truncations, verify-shaped alpha-polynomials, dense random ones."""
-    from alphasectors.cli import _family_source
-
     cases = {}
     for family, t, N in QSERIES_GRID:
         src = np.asarray(_family_source(QSeriesSpec(family, 1j * t, N)), complex)
