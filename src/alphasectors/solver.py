@@ -2,11 +2,12 @@
 
 find_roots runs an Aberth-Ehrlich iteration from deterministic initial guesses
 on circles read off the Newton polygon of the coefficients (fixed irrational
-angular offset, no randomness) and clusters near-coincident iterates into
-multiplicities.  The support of the coefficients fixes a stride g once per
-solve (_stride): the alpha-polynomial z^s1 N(z^k) - alpha z^s2 D(z^k) holds
-its nonzeros in two residue classes mod k, so P(z) = sum_r z^r Q_r(z^g) with
-g = k, while dense input keeps g = 1, one class.  Each step evaluates every
+angular offset, no randomness; a one-root edge starts beside its binomial
+root) and clusters near-coincident iterates into multiplicities.  The
+support of the coefficients fixes a stride g once per solve (_stride): the
+alpha-polynomial z^s1 N(z^k) - alpha z^s2 D(z^k) holds its nonzeros in two
+residue classes mod k, so P(z) = sum_r z^r Q_r(z^g) with g = k, while dense
+input keeps g = 1, one class.  Each step evaluates every
 root in one Horner loop in w = z^g over stacked lanes (_Horner): each class
 of P and P' inside the unit circle, of the reversed polynomial and its
 derivative at 1/u outside it.  Aberth's iterates are polished once: simple
@@ -63,6 +64,7 @@ DEGREE_CAP = 512
 
 _LOG_MAX = math.log(np.finfo(float).max)
 _ANGLE_OFFSET = 2.399963229728653  # golden angle, fixed irrational offset
+_BINOMIAL_TURN = 0.01  # rad off a one-root edge's binomial root (0 to 0.05 iterate alike)
 _POLISH_DPS = 50
 
 
@@ -277,7 +279,13 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
     the nonzero coefficients, puts i2 - i1 points on the circle of radius
     (|sc_i1| / |sc_i2|)^(1/(i2 - i1)), where about that many root moduli lie
     (Bini 1996; Bini & Robol 2014).  Angles are equispaced with the golden
-    angle as offset, each circle turned by a further 2 pi i1 / n.
+    angle as offset, each circle turned by a further 2 pi i1 / n.  A one-root
+    edge (i2 = i1 + 1) fixes the phase too: its point takes the phase of the
+    binomial root -sc_i1 / sc_i2, the polynomial's only root in the annulus
+    when the edge is sharp (Pellet), turned by _BINOMIAL_TURN so that a real
+    polynomial never starts an iterate on the real axis.  The wide-range
+    q-series have mostly one-root edges; on edges of more roots the binomial
+    phases cost more iterations than the golden angle, so those keep it.
     """
     n = len(sc) - 1
     nz = np.flatnonzero(sc)
@@ -298,6 +306,8 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
         raise SolverError(f"scaled root moduli near e^{logr[over[0]]:.0f} lie beyond double range")
     j = np.arange(ends[0], ends[-1]) - np.repeat(ends[:-1], m)  # each point's place on its circle
     angles = 2 * np.pi * j / np.repeat(m, m) + _ANGLE_OFFSET + np.repeat(2 * np.pi * ends[:-1] / n, m)
+    one = np.flatnonzero(m == 1)
+    angles[ends[one] - ends[0]] = np.angle(-sc[ends[one]] / sc[ends[one + 1]]) + _BINOMIAL_TURN
     return np.repeat([math.exp(x) for x in logr.tolist()], m) * np.exp(1j * angles)
 
 
@@ -893,5 +903,4 @@ def alpha_points(
             + ", ".join(f"{cl.center:.6g} (x{cl.multiplicity})" for cl in failures),
             residuals=[abs(cl.center) for cl in failures],
         )
-    pts.sort(key=lambda pt: (pt.modulus, pt.argument))
-    return pts
+    return pts  # in the clusters' order, which _finish sorted by modulus then argument

@@ -1,17 +1,18 @@
 """The start circles, the Aberth loop and the root polish as they stood before they were simplified.
 
-A verbatim copy of solver._start_points, which built each Newton-polygon
-circle with its own np.arange/np.exp, and of solver._aberth, which stacked
-the moving roots and their owner index and allocated the pairwise difference
-and reciprocal matrices afresh on every iteration; test_solver compares the
-current start points and iterates with these, byte for byte.  Also a
-verbatim copy of _newton_polish, the three plain Newton steps on the scaled
-polynomial that every solve once ran on Aberth's iterates before clustering
-them, and find_roots as it ran then: with that pass, and with the
+A copy of solver._start_points, which built each Newton-polygon circle with
+its own np.arange/np.exp (the one-root edge's binomial phase was added to
+that loop when the array form took it), and of solver._aberth, which
+stacked the moving roots and their owner index and allocated the pairwise
+difference and reciprocal matrices afresh on every iteration; test_solver
+compares the current start points and iterates with these, byte for byte.
+Also a verbatim copy of _newton_polish, the three plain Newton steps on the
+scaled polynomial that every solve once ran on Aberth's iterates before
+clustering them, and find_roots as it ran then: with that pass, with the
 compensated polish of dense input below degree _POLYPHASE_DEGREE at stride
-1.  test_solver holds the current solve to this one's multiplicities and
-centres.  Loaded inside the package (see helpers.load_frozen) so that its
-relative imports resolve.
+1, and from the golden-angle start on every edge.  test_solver holds the
+current solve to this one's multiplicities and centres.  Loaded inside the
+package (see helpers.load_frozen) so that its relative imports resolve.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .solver import (
     _ANGLE_OFFSET,
+    _BINOMIAL_TURN,
     _DENSE,
     _LOG_MAX,
     _POLYPHASE,
@@ -39,14 +41,17 @@ from .solver import (
 _POLYPHASE_DEGREE = 12  # dense input below this degree took its compensated polish at stride 1
 
 
-def _start_points(sc: np.ndarray) -> np.ndarray:
+def _start_points(sc: np.ndarray, binomial: bool = True) -> np.ndarray:
     """Initial guesses on circles read off the Newton polygon of sc.
 
     Each edge (i1, i2) of the upper convex hull of (i, log|sc_i|), taken over
     the nonzero coefficients, puts i2 - i1 points on the circle of radius
     (|sc_i1| / |sc_i2|)^(1/(i2 - i1)), where about that many root moduli lie
     (Bini 1996; Bini & Robol 2014).  Angles are equispaced with the golden
-    angle as offset, each circle turned by a further 2 pi i1 / n.
+    angle as offset, each circle turned by a further 2 pi i1 / n.  A one-root
+    edge (i2 = i1 + 1) puts its point at the phase of its binomial root
+    -sc_i1 / sc_i2, turned by _BINOMIAL_TURN; with binomial False it keeps the
+    golden-angle phase, as every edge once did.
     """
     n = len(sc) - 1
     nz = np.flatnonzero(sc)
@@ -65,11 +70,13 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
         if (la - lb) / m > _LOG_MAX:
             raise SolverError(f"scaled root moduli near e^{(la - lb) / m:.0f} lie beyond double range")
         angles = 2 * np.pi * np.arange(m) / m + _ANGLE_OFFSET + 2 * np.pi * ia / n
+        if m == 1 and binomial:  # a one-root edge starts beside its binomial root
+            angles = np.angle(-sc[ia : ia + 1] / sc[ib : ib + 1]) + _BINOMIAL_TURN
         circles.append(math.exp((la - lb) / m) * np.exp(1j * angles))
     return np.concatenate(circles)
 
 
-def _aberth(horner: _Horner, tol: float) -> list:
+def _aberth(horner: _Horner, tol: float, binomial: bool = True) -> list:
     """Aberth-Ehrlich iteration on each scaled polynomial of horner's stack, all in one loop.
 
     horner evaluates the stack, one call per iteration for every root still
@@ -77,13 +84,13 @@ def _aberth(horner: _Horner, tol: float) -> list:
     sum and its own stop and stall rule, and leaves the loop at the iteration
     where it would stop if solved alone, so its iterates are bit for bit
     those of a solo run.  Returns, per polynomial, its iterates or the
-    SolverError it raised.
+    SolverError it raised.  binomial is passed on to _start_points.
     """
     out: list = [None] * len(horner.polys)
     u: dict[int, np.ndarray] = {}
     for i, (sc, _) in enumerate(horner.polys):
         try:
-            u[i] = _start_points(sc)
+            u[i] = _start_points(sc, binomial)
         except SolverError as exc:
             out[i] = exc
     last = dict.fromkeys(u, np.inf)
@@ -136,12 +143,16 @@ def _newton_polish(horner: _Horner, u: np.ndarray, owner: np.ndarray) -> np.ndar
 
 
 def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None) -> list:
-    """solver.find_roots with _newton_polish between Aberth and the clustering, and the degree cutoff."""
+    """solver.find_roots with _newton_polish between Aberth and the clustering, and the degree cutoff.
+
+    Aberth starts from the golden-angle circles of that time, on one-root
+    edges too, so this solve is bit for bit the one it copies.
+    """
     job = _Solve(coeffs, max_multiplicity)
     if job.n < 2:
         return job.clusters
     horner = _Horner([(job.sc, job.dsc)], job.stride)
-    (u,) = _aberth(horner, tol)
+    (u,) = _aberth(horner, tol, binomial=False)
     if isinstance(u, SolverError):
         raise u
     u = _newton_polish(horner, u, np.zeros(len(u), np.intp))

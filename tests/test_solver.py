@@ -579,10 +579,16 @@ def test_former_stall_inputs_match_extended_precision_roots(name):
         assert abs(z - ref[i]) <= 4 * np.spacing(abs(ref[i])), (z, ref[i])
 
 
-def _aberth_iterations(monkeypatch, coeffs) -> int:
+def _counted_iterations(monkeypatch) -> list:
+    """A list that grows by one at each solver._newton_corrections call: one per Aberth iteration."""
     calls = []
     newton = solver._newton_corrections
     monkeypatch.setattr(solver, "_newton_corrections", lambda *a: calls.append(1) or newton(*a))
+    return calls
+
+
+def _aberth_iterations(monkeypatch, coeffs) -> int:
+    calls = _counted_iterations(monkeypatch)
     sc, _, _ = solver._strip_and_scale(coeffs)
     solver._aberth(solver._Horner([(sc, np.arange(1, len(sc)) * sc[1:])], solver._DENSE), 1e-10)
     return len(calls)
@@ -599,6 +605,63 @@ def test_newton_polygon_start_costs_random_inputs_nothing(monkeypatch):
     # (11-14 each); the Newton-polygon circles take 126
     total = sum(_aberth_iterations(monkeypatch, _random_poly(seed, 256)) for seed in range(10))
     assert total <= 129
+
+
+def test_binomial_start_cuts_the_qseries_iterations(monkeypatch):
+    # the grid's Newton polygons are mostly one-root edges; started at the
+    # golden angle there, the 18 truncate_series calls took 259 iterations,
+    # started beside each edge's binomial root they take 102
+    calls = _counted_iterations(monkeypatch)
+    for family, t, N in QSERIES_GRID:
+        truncate_series(SeriesFunction(tuple(_family_source(QSeriesSpec(family, 1j * t, N)))), N, 1e-9)
+    assert len(calls) <= 150
+
+
+REAL_ONE_ROOT_EDGES = {
+    "quadratic": [1.0, -1.755, 1.0],  # two one-root edges, both binomial roots positive
+    "theta-0.5-40": partial_theta_coeffs(0.5, 40),
+    "theta-minus-0.5-40": partial_theta_coeffs(-0.5, 40),
+    "theta-0.8-80": partial_theta_coeffs(0.8, 80),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ONE_ROOT_EDGES))
+def test_real_polynomials_start_off_the_real_axis(name):
+    c = np.asarray(REAL_ONE_ROOT_EDGES[name], complex)
+    # scaled as find_roots scales it, and exactly real: there a sign change makes a binomial root exactly real
+    for sc in (solver._strip_and_scale(c)[0], c / np.abs(c).max()):
+        u = solver._start_points(sc)
+        # a real polynomial's one-root edges have real binomial roots: each start lies beside one
+        assert np.count_nonzero(np.abs(np.sin(np.angle(u))) <= 0.1) >= 2
+        assert (u.imag != 0).all()
+
+
+def test_find_roots_complex_pair_from_two_one_root_edges():
+    # both binomial roots are real; the roots are the pair (1.755 +- i sqrt(4 - 1.755^2)) / 2
+    roots = sorted((cl.center for cl in find_roots([1.0, -1.755, 1.0])), key=lambda z: z.imag)
+    half = math.sqrt(4 - 1.755**2) / 2
+    assert len(roots) == 2
+    for z, want in zip(roots, (0.8775 - 1j * half, 0.8775 + 1j * half)):
+        assert abs(z - want) <= 1e-15, (z, want)
+
+
+@pytest.mark.parametrize(
+    "q, N, trust, points",
+    [
+        (0.35, 40, 1e9, 20),
+        (0.5, 40, 1e9, 30),
+        (0.8, 40, 112.20184543019653, 22),
+        (0.35, 80, 1e9, 20),
+        (0.5, 80, 1e9, 30),
+        (0.8, 80, 891250.9381337477, 62),
+    ],
+)
+def test_partial_theta_at_real_q_keeps_its_trust_radius_and_points(q, N, trust, points):
+    # the trust radii and point counts of the golden-angle start
+    series = spec_from_dict({"type": "series", "family": "partial-theta", "q": q, "N": N})
+    assert series.trust_radius == trust
+    zeros = alpha_points(series, 0.0, series.trust_radius)
+    assert len(zeros) == points and all(pt.multiplicity == 1 for pt in zeros)
 
 
 def test_import_leaves_mpmath_unloaded():
