@@ -1,35 +1,36 @@
 """Simultaneous polynomial root iteration and alpha-point extraction.
 
-find_roots runs an Aberth-Ehrlich iteration from deterministic initial guesses
-on circles read off the Newton polygon of the coefficients (fixed irrational
-angular offset, no randomness; a one-root edge starts beside its binomial
-root) and clusters near-coincident iterates into multiplicities.  The
+find_roots runs an Aberth-Ehrlich iteration from deterministic initial
+guesses on circles read off the Newton polygon of the coefficients (fixed
+irrational angular offset, no randomness; a one-root edge starts beside its
+binomial root) and clusters near-coincident iterates into multiplicities.  The
 support of the coefficients fixes a stride g once per solve (_stride): the
 alpha-polynomial z^s1 N(z^k) - alpha z^s2 D(z^k) holds its nonzeros in two
 residue classes mod k, so P(z) = sum_r z^r Q_r(z^g) with g = k, while dense
-input keeps g = 1, one class.  Each step evaluates every
-root in one Horner loop in w = z^g over stacked lanes (_Horner): each class
-of P and P' inside the unit circle, of the reversed polynomial and its
-derivative at 1/u outside it.  Aberth's iterates are polished once: simple
-roots take Newton steps on the original coefficients with a compensated
-(twice-working-precision) Horner residual in w, with w = z^g formed
-error-free, all roots and classes at once, the four real products of each
-Horner step in one block; multiple roots take modified-Newton steps in
-50-digit mpmath.  At stride 1 the Horner kernel is bit for bit the dense
-Horner loop.  The compensated polish runs at the solve's stride, except on
-dense input: there it takes the polish stride 3 with classes 0, 1 and 2
-(_POLYPHASE), a third of the Horner rows on lanes three times wider, since
-its row loop costs tens of numpy calls a row.
-Every solve is a batch (_find_roots_batch; find_roots is the batch of one,
-on the same path): polynomials of one stride and one degree mod g share the
-Horner tables, zero-padded at the top, so one Aberth loop and one
-compensated polish serve them all, each kernel taking the polynomial of
-every root from an owner index array, while each polynomial keeps its own
-start, reciprocal sum, stop rule, clusters and checks, and gets bit for bit
-the clusters of its own solve; truncate_series solves its two truncations
-this way.  The iteration cap (MAX_ITERS) and the cluster distance
-(DEFAULT_CLUSTER_TOL) are fixed; only the root tolerance and the
-multiplicity bound are parameters.
+input keeps g = 1, one class.  Each step evaluates every root in one Horner
+loop in w = z^g over stacked lanes (_Horner): each class of P and P' inside
+the unit circle, of the reversed polynomial and its derivative at 1/u outside
+it.  Aberth's iterates are polished once: simple roots take Newton steps on
+the original coefficients with a compensated (twice-working-precision) Horner
+residual in w, with w = z^g formed error-free, all roots and classes at once,
+the four real products of each Horner step in one block; multiple roots take
+modified-Newton steps in 50-digit mpmath.  At stride 1 the Horner kernel is
+bit for bit the dense Horner loop.  The compensated polish runs at the solve's
+stride, except on dense input: there it takes the polish stride 3 with
+classes 0, 1 and 2 (_POLYPHASE), a third of the Horner rows on lanes three
+times wider, since its row loop costs tens of numpy calls a row.
+Every solve is a batch (_find_roots_batch; find_roots is the batch of one),
+run in one straight pass.  Polynomials of one stride and one degree mod g
+share the Horner tables, zero-padded at the top, so one Aberth loop and one
+compensated polish of the simple roots serve them all, each kernel taking the
+polynomial of every root from an owner index array; each polynomial keeps its
+own start, reciprocal sum, stop rule, grouping (_group) and checks, and gets
+bit for bit the clusters of its own solve.  truncate_series solves its two
+truncations this way.  The multiplicity bound is checked in one place,
+_finish: on every polynomial at the end of the pass, and on the roots
+alpha_points reuses.  The iteration cap (MAX_ITERS) and the cluster distance
+(DEFAULT_CLUSTER_TOL) are fixed; only the root tolerance and the multiplicity
+bound are parameters.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it at the default root tolerance.
@@ -261,11 +262,6 @@ class _Horner:
         return np.where(big, u * val, val), np.where(big, n * val - x * dval, dval)
 
 
-def _newton_terms(sc: np.ndarray, dsc: np.ndarray, u: np.ndarray, stride: _Stride):
-    """(N, D) with P(u)/P'(u) = N/D for the scaled polynomial sc (see _Horner)."""
-    return _Horner([(sc, dsc)], stride)(u, np.zeros(len(u), np.intp))
-
-
 def _newton_corrections(horner: _Horner, u: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """P(u)/P'(u) for the scaled polynomial of each root."""
     num, den = horner(u, owner)
@@ -413,16 +409,11 @@ def _components(near: np.ndarray) -> list[list[int]]:
     return list(groups.values())
 
 
-def _cluster(roots: np.ndarray) -> list[list[int]]:
-    scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
-    return _components(np.abs(roots[:, None] - roots[None, :]) < math.sqrt(DEFAULT_CLUSTER_TOL) * scale)
-
-
 _EPS = float(np.finfo(float).eps)
 
 
-def _subsplit(horner: _Horner, members_scaled: list[complex], which: int) -> list[list[int]]:
-    """Partition a distance-cluster by indistinguishability of its members.
+def _subsplit(horner: _Horner, u: np.ndarray, which: int) -> list[list[int]]:
+    """Partition a distance-cluster, its scaled members u, by indistinguishability.
 
     Each member gets the Newton uncertainty radius (|P| + rounding noise) / |P'|,
     the noise being n eps sum |c_i| |u|^i, formed like N.  Below this distance
@@ -431,12 +422,35 @@ def _subsplit(horner: _Horner, members_scaled: list[complex], which: int) -> lis
     separate by much more than their radii.  which names the cluster's
     polynomial in horner's stack.
     """
-    u = np.array(members_scaled)
     num, den = horner(u, np.full(len(u), which))
     sc, dsc = horner.polys[which]
-    bound = _newton_terms(np.abs(sc), np.abs(dsc), np.abs(u), horner.stride)[0]
+    bound = _Horner([(np.abs(sc), np.abs(dsc))], horner.stride)(np.abs(u), np.zeros(len(u), np.intp))[0]
     acc = (np.abs(num) + _EPS * (len(sc) - 1) * bound) / np.maximum(np.abs(den), 1e-300)
     return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
+
+
+def _group(u: np.ndarray, lam: float, horner: _Horner, which: int):
+    """Aberth's iterates u of polynomial which of horner, grouped one root a group.
+
+    Iterates closer than sqrt(DEFAULT_CLUSTER_TOL) (1 + |z|) are joined, and
+    _subsplit parts each cluster into those that cannot be told apart.  Returns
+    each group's members z = lam u, centre (their mean) and radius (the farthest
+    member's distance from it); a centre beyond double range raises SolverError.
+    """
+    roots = u * lam
+    scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
+    groups = []
+    for idx in _components(np.abs(roots[:, None] - roots[None, :]) < math.sqrt(DEFAULT_CLUSTER_TOL) * scale):
+        # keep close but genuinely distinguishable simple roots separate
+        subs = _subsplit(horner, u[idx], which) if len(idx) > 1 else [[0]]
+        groups += [[idx[i] for i in sub] for sub in subs]
+    zs = roots.tolist()
+    members = [tuple(zs[j] for j in g) for g in groups]
+    centres = np.array([ms[0] if len(ms) == 1 else np.mean(roots[g]) for ms, g in zip(members, groups)])
+    if not np.isfinite(centres).all():
+        raise SolverError("a root lies beyond double range")
+    radii = [max(abs(m - c) for m in ms) if len(ms) > 1 else 0.0 for ms, c in zip(members, centres.tolist())]
+    return members, centres, radii
 
 
 # the compensated polish's stride on dense input: a third of the Horner rows, each three
@@ -673,119 +687,74 @@ def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | No
     return _find_roots_batch([coeffs], tol, max_multiplicity)[0]
 
 
-class _Solve:
-    """One polynomial of a batch on its way through _find_roots_batch.
-
-    Built from the coefficients (stripped and scaled); degree 0 and 1 are
-    solved at once, into clusters.  A longer one is iterated with the other
-    polynomials of its _Horner stack, then clustered (cluster) and, after
-    the shared polish of the simple roots, finished (finish) into clusters.
-    """
-
-    def __init__(self, coeffs, max_multiplicity: int | None):
-        self.sc, self.lam, m0 = _strip_and_scale(coeffs)
-        self.n = len(self.sc) - 1
-        self.max_multiplicity = max_multiplicity
-        self.clusters = [RootCluster(0j, (0j,) * m0, m0, 0.0)] if m0 else []
-        if self.n == 0 and not self.clusters:
-            raise ValueError("polynomial degree must be >= 1")
-        if self.n == 1:
-            root = complex(-self.sc[0] / self.sc[1] * self.lam)
-            self.clusters = _finish([*self.clusters, RootCluster(root, (root,), 1, 0.0)], max_multiplicity)
-        if self.n >= 2:
-            self.original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + self.n + 1])
-            self.stride = _stride(self.original)  # sc may hold fewer nonzeros (underflow), never more
-            self.dsc = np.arange(1, self.n + 1) * self.sc[1:]
-
-    def cluster(self, u: np.ndarray, horner: _Horner, which: int) -> np.ndarray:
-        """Group the iterates u (polynomial which of horner); returns the simple centres."""
-        roots = self.roots = u * self.lam
-        self.found: list[tuple[list[int], complex]] = []
-        for idx in _cluster(roots):
-            subgroups = [idx]
-            if len(idx) >= 2:
-                # keep close but genuinely distinguishable simple roots separate
-                scaled = [complex(u[i]) for i in idx]
-                subgroups = [[idx[i] for i in sub] for sub in _subsplit(horner, scaled, which)]
-            self.found += [(sub, complex(roots[sub[0]] if len(sub) == 1 else np.mean(roots[sub]))) for sub in subgroups]
-        self.centers = np.array([center for _, center in self.found])
-        self.sizes = np.array([len(sub) for sub, _ in self.found])
-        if not np.isfinite(self.centers).all():
-            raise SolverError("a root lies beyond double range")
-        self.simple = np.flatnonzero((self.sizes == 1) & (self.centers != 0))
-        return self.centers[self.simple]
-
-    def finish(self, polished: np.ndarray, last: np.ndarray) -> None:
-        """The clusters, from the polished simple centres and their last polish steps."""
-        centers, sizes = self.centers, self.sizes
-        if len(self.simple):
-            centers[self.simple] = polished
-            _check_simple(polished, last)
-        multiple = np.flatnonzero(sizes > 1)
-        if len(multiple):
-            centers[multiple] = _extended_polish(self.original, centers[multiple].tolist(), sizes[multiple].tolist())
-        for (sub, center), refined in zip(self.found, centers):
-            members = tuple(complex(self.roots[i]) for i in sub)
-            radius = max(abs(m - center) for m in members) if len(sub) > 1 else 0.0
-            self.clusters.append(RootCluster(complex(refined), members, len(sub), radius))
-        self.clusters = _finish(self.clusters, self.max_multiplicity)
-
-
 def _find_roots_batch(
     polys: list, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None
 ) -> list[list[RootCluster]]:
-    """find_roots of each coefficient list, bit for bit, the lists solved together.
+    """find_roots of each coefficient list, bit for bit, the lists solved together in one pass.
 
     Polynomials of one stride and one degree mod g share one _Horner stack:
-    one Aberth loop in which each keeps its own start, reciprocal sum and
-    stop rule, and one compensated polish pass for their simple roots, at
-    the polish stride (_POLYPHASE for dense input, else the stride).
-    Stripping, clustering, splitting, the multiple-root polish and the
-    checks stay per polynomial.  The first polynomial, in input order, whose
-    own solve fails raises its error.
+    one Aberth loop in which each keeps its own start, reciprocal sum and stop
+    rule, and one compensated polish of their simple roots, at the polish
+    stride (_POLYPHASE for dense input, else the stride).  Stripping, grouping
+    (_group), the checks and the multiple-root polish stay per polynomial.
+    _finish, the multiplicity bound, runs last on each polynomial in input
+    order: the first whose own solve fails raises its error.
     """
-    results: list = []
-    groups: dict[tuple, list[int]] = {}
+    results: list = []  # per polynomial, its clusters or the error its solve raised
+    stacks: dict[tuple, list] = {}
     for i, coeffs in enumerate(polys):
         try:
-            job = _Solve(coeffs, max_multiplicity)
+            sc, lam, m0 = _strip_and_scale(coeffs)
         except (ValueError, SolverError) as exc:
             results.append(exc)
             continue
-        results.append(job)
-        if job.n >= 2:
-            groups.setdefault((job.stride, job.n % job.stride.g), []).append(i)
+        n = len(sc) - 1
+        results.append([RootCluster(0j, (0j,) * m0, m0, 0.0)] if m0 else [])
+        if n == 1:
+            root = complex(-sc[0] / sc[1] * lam)
+            results[i].append(RootCluster(root, (root,), 1, 0.0))
+        elif n >= 2:
+            original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + n + 1])
+            stride = _stride(original)  # sc may hold fewer nonzeros (underflow), never more
+            stacks.setdefault((stride, n % stride.g), []).append((i, sc, lam, original))
 
-    def attempt(i, step, *args):
-        try:
-            return step(*args)
-        except SolverError as exc:
-            results[i] = exc
-
-    for (stride, _), members in groups.items():
-        jobs = [results[i] for i in members]
-        horner = _Horner([(job.sc, job.dsc) for job in jobs], stride)
-        simple = {}
-        for p, (i, u) in enumerate(zip(members, _aberth(horner, tol))):
+    for (stride, _), stack in stacks.items():
+        horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for _, sc, _, _ in stack], stride)
+        grouped = {}  # p: the members, centres and radii of stack[p]'s groups
+        for p, ((i, _, lam, _), u) in enumerate(zip(stack, _aberth(horner, tol))):
             if isinstance(u, SolverError):
                 results[i] = u
                 continue
-            z = attempt(i, jobs[p].cluster, u, horner, p)
-            if z is not None:
-                simple[p] = z
-        last = {p: np.zeros(0) for p in simple}
-        if any(len(z) for z in simple.values()):
-            z, owner = _owned(simple)
+            try:
+                grouped[p] = _group(u, lam, horner, p)
+            except SolverError as exc:
+                results[i] = exc
+        simple = {p: np.flatnonzero([len(ms) == 1 for ms in g[0]] & (g[1] != 0)) for p, g in grouped.items()}
+        if any(len(js) for js in simple.values()):
+            z, owner = _owned({p: grouped[p][1][js] for p, js in simple.items()})
             polish_stride = _POLYPHASE if stride == _DENSE else stride
-            z, steps = _polish_simple([job.original for job in jobs], z, polish_stride, owner)
-            simple, last = _pieces(z, simple), _pieces(steps, simple)
-        for p, z in simple.items():
-            attempt(members[p], jobs[p].finish, z, last[p])
+            z, steps = _polish_simple([original for *_, original in stack], z, polish_stride, owner)
+            z, last = _pieces(z, simple), _pieces(steps, simple)
+        for p, (members, centres, radii) in grouped.items():
+            i, *_, original = stack[p]
+            if len(simple[p]):
+                centres[simple[p]] = z[p]
+                try:
+                    _check_simple(z[p], last[p])
+                except SolverError as exc:
+                    results[i] = exc
+                    continue
+            multiple = [j for j, ms in enumerate(members) if len(ms) > 1]
+            if multiple:
+                sizes = [len(members[j]) for j in multiple]
+                centres[multiple] = _extended_polish(original, centres[multiple].tolist(), sizes)
+            results[i] += [RootCluster(complex(c), ms, len(ms), r) for ms, c, r in zip(members, centres, radii)]
 
-    for result in results:
+    for i, result in enumerate(results):
         if isinstance(result, Exception):
             raise result
-    return [job.clusters for job in results]
+        results[i] = _finish(result, max_multiplicity)
+    return results
 
 
 def _check_simple(z: np.ndarray, last: np.ndarray) -> None:

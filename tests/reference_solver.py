@@ -10,8 +10,9 @@ Also a verbatim copy of _newton_polish, the three plain Newton steps on the
 scaled polynomial that every solve once ran on Aberth's iterates before
 clustering them, and find_roots as it ran then: with that pass, with the
 compensated polish of dense input below degree _POLYPHASE_DEGREE at stride
-1, and from the golden-angle start on every edge.  test_solver holds the
-current solve to this one's multiplicities and centres.  Loaded inside the
+1, and from the golden-angle start on every edge, put together from the
+solver's own grouping, checks and multiple-root polish.  test_solver holds
+the current solve to this one's multiplicities and centres.  Loaded inside the
 package (see helpers.load_frozen) so that its relative imports resolve.
 """
 
@@ -29,13 +30,20 @@ from .solver import (
     _POLYPHASE,
     DEFAULT_ROOT_TOL,
     MAX_ITERS,
+    RootCluster,
     SolverError,
+    _check_simple,
+    _extended_polish,
+    _finish,
+    _group,
     _Horner,
     _newton_corrections,
     _owned,
     _pieces,
     _polish_simple,
-    _Solve,
+    _stride,
+    _strip_and_scale,
+    find_roots as _find_roots,
 )
 
 _POLYPHASE_DEGREE = 12  # dense input below this degree took its compensated polish at stride 1
@@ -146,20 +154,31 @@ def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | No
     """solver.find_roots with _newton_polish between Aberth and the clustering, and the degree cutoff.
 
     Aberth starts from the golden-angle circles of that time, on one-root
-    edges too, so this solve is bit for bit the one it copies.
+    edges too, so this solve is bit for bit the one it copies.  Below degree
+    2 nothing is iterated, and the current solve answers.
     """
-    job = _Solve(coeffs, max_multiplicity)
-    if job.n < 2:
-        return job.clusters
-    horner = _Horner([(job.sc, job.dsc)], job.stride)
+    sc, lam, m0 = _strip_and_scale(coeffs)
+    n = len(sc) - 1
+    if n < 2:
+        return _find_roots(coeffs, tol, max_multiplicity)
+    original = np.asarray(coeffs, complex)[m0 : m0 + n + 1]
+    stride = _stride(original)
+    horner = _Horner([(sc, np.arange(1, n + 1) * sc[1:])], stride)
     (u,) = _aberth(horner, tol, binomial=False)
     if isinstance(u, SolverError):
         raise u
     u = _newton_polish(horner, u, np.zeros(len(u), np.intp))
-    z = job.cluster(u, horner, 0)
-    last = np.zeros(0)
-    if len(z):
-        dense = job.stride == _DENSE and job.n >= _POLYPHASE_DEGREE
-        z, last = _polish_simple([job.original], z, _POLYPHASE if dense else job.stride, np.zeros(len(z), np.intp))
-    job.finish(z, last)
-    return job.clusters
+    members, centres, radii = _group(u, lam, horner, 0)
+    sizes = np.array([len(ms) for ms in members])
+    simple = np.flatnonzero((sizes == 1) & (centres != 0))
+    if len(simple):
+        dense = stride == _DENSE and n >= _POLYPHASE_DEGREE
+        polish_stride = _POLYPHASE if dense else stride
+        centres[simple], last = _polish_simple([original], centres[simple], polish_stride, np.zeros(len(simple), np.intp))
+        _check_simple(centres[simple], last)
+    multiple = np.flatnonzero(sizes > 1)
+    if len(multiple):
+        centres[multiple] = _extended_polish(original, centres[multiple].tolist(), sizes[multiple].tolist())
+    clusters = [RootCluster(0j, (0j,) * m0, m0, 0.0)] if m0 else []
+    clusters += [RootCluster(complex(c), ms, len(ms), r) for ms, c, r in zip(members, centres, radii)]
+    return _finish(clusters, max_multiplicity)

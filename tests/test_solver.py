@@ -60,11 +60,12 @@ def test_find_roots_double_root():
 
 
 def test_find_roots_triple_root_and_cap():
-    coeffs = np.convolve(np.convolve([-1, 1], [-1, 1]), [-1, 1])  # (z-1)^3
-    clusters = find_roots(coeffs)
-    assert len(clusters) == 1 and clusters[0].multiplicity == 3
-    with pytest.raises(SolverError):
-        find_roots(coeffs, max_multiplicity=2)
+    # (z-1)^3, and z^3: stripped to a constant, it has no root left to iterate
+    for coeffs in (np.convolve(np.convolve([-1, 1], [-1, 1]), [-1, 1]), [0, 0, 0, 1]):
+        clusters = find_roots(coeffs)
+        assert len(clusters) == 1 and clusters[0].multiplicity == 3
+        with pytest.raises(SolverError, match="exceeds the admissible bound 2"):
+            find_roots(coeffs, max_multiplicity=2)
 
 
 def test_find_roots_origin_roots():
@@ -417,7 +418,7 @@ def test_one_polish_moves_the_differential_centres_by_rounding_only(name):
 
 
 def _polyval_newton_terms(sc, dsc, u):
-    """Reference: the four np.polyval loops _newton_terms ran before its stacked lanes."""
+    """Reference: the four np.polyval loops the one-polynomial (N, D) ran before its stacked lanes."""
     n = len(sc) - 1
     num = np.empty_like(u)
     den = np.empty_like(u)
@@ -476,7 +477,7 @@ def test_newton_terms_match_the_polyval_loops_bit_for_bit(degree):
     assert np.count_nonzero(np.abs(u) == 1) >= 6
     for args in ((sc, dsc, u), (np.abs(sc), np.abs(dsc), np.abs(u))):  # _subsplit's rounding bound
         with np.errstate(all="ignore"):
-            got = solver._newton_terms(*args, solver._DENSE)
+            got = solver._Horner([args[:2]], solver._DENSE)(args[2], np.zeros(len(args[2]), np.intp))
             want = _polyval_newton_terms(*args)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -830,7 +831,7 @@ def test_sparse_newton_terms_on_the_edge_lanes(k, p):
     finite = np.isfinite(u)
     for args in ((sc, dsc, u), (np.abs(sc), np.abs(dsc), np.abs(u))):  # _subsplit's rounding bound
         with np.errstate(all="ignore"):
-            got = solver._newton_terms(*args, stride)
+            got = solver._Horner([args[:2]], stride)(args[2], np.zeros(len(args[2]), np.intp))
             want = _polyval_newton_terms(*args)
             bound = _polyval_newton_terms(*(np.abs(a) for a in args))  # sum |c_i| |u|^i, as N and D scale it
             gaps = [np.abs(g - w)[finite] for g, w in zip(got, want)]
