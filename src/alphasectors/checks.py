@@ -182,14 +182,17 @@ def verify_generic_interlacing(
             violations.append(Violation("simple", (i,), (pt.multiplicity,)))
         if pt.boundary:
             violations.append(Violation("off-boundary", (i,), (pt.value,)))
+    successor: dict[int, int] = {}  # the predicted next sector, by current sector
     for i in range(len(points) - 1):
         a, b = points[i], points[i + 1]
         checks += 2
         if _modulus_tie(a, b):
             violations.append(Violation("modulus-gap", (i, i + 1), (a.modulus, b.modulus)))
-        expected = predict_next_sector(p, k, alpha_sector, a.sector)
-        if b.sector.s != expected.s:
-            violations.append(Violation("sector-hop", (i, i + 1), (a.sector.s, b.sector.s, expected.s)))
+        if a.sector.s not in successor:
+            successor[a.sector.s] = predict_next_sector(p, k, alpha_sector, a.sector).s
+        expected = successor[a.sector.s]
+        if b.sector.s != expected:
+            violations.append(Violation("sector-hop", (i, i + 1), (a.sector.s, b.sector.s, expected)))
     return _report("sector-hop interlacing", points, checks, violations)
 
 

@@ -76,16 +76,33 @@ def _number_flag(text: str, flag: str = "--tol", what: str = "tolerance", allow_
     return x
 
 
+def _is_json_number(value, kind=(int, float)) -> bool:
+    """value is a number of that kind, and not a bool, which Python counts as an int."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _json_number(value, cast):
+    """value as cast (int or float); a bool, a string, or a fraction where cast is int raises TypeError.
+
+    int() and float() would take True, "3" and 3.7 alike, so a spec field
+    written as any of them would be read as some other number.
+    """
+    kind, what = (int, "integer") if cast is int else ((int, float), "number")
+    if not _is_json_number(value, kind):
+        raise TypeError(f"expected a JSON {what}, got {json.dumps(value, default=repr)}")
+    return cast(value)
+
+
 def _scalar_field(data: dict, name: str, cast, default, where: str):
     try:
-        return cast(data.get(name, default))
+        return _json_number(data.get(name, default), cast)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SystemExit(f"error: {where}: field {name!r}: {exc}") from None
 
 
 def _complex_from_json(obj, where: str) -> complex:
-    parts_are_numbers = isinstance(obj, dict) and all(isinstance(v, (int, float)) for v in obj.values())
-    if isinstance(obj, (int, float)):
+    parts_are_numbers = isinstance(obj, dict) and all(_is_json_number(v) for v in obj.values())
+    if _is_json_number(obj):
         parts = (obj, 0.0)
     elif parts_are_numbers and set(obj) <= {"re", "im"}:
         parts = (obj.get("re", 0.0), obj.get("im", 0.0))
@@ -126,14 +143,14 @@ def spec_from_dict(data: dict, where: str = "<spec>") -> StructuredFunction | Se
             for name in ("p", "k"):
                 if name not in data:
                     raise SystemExit(f"error: {where}: missing required field {name!r}")
-                kwargs[name] = int(data[name])
+                kwargs[name] = _json_number(data[name], int)
             for name in ("a", "b", "c", "d"):
                 vals = data.get(name, [])
                 if not isinstance(vals, list):
                     raise SystemExit(f"error: {where}: field {name!r} must be a list")
-                kwargs[name] = tuple(float(v) for v in vals)
+                kwargs[name] = tuple(_json_number(v, float) for v in vals)
             for name in ("A", "A0"):
-                kwargs[name] = float(data.get(name, 0.0))
+                kwargs[name] = _json_number(data.get(name, 0.0), float)
                 if not math.isfinite(kwargs[name]):
                     raise SystemExit(f"error: {where}: field {name!r}: {kwargs[name]} is not a finite number")
         except (TypeError, ValueError, OverflowError) as exc:
@@ -210,13 +227,16 @@ def _emit_results(points, reports, config) -> list[str]:
     written = []
     if config.get("csv"):
         path = config["csv"]
+        rows = "".join(
+            "%d,%.17g,%.17g,%.17g,%d,%s,%d,%.17g\n"
+            % (
+                i, pt.value.real, pt.value.imag, pt.modulus, pt.sector.s,
+                "true" if pt.boundary else "false", pt.multiplicity, pt.residual,
+            )
+            for i, pt in enumerate(points)
+        )
         with open(path, "w") as fh:
-            fh.write("index,re,im,modulus,sector,boundary,multiplicity,residual\n")
-            for i, pt in enumerate(points):
-                fh.write(
-                    f"{i},{_fmt(pt.value.real)},{_fmt(pt.value.imag)},{_fmt(pt.modulus)},"
-                    f"{pt.sector.s},{str(pt.boundary).lower()},{pt.multiplicity},{_fmt(pt.residual)}\n"
-                )
+            fh.write("index,re,im,modulus,sector,boundary,multiplicity,residual\n" + rows)
         written.append(path)
     if config.get("json"):
         path = config["json"]

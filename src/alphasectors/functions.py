@@ -311,7 +311,9 @@ def alpha_polynomial(spec: StructuredFunction, alpha: complex) -> np.ndarray:
     s1 = max(spec.p, 0) + k * (len(groups[True, True]) - 1)
     s2 = max(-spec.p, 0) + k * (len(groups[False, True]) - 1)
     size = max(s1 + k * (len(num) - 1), s2 + k * (len(den) - 1)) + 1
-    return np.trim_zeros(_inflate(num, k, s1, size) - alpha * _inflate(den, k, s2, size), "f")
+    # a huge alpha overflows here; _strip_and_scale names the non-finite coefficient
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.trim_zeros(_inflate(num, k, s1, size) - alpha * _inflate(den, k, s2, size), "f")
 
 
 def exponential_alpha_series(spec: StructuredFunction, alpha: complex, N: int) -> SeriesFunction:

@@ -436,11 +436,19 @@ def _group(u: np.ndarray, lam: float, horner: _Horner, which: int):
     _subsplit parts each cluster into those that cannot be told apart.  Returns
     each group's members z = lam u, centre (their mean) and radius (the farthest
     member's distance from it); a centre beyond double range raises SolverError.
+    With no pair joined, the usual case of distinct simple roots, the groups
+    are the iterates themselves, one each in index order, read off the arrays.
     """
     roots = u * lam
     scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
+    near = np.abs(roots[:, None] - roots[None, :]) < math.sqrt(DEFAULT_CLUSTER_TOL) * scale
+    np.fill_diagonal(near, False)
+    if not near.any():
+        if not np.isfinite(roots).all():
+            raise SolverError("a root lies beyond double range")
+        return [(z,) for z in roots.tolist()], roots, [0.0] * len(roots)
     groups = []
-    for idx in _components(np.abs(roots[:, None] - roots[None, :]) < math.sqrt(DEFAULT_CLUSTER_TOL) * scale):
+    for idx in _components(near):
         # keep close but genuinely distinguishable simple roots separate
         subs = _subsplit(horner, u[idx], which) if len(idx) > 1 else [[0]]
         groups += [[idx[i] for i in sub] for sub in subs]
@@ -748,7 +756,7 @@ def _find_roots_batch(
             if multiple:
                 sizes = [len(members[j]) for j in multiple]
                 centres[multiple] = _extended_polish(original, centres[multiple].tolist(), sizes)
-            results[i] += [RootCluster(complex(c), ms, len(ms), r) for ms, c, r in zip(members, centres, radii)]
+            results[i] += [RootCluster(c, ms, len(ms), r) for ms, c, r in zip(members, centres.tolist(), radii)]
 
     for i, result in enumerate(results):
         if isinstance(result, Exception):

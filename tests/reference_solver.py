@@ -11,9 +11,12 @@ scaled polynomial that every solve once ran on Aberth's iterates before
 clustering them, and find_roots as it ran then: with that pass, with the
 compensated polish of dense input below degree _POLYPHASE_DEGREE at stride
 1, and from the golden-angle start on every edge, put together from the
-solver's own grouping, checks and multiple-root polish.  test_solver holds
-the current solve to this one's multiplicities and centres.  Loaded inside the
-package (see helpers.load_frozen) so that its relative imports resolve.
+solver's own checks and multiple-root polish, and from a verbatim copy of
+_group (with its _components) as it stood before distinct simple roots
+skipped the union-find.  test_solver holds the current solve to this one's
+multiplicities and centres, and the current _group to the copy's groups.
+Loaded inside the package (see helpers.load_frozen) so that its relative
+imports resolve.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .solver import (
     _DENSE,
     _LOG_MAX,
     _POLYPHASE,
+    DEFAULT_CLUSTER_TOL,
     DEFAULT_ROOT_TOL,
     MAX_ITERS,
     RootCluster,
@@ -35,7 +39,6 @@ from .solver import (
     _check_simple,
     _extended_polish,
     _finish,
-    _group,
     _Horner,
     _newton_corrections,
     _owned,
@@ -43,6 +46,7 @@ from .solver import (
     _polish_simple,
     _stride,
     _strip_and_scale,
+    _subsplit,
     find_roots as _find_roots,
 )
 
@@ -148,6 +152,52 @@ def _newton_polish(horner: _Horner, u: np.ndarray, owner: np.ndarray) -> np.ndar
             w[~np.isfinite(w)] = 0.0
             u = u - w
     return u
+
+
+def _components(near: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph whose adjacency is the upper triangle of `near`.
+
+    Members ascend within a group; groups are listed by their smallest member.
+    """
+    n = len(near)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(np.triu(near, 1))):
+        parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def _group(u: np.ndarray, lam: float, horner: _Horner, which: int):
+    """Aberth's iterates u of polynomial which of horner, grouped one root a group.
+
+    Iterates closer than sqrt(DEFAULT_CLUSTER_TOL) (1 + |z|) are joined, and
+    _subsplit parts each cluster into those that cannot be told apart.  Returns
+    each group's members z = lam u, centre (their mean) and radius (the farthest
+    member's distance from it); a centre beyond double range raises SolverError.
+    """
+    roots = u * lam
+    scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
+    groups = []
+    for idx in _components(np.abs(roots[:, None] - roots[None, :]) < math.sqrt(DEFAULT_CLUSTER_TOL) * scale):
+        # keep close but genuinely distinguishable simple roots separate
+        subs = _subsplit(horner, u[idx], which) if len(idx) > 1 else [[0]]
+        groups += [[idx[i] for i in sub] for sub in subs]
+    zs = roots.tolist()
+    members = [tuple(zs[j] for j in g) for g in groups]
+    centres = np.array([ms[0] if len(ms) == 1 else np.mean(roots[g]) for ms, g in zip(members, groups)])
+    if not np.isfinite(centres).all():
+        raise SolverError("a root lies beyond double range")
+    radii = [max(abs(m - c) for m in ms) if len(ms) > 1 else 0.0 for ms, c in zip(members, centres.tolist())]
+    return members, centres, radii
 
 
 def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None) -> list:

@@ -109,6 +109,43 @@ def test_solve_empty_result_header_only(tmp_path):
     assert csv_path.read_text().strip() == "index,re,im,modulus,sector,boundary,multiplicity,residual"
 
 
+def _true_double_alpha() -> complex:
+    """alpha at which fig3's two on-ray points collide into a double: the peak of F(iy) / i."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        g = lambda y: y * (3 - y * y) / ((1 + y * y) * (5 + y * y))
+        return complex(0, float(g(mp.findroot(lambda y: mp.diff(g, y), mp.mpf("0.65")))))
+
+
+@pytest.mark.parametrize(
+    "payload, alpha",
+    [
+        (FIG1_JSON, -1 - 1j),
+        (FIG1_JSON, 1 + 0j),  # real-power: points on the rays, with boundary true
+        ({"type": "rational", "p": 1, "k": 2, "a": [3], "b": [1, 5]}, _true_double_alpha()),
+    ],
+    ids=["fig1-generic", "fig1-real", "fig3-double"],
+)
+def test_csv_rows_carry_each_point_field_by_field(tmp_path, payload, alpha):
+    spec_path = write_spec(tmp_path, payload)
+    csv_path = tmp_path / "points.csv"
+    assert main(["solve", "--spec", spec_path, f"--alpha={alpha!r}", "--radius", "10", "--csv", str(csv_path)]) == 0
+    points = alpha_points(spec_from_dict(payload), alpha, 10.0, tol=_default_tol())
+    assert points
+    rows = [
+        f"{i},{pt.value.real:.17g},{pt.value.imag:.17g},{pt.modulus:.17g},{pt.sector.s},"
+        f"{str(pt.boundary).lower()},{pt.multiplicity},{pt.residual:.17g}"
+        for i, pt in enumerate(points)
+    ]
+    header = "index,re,im,modulus,sector,boundary,multiplicity,residual"
+    assert csv_path.read_text() == "".join(line + "\n" for line in [header, *rows])
+    if alpha.imag == 0:
+        assert any(pt.boundary for pt in points)
+    if payload is not FIG1_JSON:
+        assert points[0].multiplicity == 2
+
+
 def solve_args(alpha="1", radius="2", command="solve"):
     return [command, f"--alpha={alpha}", "--radius", radius]
 
@@ -181,6 +218,19 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         # sector rays pi/k apart no farther than 4 angle tolerances: the error names k, not the tolerance
         ({"type": "rational", "p": 1, "k": 10**9, "a": [1]}, ["predict", "--alpha=0.3+0.2i"],
          "k must be below 785398163.4"),
+        # an integer field takes a JSON integer, not a fraction, a bool or a string that int() would accept
+        *[
+            ({"type": "rational", "p": 1, "k": 3, "a": [1], "b": [2], name: value}, solve_args(), f"field {name!r}")
+            for name, value in (("p", 1.5), ("k", 3.7), ("p", True), ("k", "3"))
+        ],
+        ({**THETA_JSON, "N": 40.5}, solve_args("0"), "field 'N'"),
+        # a number field takes a JSON number, not a bool or a string that float() would accept
+        *[
+            ({"type": "rational", "p": 1, "k": 3, "a": [1], "b": [2], name: value}, solve_args(), f"field {name!r}")
+            for name, value in (("a", ["2"]), ("b", [True]), ("c", [False]), ("d", ["1"]), ("A", True), ("A0", "0"))
+        ],
+        ({"type": "series", "coeffs": [1, True, 2], "trust_radius": 1}, solve_args("0"), "field coeffs[1]"),
+        ({**THETA_JSON, "q": {"re": 0, "im": True}}, solve_args("0"), "field q"),
     ],
     ids=[
         "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
@@ -195,6 +245,8 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         "a-mixed-scale-solve", "a-mixed-scale-census", "a-mixed-scale-predict",
         "verify-main-real-alpha", "verify-main2-generic-alpha", "solve-trust-radius-zero",
         "predict-k-beyond-angle-tol",
+        "p-fraction", "k-fraction", "p-bool", "k-string", "N-fraction",
+        "a-string", "b-bool", "c-bool", "d-string", "A-bool", "A0-string", "coeffs-bool", "q-im-bool",
     ],
 )
 def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, monkeypatch, payload, args, field):
@@ -271,12 +323,21 @@ def test_every_traced_boundary_resolves_to_a_callable():
         assert callable(getattr(module, attr, None)), (module.__name__, attr)
 
 
-def test_overflowing_spec_ends_in_one_error_line(tmp_path):
-    # the alpha-polynomial of a = (1e308, 1e308) has infinite coefficients
-    spec_path = write_spec(tmp_path, {"type": "rational", "p": 1, "k": 2, "a": [1e308, 1e308]})
+@pytest.mark.parametrize(
+    "payload, alpha, radius",
+    [
+        # the alpha-polynomial of a = (1e308, 1e308) has infinite coefficients
+        ({"type": "rational", "p": 1, "k": 2, "a": [1e308, 1e308]}, "1", "1"),
+        # alpha times the b factors overflows: no numpy warning is printed before the error
+        (FIG1_JSON, "1e308+1e308i", "10"),
+    ],
+    ids=["factor-product", "alpha"],
+)
+def test_overflowing_spec_ends_in_one_error_line(tmp_path, payload, alpha, radius):
+    spec_path = write_spec(tmp_path, payload)
     src = os.path.dirname(os.path.dirname(alphasectors.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "alphasectors.cli", "solve", "--spec", spec_path, "--alpha", "1", "--radius", "1"],
+        [sys.executable, "-m", "alphasectors.cli", "solve", "--spec", spec_path, f"--alpha={alpha}", "--radius", radius],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 1 and proc.stdout == ""

@@ -88,11 +88,8 @@ def test_find_roots_close_pair_not_merged():
 def test_find_roots_close_pairs_settle():
     # a pair 1e-6 apart is slow to polish; some of these need a third
     # Newton step and must not be mistaken for a root found twice
-    rng = np.random.default_rng(2026)
-    for _ in range(20):
-        base = rng.normal(size=12) + 1j * rng.normal(size=12)
-        roots = np.append(base, base[0] * (1 + 1e-6))
-        clusters = find_roots(np.poly(roots)[::-1])
+    for coeffs in _close_pair_polynomials():
+        clusters = find_roots(coeffs)
         assert sum(cl.multiplicity for cl in clusters) == 13
 
 
@@ -415,6 +412,56 @@ def test_one_polish_moves_the_qseries_centres_by_rounding_only(family, t, N):
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
 def test_one_polish_moves_the_differential_centres_by_rounding_only(name):
     _assert_centres_agree_to_rounding(np.asarray(DIFFERENTIAL_CASES[name]()[0], complex))
+
+
+# ---------------------------------------------------------------------------
+# _group against its frozen copy, which ran every set of iterates through the
+# union-find (REFERENCE._group)
+# ---------------------------------------------------------------------------
+
+
+def _close_pair_polynomials() -> list:
+    """20 degree-13 polynomials, each with two simple roots 1e-6 apart (relative)."""
+    rng = np.random.default_rng(2026)
+    polys = []
+    for _ in range(20):
+        base = rng.normal(size=12) + 1j * rng.normal(size=12)
+        polys.append(np.poly(np.append(base, base[0] * (1 + 1e-6)))[::-1])
+    return polys
+
+
+def _groups_bytes(members, centres, radii):
+    """Every group's centre, members, size and radius, as bytes: clusters_bytes of _group's output."""
+    return [
+        (np.complex128(c).tobytes(), np.array(ms, complex).tobytes(), len(ms), np.float64(r).tobytes())
+        for ms, c, r in zip(members, centres, radii)
+    ]
+
+
+def test_group_matches_the_union_find_grouping(tmp_path, monkeypatch):
+    qseries = []
+    for family, t, N in QSERIES_GRID:
+        src = np.asarray(_family_source(QSeriesSpec(family, 1j * t, N)), complex)
+        qseries += [src[: N + 1], src[: N + 11]]
+    inputs = {
+        "verify": _verify_pool_polynomials(1, tmp_path) + _verify_pool_polynomials(2, tmp_path),
+        "qseries": qseries,
+        "close-pair": _close_pair_polynomials(),
+    }
+    unions = []
+    components = solver._components
+    monkeypatch.setattr(solver, "_components", lambda near: unions.append(1) or components(near))
+    for name, polys in inputs.items():
+        for coeffs in polys:
+            sc, lam, m0 = solver._strip_and_scale(coeffs)
+            stride = solver._stride(np.asarray(coeffs, complex)[m0 : m0 + len(sc)])
+            horner = solver._Horner([(sc, np.arange(1, len(sc)) * sc[1:])], stride)
+            (u,) = solver._aberth(horner, solver.DEFAULT_ROOT_TOL)
+            unions.clear()
+            got = _groups_bytes(*solver._group(u, lam, horner, 0))
+            # distinct simple roots skip the union-find; a close pair is joined, then subsplit
+            assert bool(unions) == (name == "close-pair"), name
+            assert got == _groups_bytes(*REFERENCE._group(u, lam, horner, 0)), name
 
 
 def _polyval_newton_terms(sc, dsc, u):
