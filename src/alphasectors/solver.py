@@ -34,16 +34,20 @@ bound are parameters.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it at the default root tolerance.
+A meromorphic-form spec starts Aberth in the sectors the paper predicts
+(checks.predict_sectors); should that solve fail, the default start decides.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .checks import normalized_alpha, predict_sectors
 from .functions import (
     AlphaPoint,
     DEFAULT_POLE_TOL,
@@ -205,14 +209,16 @@ class _Horner:
     gives +0, polyval's start.
 
     polys lists (sc, dsc) pairs that share the stride and n mod g, hence the
-    lane weights; owner[j] names the polynomial of root j.  A shorter
+    lane weights; owner[j] names the polynomial of root j, and forecasts[i]
+    is the sector forecast _aberth starts polys[i] from, or None.  A shorter
     polynomial is zero-padded at the top to the longest: from the +0 start,
     each such step gives +0 again, so a root's lanes sum bit for bit as in a
     table of its polynomial alone.
     """
 
-    def __init__(self, polys: list[tuple[np.ndarray, np.ndarray]], stride: _Stride):
+    def __init__(self, polys: list[tuple[np.ndarray, np.ndarray]], stride: _Stride, forecasts=None):
         self.polys, self.stride = polys, stride
+        self.forecasts = forecasts or [None] * len(polys)
         self.degrees = np.array([len(sc) - 1 for sc, _ in polys])
         n = int(self.degrees[0])
         g, classes = stride
@@ -268,7 +274,7 @@ def _newton_corrections(horner: _Horner, u: np.ndarray, owner: np.ndarray) -> np
     return num / np.where(den == 0, 1e-300, den)
 
 
-def _start_points(sc: np.ndarray) -> np.ndarray:
+def _start_points(sc: np.ndarray, forecast: tuple[int, list[int]] | None = None) -> np.ndarray:
     """Initial guesses on circles read off the Newton polygon of sc.
 
     Each edge (i1, i2) of the upper convex hull of (i, log|sc_i|), taken over
@@ -282,6 +288,10 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
     polynomial never starts an iterate on the real axis.  The wide-range
     q-series have mostly one-root edges; on edges of more roots the binomial
     phases cost more iterations than the golden angle, so those keep it.
+    A forecast (k, sectors) of n sector indices in modulus order replaces
+    every phase: rank j (the circles ascend) starts mid-sector in Q_s, s =
+    sectors[j], and t ranks sharing a circle and a sector start at (s + (q +
+    1/2) / t) pi / k, q = 0 .. t - 1, so no two coincide.
     """
     n = len(sc) - 1
     nz = np.flatnonzero(sc)
@@ -300,11 +310,19 @@ def _start_points(sc: np.ndarray) -> np.ndarray:
     over = np.flatnonzero(logr > _LOG_MAX)
     if len(over):
         raise SolverError(f"scaled root moduli near e^{logr[over[0]]:.0f} lie beyond double range")
+    radii = np.repeat([math.exp(x) for x in logr.tolist()], m)
+    if forecast is not None and len(forecast[1]) == n:
+        k, sectors = forecast[0], np.asarray(forecast[1])
+        key = np.repeat(np.arange(len(m)), m) * (2 * k) + sectors  # each rank's circle and sector
+        _, inverse, t = np.unique(key, return_inverse=True, return_counts=True)
+        q = np.empty(n)  # each rank's place among the ranks of its circle and sector
+        q[np.argsort(key, kind="stable")] = np.arange(n) - np.repeat(np.cumsum(t) - t, t)
+        return radii * np.exp(1j * np.pi / k * (sectors + (q + 0.5) / t[inverse]))
     j = np.arange(ends[0], ends[-1]) - np.repeat(ends[:-1], m)  # each point's place on its circle
     angles = 2 * np.pi * j / np.repeat(m, m) + _ANGLE_OFFSET + np.repeat(2 * np.pi * ends[:-1] / n, m)
     one = np.flatnonzero(m == 1)
     angles[ends[one] - ends[0]] = np.angle(-sc[ends[one]] / sc[ends[one + 1]]) + _BINOMIAL_TURN
-    return np.repeat([math.exp(x) for x in logr.tolist()], m) * np.exp(1j * angles)
+    return radii * np.exp(1j * angles)
 
 
 def _owned(parts: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -325,20 +343,20 @@ def _aberth(horner: _Horner, tol: float) -> list:
     """Aberth-Ehrlich iteration on each scaled polynomial of horner's stack, all in one loop.
 
     horner evaluates the stack, one call per iteration for every root still
-    moving.  Each polynomial keeps its own start, its own pairwise reciprocal
-    sum and its own stop and stall rule, and leaves the loop at the iteration
-    where it would stop if solved alone, so its iterates are bit for bit
-    those of a solo run.  The moving roots live in one stacked array, each
-    polynomial's a view of it, restacked (with their owner index) only when
-    a polynomial leaves; each reciprocal matrix is formed in one buffer kept
-    across iterations.  Returns, per polynomial, its iterates or the
-    SolverError it raised.
+    moving.  Each polynomial keeps its own start (from its forecast, if any),
+    its own pairwise reciprocal sum and its own stop and stall rule, and
+    leaves the loop at the iteration where it would stop if solved alone, so
+    its iterates are bit for bit those of a solo run.  The moving roots live
+    in one stacked array, each polynomial's a view of it, restacked (with
+    their owner index) only when a polynomial leaves; each reciprocal matrix
+    is formed in one buffer kept across iterations.  Returns, per
+    polynomial, its iterates or the SolverError it raised.
     """
     out: list = [None] * len(horner.polys)
     u: dict[int, np.ndarray] = {}
-    for i, (sc, _) in enumerate(horner.polys):
+    for i, ((sc, _), forecast) in enumerate(zip(horner.polys, horner.forecasts)):
         try:
-            u[i] = _start_points(sc)
+            u[i] = _start_points(sc, forecast)
         except SolverError as exc:
             out[i] = exc
     last = dict.fromkeys(u, np.inf)
@@ -696,7 +714,7 @@ def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | No
 
 
 def _find_roots_batch(
-    polys: list, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None
+    polys: list, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None, forecasts=None
 ) -> list[list[RootCluster]]:
     """find_roots of each coefficient list, bit for bit, the lists solved together in one pass.
 
@@ -706,7 +724,8 @@ def _find_roots_batch(
     stride (_POLYPHASE for dense input, else the stride).  Stripping, grouping
     (_group), the checks and the multiple-root polish stay per polynomial.
     _finish, the multiplicity bound, runs last on each polynomial in input
-    order: the first whose own solve fails raises its error.
+    order: the first whose own solve fails raises its error.  forecasts[i],
+    if given, is the sector forecast (_start_points) polys[i] starts from.
     """
     results: list = []  # per polynomial, its clusters or the error its solve raised
     stacks: dict[tuple, list] = {}
@@ -727,7 +746,8 @@ def _find_roots_batch(
             stacks.setdefault((stride, n % stride.g), []).append((i, sc, lam, original))
 
     for (stride, _), stack in stacks.items():
-        horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for _, sc, _, _ in stack], stride)
+        starts = forecasts and [forecasts[i] for i, *_ in stack]
+        horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for _, sc, _, _ in stack], stride, starts)
         grouped = {}  # p: the members, centres and radii of stack[p]'s groups
         for p, ((i, _, lam, _), u) in enumerate(zip(stack, _aberth(horner, tol))):
             if isinstance(u, SolverError):
@@ -812,7 +832,8 @@ def alpha_points(
     Structured specs must be rational (A = A0 = 0) and have alpha != 0; series
     specs must carry a trust radius covering the request (alpha = 0 is allowed
     there, meaning plain zeros of the truncation).  For series specs the sector
-    index k defaults to 2, the setting of the quadrant theorems.  tol bounds
+    index k defaults to 2, the setting of the quadrant theorems; for
+    structured specs a k other than spec.k raises ValueError.  tol bounds
     the residual of a rational spec's points, and the root tolerance is
     min(tol, DEFAULT_ROOT_TOL); a series at alpha = 0 solved at the default
     root tolerance takes the roots truncate_series carried instead of
@@ -834,18 +855,28 @@ def alpha_points(
     else:
         if alpha == 0:
             raise ValueError("alpha must be nonzero for structured specs")
+        if k is not None and k != spec.k:
+            raise ValueError("k disagrees with the spec")
         k_eff = spec.k
         P = alpha_polynomial(spec, alpha)
         carried = None
     if len(P) - 1 > DEGREE_CAP:
         raise ValueError(f"degree {len(P) - 1} exceeds the cap {DEGREE_CAP}")
+    forecast = None  # the paper predicts sectors in meromorphic form, for alpha normalized in range
+    if isinstance(spec, StructuredFunction) and spec.is_meromorphic_form and cmath.isfinite(normalized_alpha(spec, alpha)):
+        forecast = (spec.k, predict_sectors(spec, alpha, len(P) - 1))
 
     root_tol = min(tol, DEFAULT_ROOT_TOL)
     if carried is not None and root_tol == DEFAULT_ROOT_TOL:
         # find_roots(P) at this tolerance, found when the series was truncated
         clusters = _finish(list(carried), 2)
-    else:
+    elif forecast is None:
         clusters = find_roots(P, tol=root_tol, max_multiplicity=2)
+    else:
+        try:  # should the solve from the forecast fail, the default start decides
+            clusters = _find_roots_batch([P], root_tol, 2, [forecast])[0]
+        except SolverError:
+            clusters = find_roots(P, tol=root_tol, max_multiplicity=2)
     if isinstance(spec, SeriesFunction):
         # P, the series shifted by alpha, at every centre
         with np.errstate(all="ignore"):  # centres beyond the radius may overflow

@@ -15,9 +15,9 @@ from alphasectors import (
     verify_k2_distribution,
     verify_real_power_case,
 )
-from alphasectors.checks import normalized_alpha
-from alphasectors.functions import AlphaPoint
-from alphasectors.sectors import classify_sector
+from alphasectors.checks import group_by_modulus, normalized_alpha, predict_sectors
+from alphasectors.functions import AlphaPoint, alpha_polynomial
+from alphasectors.sectors import classify_sector, unit_rotation
 
 from helpers import random_alpha_generic, random_alpha_real_direction, random_structured
 
@@ -57,6 +57,59 @@ def test_predict_next_sector_period_and_coverage():
 def test_predict_next_sector_rejects_noncoprime():
     with pytest.raises(ValueError):
         predict_next_sector(2, 4, 0, 0)
+
+
+def _forecast_sweep_case(rng):
+    """A meromorphic spec (k 2-24, |p| <= 5 coprime to k, 0-4 a and b factors in e^+-1.5) and its degree."""
+    while True:
+        k = int(rng.integers(2, 25))
+        p = int(rng.choice([x for x in range(-5, 6) if x and math.gcd(abs(x), k) == 1]))
+        na, nb = (int(x) for x in rng.integers(0, 5, size=2))
+        if na + nb:
+            a, b = (tuple(np.exp(rng.uniform(-1.5, 1.5, n)).tolist()) for n in (na, nb))
+            return StructuredFunction(p=p, k=k, a=a, b=b)
+
+
+def _every_point(spec, alpha):
+    """alpha_points inside a disk holding every root of the alpha-polynomial (Cauchy's bound, doubled)."""
+    P = alpha_polynomial(spec, alpha)
+    return alpha_points(spec, alpha, 2 * (1 + np.abs(P[:-1] / P[-1]).max())), len(P) - 1
+
+
+def test_sector_forecast_is_the_solved_sector_at_every_rank():
+    rng = np.random.default_rng(22)
+    checked = 0
+    for _ in range(140):
+        spec = _forecast_sweep_case(rng)
+        alpha = complex(np.exp(rng.uniform(-2, 2) + 1j * rng.uniform(-math.pi, math.pi)))
+        pts, n = _every_point(spec, alpha)
+        assert len(pts) == n
+        if verify_generic_interlacing(pts, alpha, spec).passed:
+            assert predict_sectors(spec, alpha, n) == [pt.sector.s for pt in pts], (spec, alpha)
+            checked += 1
+    assert checked >= 120
+
+
+def test_sector_forecast_holds_the_first_real_power_group():
+    rng = np.random.default_rng(23)
+    checked = ray_pairs = 0
+    for _ in range(70):
+        spec = _forecast_sweep_case(rng)
+        alpha = complex(np.exp(rng.uniform(-2, 2)) * unit_rotation(int(rng.integers(0, 2 * spec.k)), spec.k))
+        pts, n = _every_point(spec, alpha)
+        if not verify_real_power_case(pts, alpha, spec).passed:
+            continue
+        checked += 1
+        got = sorted(pts[i].sector.s for i in group_by_modulus(pts)[0])
+        first = predict_first_location(spec, alpha)
+        want = predict_sectors(spec, alpha, n)[: 1 if first.kind == "positive-ray" else 2]
+        if len(got) < len(want):
+            # the alternative of a ray-pair-possible forecast: one point of the pair's ray leads
+            assert first.kind == "ray-pair-possible" and got == [first.ray_index] and got[0] in want
+            ray_pairs += 1
+        else:
+            assert got == sorted(want), (spec, alpha)
+    assert checked >= 50 and ray_pairs
 
 
 def test_interlacing_fig1_fixture():

@@ -37,6 +37,9 @@ from helpers import (
     random_alpha_generic,
     random_structured,
 )
+from alphasectors.checks import normalized_alpha, predict_sectors
+from alphasectors.sectors import real_direction_index
+from alphasectors.winding import sector_census
 
 REFERENCE = load_frozen("reference_solver.py")
 
@@ -149,6 +152,14 @@ def test_find_roots_rejects_non_finite_coefficients(coeffs):
 def test_find_roots_beyond_double_range_is_a_solver_error(coeffs):
     with pytest.raises(SolverError, match="beyond double range"):
         find_roots(coeffs)
+
+
+def test_alpha_points_refuses_a_k_that_disagrees_with_the_spec():
+    # the census refused it already; alpha_points classified with spec.k and said nothing
+    for count in (lambda k: alpha_points(FIG1, -1 - 1j, 10.0, k=k), lambda k: sector_census(FIG1, -1 - 1j, 0.01, 10.0, k=k)):
+        with pytest.raises(ValueError, match="^k disagrees with the spec$"):
+            count(5)
+    assert alpha_points(FIG1, -1 - 1j, 10.0, k=3) == alpha_points(FIG1, -1 - 1j, 10.0)
 
 
 def test_alpha_points_fig1():
@@ -373,14 +384,19 @@ def test_compensated_polish_matches_extended_precision(name):
 # ---------------------------------------------------------------------------
 
 
-def _verify_pool_polynomials(seed: int, workdir) -> list:
-    """The alpha-polynomial of each job of the verify-highdeg bench pool of a seed."""
-    polys = []
+def _verify_pool_cases(seed: int, workdir) -> list:
+    """(spec, alpha) of each job of the verify-highdeg bench pool of a seed."""
+    cases = []
     for job in load_workloads().build("verify-highdeg", seed, str(workdir)):
         spec = parse_spec_file(job.argv[job.argv.index("--spec") + 1])
         alpha = _parse_complex(next(arg for arg in job.argv if arg.startswith("--alpha=")).split("=", 1)[1])
-        polys.append(alpha_polynomial(spec, alpha))
-    return polys
+        cases.append((spec, alpha))
+    return cases
+
+
+def _verify_pool_polynomials(seed: int, workdir) -> list:
+    """The alpha-polynomial of each job of the verify-highdeg bench pool of a seed."""
+    return [alpha_polynomial(spec, alpha) for spec, alpha in _verify_pool_cases(seed, workdir)]
 
 
 def test_one_polish_keeps_the_verify_pool_centres(tmp_path):
@@ -982,7 +998,7 @@ def test_truncate_series_solves_a_zero_tail_once(monkeypatch, family, t, N, solv
     src = _family_source(QSeriesSpec(family, 1j * t, N))
     starts = []
     start = solver._start_points
-    monkeypatch.setattr(solver, "_start_points", lambda sc: starts.append(len(sc) - 1) or start(sc))
+    monkeypatch.setattr(solver, "_start_points", lambda sc, *forecast: starts.append(len(sc) - 1) or start(sc, *forecast))
     series = truncate_series(SeriesFunction(tuple(src)), N, 1e-9)
     assert len(starts) == solves  # one Aberth run per distinct truncation
     monkeypatch.undo()
@@ -1029,6 +1045,8 @@ def test_start_points_match_the_per_edge_circles_bit_for_bit():
         sc = solver._strip_and_scale(coeffs)[0]
         got, want = solver._start_points(sc), REFERENCE._start_points(sc)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        # a forecast of another length than the degree is no forecast
+        assert solver._start_points(sc, (7, [0] * (len(sc) - 2))).tobytes() == want.tobytes(), name
         hulls.add(len(np.unique(np.round(np.log(np.abs(got)), 9))))  # one circle per hull edge
     assert 1 in hulls and max(hulls) >= 10  # one-edge hulls and many-edge ones
 
@@ -1077,3 +1095,74 @@ def test_aberth_iterates_match_the_per_iteration_stack_bit_for_bit(monkeypatch, 
     if name == "batch":
         assert [isinstance(u, bytes) for u in got] == [True, True, False, True]
         assert len({_aberth_iterations(monkeypatch, c) for c in polys}) == len(polys)
+
+
+# ---------------------------------------------------------------------------
+# the sector forecast: only a start
+# ---------------------------------------------------------------------------
+
+
+K24 = StructuredFunction(p=1, k=24, a=(0.4, 0.7, 1.1, 1.6, 2.3, 3.1, 0.55, 1.35), b=(0.5, 0.9, 1.3, 1.9, 2.6, 3.4))
+
+
+def _forecast_cases(workdir) -> list:
+    """The CI's k = 24 spec at a generic and a real alpha, and six meromorphic-form verify-pool jobs."""
+    pool = [(spec, alpha) for spec, alpha in _verify_pool_cases(1, workdir) if spec.is_meromorphic_form]
+    return [(K24, 0.3 + 0.2j), (K24, 0.5), *pool[:6]]
+
+
+def _centres_agree(got, want) -> bool:
+    """Same multiplicities, and every centre within rounding of the other's (below 1e-28 |z|)."""
+    return [cl.multiplicity for cl in got] == [cl.multiplicity for cl in want] and all(
+        abs(a.center - b.center) <= 1e-28 * abs(b.center) for a, b in zip(got, want)
+    )
+
+
+def test_a_wrong_forecast_costs_iterations_not_roots(monkeypatch, tmp_path):
+    stuck = 0
+    for spec, alpha in _forecast_cases(tmp_path):
+        P = alpha_polynomial(spec, alpha)
+        n, k, radius = len(P) - 1, spec.k, 2 * (1 + np.abs(P[:-1] / P[-1]).max())
+        want = find_roots(P, max_multiplicity=2)  # the golden-angle start
+        shifted = [(s + 1) % (2 * k) for s in predict_sectors(spec, alpha, n)]
+        for wrong in (shifted, [0] * n):
+            try:
+                got = solver._find_roots_batch([P], solver.DEFAULT_ROOT_TOL, 2, [(k, wrong)])[0]
+            except SolverError as exc:  # every root started in one sector: over MAX_ITERS at k = 24
+                assert wrong[0] == 0 and str(exc).startswith("simultaneous iteration did not converge")
+                stuck += 1
+                # alpha_points then takes the golden-angle start: its roots, bit for bit
+                monkeypatch.setattr(solver, "predict_sectors", lambda *args: wrong)
+                pts = alpha_points(spec, alpha, radius)
+                monkeypatch.undo()
+                assert [(pt.value, pt.multiplicity) for pt in pts] == [(cl.center, cl.multiplicity) for cl in want]
+                continue
+            assert _centres_agree(got, want), (spec, alpha, wrong[:4])
+    assert stuck
+
+
+def test_ranks_sharing_a_circle_and_a_sector_start_apart(tmp_path):
+    for spec, alpha in _forecast_cases(tmp_path):
+        P = alpha_polynomial(spec, alpha)
+        sc, n, k = solver._strip_and_scale(P)[0], len(P) - 1, spec.k
+        for sectors in (predict_sectors(spec, alpha, n), [0] * n):
+            u = solver._start_points(sc, (k, sectors))
+            assert len(np.unique(u)) == n
+            # each start inside its sector, on the circles of the default start
+            assert np.array_equal(np.floor(np.angle(u) / (np.pi / k)) % (2 * k), sectors)
+            assert np.allclose(np.abs(u), np.abs(solver._start_points(sc)), rtol=1e-15, atol=0)
+
+
+def test_forecast_start_cuts_the_verify_pool_iterations(monkeypatch, tmp_path):
+    # Aberth iterations a meromorphic-form job from the golden-angle start: generic
+    # alpha 11.29 / 11.71 (seeds 1 / 2), real-power alpha 11.92 / 12.92
+    calls = _counted_iterations(monkeypatch)
+    for seed in (1, 2):
+        iterations = {True: [], False: []}  # by: is alpha generic
+        for spec, alpha in _verify_pool_cases(seed, tmp_path):
+            if spec.is_meromorphic_form:
+                calls.clear()
+                alpha_points(spec, alpha, 1.0)
+                generic = real_direction_index(normalized_alpha(spec, alpha), spec.p, spec.k) is None
+                iterations[generic].append(len(calls))
+        assert np.mean(iterations[True]) <= 7.0 and np.mean(iterations[False]) <= 10.0, (seed, iterations)
