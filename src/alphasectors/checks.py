@@ -23,6 +23,7 @@ report goes through, names each step that descends in modulus.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -341,13 +342,19 @@ def _ceil_half(a: int) -> int:
 
 
 def predict_first_location(spec: StructuredFunction, alpha: complex) -> FirstPointForecast:
-    """Where the minimum-modulus alpha-point of a meromorphic-form spec falls."""
+    """Where the minimum-modulus alpha-point of a meromorphic-form spec falls.
+
+    ValueError when alpha is 0, or when alpha over the normalization
+    constant underflows to 0 or overflows.
+    """
     if not spec.is_meromorphic_form:
         raise ValueError("first-point prediction requires A0 = 0 and empty c, d lists")
     p, k = spec.p, spec.k
-    an = normalized_alpha(spec, alpha)
-    if an == 0:
+    if complex(alpha) == 0:
         raise ValueError("alpha must be nonzero")
+    an = normalized_alpha(spec, alpha)
+    if an == 0 or not cmath.isfinite(an):
+        raise ValueError(f"alpha over the normalization constant is {an}, not a finite nonzero number")
     sector, on_ray = classify_sector(an, k)
     q, kappa = split_index(sector.s, k)
     if not on_ray:
@@ -387,15 +394,37 @@ def predict_first_location(spec: StructuredFunction, alpha: complex) -> FirstPoi
     return FirstPointForecast("pair-of-sectors", sectors, ray_rotation=m)
 
 
+def meromorphic_equivalent(spec: StructuredFunction, alpha: complex) -> tuple[StructuredFunction, complex]:
+    """A spec with c or d factors as a meromorphic-form spec M, and the alpha at which M has its alpha-points.
+
+    z^-k + c = c z^-k (z^k + 1/c) and z^-k - d = -d z^-k (z^k - 1/d), so G
+    is prod(c) / prod(-d) times M = (p - k (#c - #d), k, a + 1/c, b + 1/d),
+    and G = alpha exactly where M = alpha prod(-d) / prod(c).  M's own range
+    checks raise ValueError.
+    """
+    k = spec.k
+    m = StructuredFunction(
+        p=spec.p - k * (len(spec.c) - len(spec.d)),
+        k=k,
+        a=spec.a + tuple(1 / c for c in spec.c),
+        b=spec.b + tuple(1 / d for d in spec.d),
+        A=spec.A,
+    )
+    return m, complex(alpha) * math.prod(-d for d in spec.d) / math.prod(spec.c)
+
+
 def predict_sectors(spec: StructuredFunction, alpha: complex, n: int) -> list[int]:
-    """The sector index of each of the first n alpha-points of a meromorphic-form spec, by modulus.
+    """The sector index of each of the first n alpha-points of a spec with A0 = 0, by modulus.
 
     Off the dichotomy: predict_first_location's sector, then hops (_hops).  On
     it (Im alpha^k = 0): the forecast's ray (as classify_sector labels a point
     there) or pair, then reflection pairs Q_2m, Q_(-2s-2m-1), m falling by
     p^-1 mod k a group.  A later point on the line is not foreseen: the pair
-    of sectors beside it stands in.
+    of sectors beside it stands in.  A spec with c or d factors is forecast
+    as its meromorphic_equivalent.
     """
+    if spec.A0 == 0 and (spec.c or spec.d):
+        spec, alpha = meromorphic_equivalent(spec, alpha)
     first = predict_first_location(spec, alpha)
     p, k = spec.p, spec.k
     an = normalized_alpha(spec, alpha)

@@ -31,23 +31,34 @@ _finish: on every polynomial at the end of the pass, and on the roots
 alpha_points reuses.  The iteration cap (MAX_ITERS) and the cluster distance
 (DEFAULT_CLUSTER_TOL) are fixed; only the root tolerance and the multiplicity
 bound are parameters.
+_group and _check_simple first screen the pairs of roots that could be near
+(_close_pairs: a window over the sorted moduli, widened so that rounding
+never drops a pair) and run their distance test on those alone; the n x n
+matrices are formed only when a screened pair passes it.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it at the default root tolerance.
-A meromorphic-form spec starts Aberth in the sectors the paper predicts
-(checks.predict_sectors); should that solve fail, the default start decides.
+A rational spec starts Aberth in the sectors the paper predicts
+(checks.predict_sectors; a spec with c or d factors through its meromorphic
+equivalent); should that solve fail, or the forecast not apply, the default
+start decides.  Its points are accepted in one array pass (_accept) that
+gives, byte for byte, what the per-point loop (_accept_each) gives: the
+residual by CPython's own complex arithmetic rebuilt on the real and
+imaginary parts, sectors from np.arctan2 with classify_sector at the angle
+test's threshold.  The loop decides where the pass cannot follow it: |k| or
+|p| above 100, or any overflow or non-finite value.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .checks import normalized_alpha, predict_sectors
+from .checks import predict_sectors
 from .functions import (
     AlphaPoint,
     DEFAULT_POLE_TOL,
@@ -59,7 +70,7 @@ from .functions import (
     evaluate_G,
     pole_in_band,
 )
-from .sectors import classify_sector, phase
+from .sectors import DEFAULT_ANGLE_TOL, SectorIndex, classify_sector, phase
 
 DEFAULT_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-7
@@ -447,6 +458,28 @@ def _subsplit(horner: _Horner, u: np.ndarray, which: int) -> list[list[int]]:
     return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
 
 
+_SCREEN_SLACK = 1e-6  # relative widening of _close_pairs' window; its rounding is a few ulps
+
+
+def _close_pairs(z: np.ndarray, t: float, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) that may satisfy |z_i - z_j| <= t (a + max(|z_i|, |z_j|)); none that does is missed.
+
+    Such a pair has moduli within t (a + m) of each other, m the larger, since
+    |z_i - z_j| >= | |z_i| - |z_j| |.  A window over the sorted moduli keeps
+    the pairs whose moduli are that close, t widened by _SCREEN_SLACK and an
+    absolute 1e-300 so that rounding cannot drop one.  Each pair is listed
+    once; the caller runs its exact comparison on these alone.
+    """
+    m = np.abs(z)
+    order = np.argsort(m, kind="stable")
+    ms = m[order]
+    t *= 1 + _SCREEN_SLACK
+    counts = np.searchsorted(ms, (ms + t * a) / (1 - t) + 1e-300, side="right") - np.arange(1, len(ms) + 1)
+    first = np.repeat(np.arange(len(ms)), counts)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    return order[first], order[second]
+
+
 def _group(u: np.ndarray, lam: float, horner: _Horner, which: int):
     """Aberth's iterates u of polynomial which of horner, grouped one root a group.
 
@@ -454,17 +487,21 @@ def _group(u: np.ndarray, lam: float, horner: _Horner, which: int):
     _subsplit parts each cluster into those that cannot be told apart.  Returns
     each group's members z = lam u, centre (their mean) and radius (the farthest
     member's distance from it); a centre beyond double range raises SolverError.
-    With no pair joined, the usual case of distinct simple roots, the groups
-    are the iterates themselves, one each in index order, read off the arrays.
+    The pairs near enough to be joined are screened first (_close_pairs) and
+    only those compared; with no pair joined, the usual case of distinct
+    simple roots, the groups are the iterates themselves, one each in index
+    order, read off the arrays, and no n x n matrix is formed.
     """
     roots = u * lam
-    scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
-    near = np.abs(roots[:, None] - roots[None, :]) < math.sqrt(DEFAULT_CLUSTER_TOL) * scale
-    np.fill_diagonal(near, False)
-    if not near.any():
-        if not np.isfinite(roots).all():
-            raise SolverError("a root lies beyond double range")
+    if not np.isfinite(roots).all():
+        raise SolverError("a root lies beyond double range")
+    reach = math.sqrt(DEFAULT_CLUSTER_TOL)
+    i, j = _close_pairs(roots, reach, 1.0)
+    if not (np.abs(roots[i] - roots[j]) < reach * (1.0 + np.abs(roots[i] + roots[j]) / 2)).any():
         return [(z,) for z in roots.tolist()], roots, [0.0] * len(roots)
+    scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
+    near = np.abs(roots[:, None] - roots[None, :]) < reach * scale
+    np.fill_diagonal(near, False)
     groups = []
     for idx in _components(near):
         # keep close but genuinely distinguishable simple roots separate
@@ -790,8 +827,13 @@ def _check_simple(z: np.ndarray, last: np.ndarray) -> None:
 
     Either its last Newton step is still far above rounding level, or it
     settled within _DUPLICATE_TOL of another simple root.  Reporting it would
-    count one root twice and lose another.
+    count one root twice and lose another.  Every step settled and no pair
+    screened by _close_pairs that close, the n x n gaps are never formed.
     """
+    if not (last > _UNSETTLED).any():
+        i, j = _close_pairs(z, _DUPLICATE_TOL, 0.0)
+        if not (np.abs(z[i] - z[j]) <= _DUPLICATE_TOL * np.maximum(np.abs(z[i]), np.abs(z[j]))).any():
+            return
     az = np.abs(z)
     gap = np.abs(z[:, None] - z[None, :])
     np.fill_diagonal(gap, np.inf)
@@ -862,9 +904,12 @@ def alpha_points(
         carried = None
     if len(P) - 1 > DEGREE_CAP:
         raise ValueError(f"degree {len(P) - 1} exceeds the cap {DEGREE_CAP}")
-    forecast = None  # the paper predicts sectors in meromorphic form, for alpha normalized in range
-    if isinstance(spec, StructuredFunction) and spec.is_meromorphic_form and cmath.isfinite(normalized_alpha(spec, alpha)):
-        forecast = (spec.k, predict_sectors(spec, alpha, len(P) - 1))
+    forecast = None
+    if isinstance(spec, StructuredFunction):
+        try:  # the paper's sectors; a spec or alpha out of the forecast's range keeps the default start
+            forecast = (spec.k, predict_sectors(spec, alpha, len(P) - 1))
+        except ValueError:
+            pass
 
     root_tol = min(tol, DEFAULT_ROOT_TOL)
     if carried is not None and root_tol == DEFAULT_ROOT_TOL:
@@ -877,10 +922,32 @@ def alpha_points(
             clusters = _find_roots_batch([P], root_tol, 2, [forecast])[0]
         except SolverError:
             clusters = find_roots(P, tol=root_tol, max_multiplicity=2)
+    values = None
     if isinstance(spec, SeriesFunction):
         # P, the series shifted by alpha, at every centre
         with np.errstate(all="ignore"):  # centres beyond the radius may overflow
             values = np.polyval(P[::-1], np.array([cl.center for cl in clusters], complex))
+    pts = _accept(spec, alpha, clusters, radius, tol, k_eff, values)
+    if pts is None:
+        pts = _accept_each(spec, alpha, clusters, radius, tol, k_eff, values)
+    return pts  # in the clusters' order, which _finish sorted by modulus then argument
+
+
+def _failed(failures: list[RootCluster]) -> SolverError:
+    return SolverError(
+        "pole-adjacent or unresolved clusters: "
+        + ", ".join(f"{cl.center:.6g} (x{cl.multiplicity})" for cl in failures),
+        residuals=[abs(cl.center) for cl in failures],
+    )
+
+
+def _accept_each(spec, alpha: complex, clusters: list[RootCluster], radius: float, tol: float, k_eff: int, values):
+    """The accepted points of alpha_points, one cluster at a time in Python.
+
+    Decides every input _accept passes on: a spec with |k| or |p| above 100,
+    where complex ** leaves its integer path, and any overflow, zero
+    division or non-finite value on the way, each raising as it arises.
+    """
     pts: list[AlphaPoint] = []
     failures = []
     for i, cl in enumerate(clusters):
@@ -906,9 +973,153 @@ def alpha_points(
         sector, boundary = classify_sector(z, k_eff)
         pts.append(AlphaPoint(z, abs(z), sector, boundary, cl.multiplicity, residual))
     if failures:
-        raise SolverError(
-            "pole-adjacent or unresolved clusters: "
-            + ", ".join(f"{cl.center:.6g} (x{cl.multiplicity})" for cl in failures),
-            residuals=[abs(cl.center) for cl in failures],
-        )
-    return pts  # in the clusters' order, which _finish sorted by modulus then argument
+        raise _failed(failures)
+    return pts
+
+
+def _c_prod(ar, ai, br, bi):
+    """CPython's complex product (_Py_c_prod) on the real and imaginary parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _divisor(br, bi):
+    """What CPython's complex quotient (_Py_c_quot) reads off the divisor b: (|re b| >= |im b|, ratio, denominator).
+
+    Both ratio branches are formed and joined by np.where, the one not taken
+    dividing by whichever part the other picks.
+    """
+    pick = np.abs(br) >= np.abs(bi)
+    ratio = np.where(pick, bi / br, br / bi)
+    return pick, ratio, np.where(pick, br + bi * ratio, br * ratio + bi)
+
+
+def _divide(ar, ai, divisor):
+    """a / b by _Py_c_quot's branches, for divisor = _divisor(b)."""
+    pick, ratio, denom = divisor
+    p, q = ai * ratio, ar * ratio
+    return np.where(pick, ar + p, q + ai) / denom, np.where(pick, ai - q, p - ar) / denom
+
+
+def _c_pow(zr, zi, n: int):
+    """z ** n as CPython forms it for an integer 0 < |n| <= 100: c_powu's binary powering, right to left, from 1.
+
+    A negative n takes 1 / z^|n| by the same quotient.
+    """
+    rr, ri = 1.0, 0.0
+    mask, e = 1, abs(n)
+    while True:
+        if e & mask:
+            rr, ri = _c_prod(rr, ri, zr, zi)
+        mask <<= 1
+        if mask > e:
+            break
+        zr, zi = _c_prod(zr, zi, zr, zi)
+    return (rr, ri) if n > 0 else _divide(1.0, 0.0, _divisor(rr, ri))
+
+
+_ANGLE_MARGIN = 1e-12  # rad: np.arctan2 is within an ulp or so of math.atan2, far inside this
+
+
+def _accept(spec, alpha: complex, clusters: list[RootCluster], radius: float, tol: float, k_eff, values):
+    """_accept_each in one array pass over the centres, byte for byte, or None where that loop must decide.
+
+    The residual |G(z) - alpha| takes CPython's own complex arithmetic on
+    the parts (_c_prod, _divide, _c_pow), in the order of evaluate_G: the
+    factor table's rows in turn, a zero row times x + v, a pole row over
+    x - v.  Moduli and residuals are np.hypot, as abs of a complex is.  The
+    pole band (DEFAULT_POLE_TOL) and the 1e-3 gate are masks, and the
+    failures keep the clusters' order.  Sectors come from np.arctan2, which
+    may differ from math.atan2 in the last bit; a point within
+    _ANGLE_MARGIN of the boundary test's threshold takes classify_sector.
+    Whenever an overflow, a zero division or a non-finite value arises, or
+    |k| or |p| exceeds 100, None hands the decision back to _accept_each.
+    """
+    if type(k_eff) is not int or not 0 < k_eff < math.pi / (4 * DEFAULT_ANGLE_TOL):
+        return None  # classify_sector refuses this k
+    series = values is not None
+    centres = [cl.center for cl in clusters]
+    z = np.array(centres, complex)
+    zr, zi = z.real, z.imag
+    mod = np.hypot(zr, zi)
+    if series and not z.all() or not np.isfinite(mod).all():
+        return None
+    idx = np.flatnonzero((z != 0) & ~(mod > radius))
+    mults = [cl.multiplicity for cl in clusters]
+    if len(idx) < len(z):
+        zr, zi, mod = zr[idx], zi[idx], mod[idx]
+        centres, mults = [centres[i] for i in idx.tolist()], [mults[i] for i in idx.tolist()]
+    if series:
+        residual = np.hypot(values.real, values.imag)[idx]
+        if not np.isfinite(residual).all():
+            return None
+    else:
+        if abs(spec.k) > 100 or abs(spec.p) > 100:
+            return None
+        with np.errstate(all="ignore"):  # each quotient branch divides by the part the other picks
+            found = _residuals(spec, alpha, zr, zi)
+        if found is None:
+            return None
+        residual, band, gate = found
+        keep = ~band & ~((residual > tol * (1 + abs(alpha))) & ~gate)
+        if not keep.all():
+            raise _failed([clusters[i] for i in idx[~keep]])
+    step = math.pi / k_eff
+    theta = np.arctan2(zi, zr)
+    nearest = np.rint(theta / step)
+    off = np.abs(theta - nearest * step)
+    boundary = off <= DEFAULT_ANGLE_TOL
+    sectors = np.where(boundary, nearest, np.floor(theta / step)).astype(np.intp) % (2 * k_eff)
+    sectors, boundary = sectors.tolist(), boundary.tolist()
+    for j in np.flatnonzero(np.abs(off - DEFAULT_ANGLE_TOL) <= _ANGLE_MARGIN).tolist():
+        sector, boundary[j] = classify_sector(centres[j], k_eff)
+        sectors[j] = sector.s
+    index = {s: _sector(s, k_eff) for s in set(sectors)}
+    sectors = [index[s] for s in sectors]
+    return list(map(AlphaPoint, centres, mod.tolist(), sectors, boundary, mults, residual.tolist()))
+
+
+@lru_cache(maxsize=1024)
+def _sector(s: int, k: int) -> SectorIndex:
+    """Q_s for s in [0, 2k), one shared instance for every point in it."""
+    return SectorIndex(s, k)
+
+
+def _residuals(spec: StructuredFunction, alpha: complex, zr: np.ndarray, zi: np.ndarray):
+    """(|G(z) - alpha|, in the DEFAULT_POLE_TOL band, within 1e-3 of a pole) at each z, evaluate_G's bits.
+
+    Python's x + v adds complex(v, 0.0), so a zero row's imaginary part is
+    im x + 0.0 (turning -0.0 into +0.0), and a pole row's im x - 0.0 is im x.
+    The pole rows' divisors x - v, which do not depend on the running
+    product, are read off (_divisor) for all of them at once.  None when
+    z^k, z^p or z^-k is not a finite number, or the residual off the band is
+    not: there evaluate_G raises or abs may.
+    """
+    wr, wi = _c_pow(zr, zi, spec.k)
+    vr, vi = _c_pow(zr, zi, spec.p)
+    sides = [(wr, wi)]
+    if spec.c or spec.d:
+        sides.append(_divide(1.0, 0.0, _divisor(wr, wi)))
+    if not all(np.isfinite(x).all() for side in [(vr, vi), *sides] for x in side):
+        return None
+    poles = [(v, recip) for v, is_pole, recip in spec.factors if is_pole]
+    band = gate = np.zeros(len(zr), bool)
+    if poles:
+        v = np.array([v for v, _ in poles])[:, None]
+        br = np.array([sides[recip][0] for _, recip in poles]) - v
+        bi = np.array([sides[recip][1] for _, recip in poles])
+        dist = np.hypot(br, bi)
+        band = (dist <= DEFAULT_POLE_TOL * v).any(axis=0)
+        gate = (dist <= 1e-3 * v).any(axis=0)
+        divisors = _divisor(br, bi)
+    shifted = [xi + 0.0 for _, xi in sides]
+    j = 0
+    for v, is_pole, recip in spec.factors:
+        if is_pole:
+            vr, vi = _divide(vr, vi, [x[j] for x in divisors])
+            j += 1
+        else:
+            vr, vi = _c_prod(vr, vi, sides[recip][0] + v, shifted[recip])
+    residual = np.hypot(vr - alpha.real, vi - alpha.imag)
+    if not np.isfinite(residual[~band]).all():
+        return None
+    return residual, band, gate

@@ -15,6 +15,11 @@ solver's own checks and multiple-root polish, and from a verbatim copy of
 _group (with its _components) as it stood before distinct simple roots
 skipped the union-find.  test_solver holds the current solve to this one's
 multiplicities and centres, and the current _group to the copy's groups.
+Last, verbatim copies of alpha_points' per-point loop (accept_points), as it
+ran before the array acceptance pass, and of the n x n matrix decisions of
+_group (group_joins) and _check_simple (check_simple), as they ran before the
+sorted-moduli screens: test_solver compares the pass and the screens with
+these, byte for byte.
 Loaded inside the package (see helpers.load_frozen) so that its relative
 imports resolve.
 """
@@ -25,10 +30,13 @@ import math
 
 import numpy as np
 
+from .functions import DEFAULT_POLE_TOL, AlphaPoint, PoleProximity, SeriesFunction, evaluate_G, pole_in_band
+from .sectors import classify_sector
 from .solver import (
     _ANGLE_OFFSET,
     _BINOMIAL_TURN,
     _DENSE,
+    _DUPLICATE_TOL,
     _LOG_MAX,
     _POLYPHASE,
     DEFAULT_CLUSTER_TOL,
@@ -36,7 +44,6 @@ from .solver import (
     MAX_ITERS,
     RootCluster,
     SolverError,
-    _check_simple,
     _extended_polish,
     _finish,
     _Horner,
@@ -46,6 +53,7 @@ from .solver import (
     _polish_simple,
     _stride,
     _strip_and_scale,
+    _UNSETTLED,
     _subsplit,
     find_roots as _find_roots,
 )
@@ -225,10 +233,77 @@ def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | No
         dense = stride == _DENSE and n >= _POLYPHASE_DEGREE
         polish_stride = _POLYPHASE if dense else stride
         centres[simple], last = _polish_simple([original], centres[simple], polish_stride, np.zeros(len(simple), np.intp))
-        _check_simple(centres[simple], last)
+        check_simple(centres[simple], last)
     multiple = np.flatnonzero(sizes > 1)
     if len(multiple):
         centres[multiple] = _extended_polish(original, centres[multiple].tolist(), sizes[multiple].tolist())
     clusters = [RootCluster(0j, (0j,) * m0, m0, 0.0)] if m0 else []
     clusters += [RootCluster(complex(c), ms, len(ms), r) for ms, c, r in zip(members, centres, radii)]
     return _finish(clusters, max_multiplicity)
+
+
+def accept_points(spec, alpha: complex, clusters: list, radius: float, tol: float, k_eff: int, values) -> list:
+    """alpha_points' per-point loop: values holds the shifted series at every centre, None for a rational spec."""
+    pts: list[AlphaPoint] = []
+    failures = []
+    for i, cl in enumerate(clusters):
+        z = cl.center
+        if z == 0:
+            if isinstance(spec, SeriesFunction):
+                raise SolverError("alpha-point at the origin is outside the sector model")
+            continue  # spurious origin root introduced by clearing z^-k factors
+        if abs(z) > radius:
+            continue
+        if isinstance(spec, SeriesFunction):
+            residual = abs(complex(values[i]))
+        else:
+            try:
+                residual = abs(evaluate_G(spec, z, pole_tol=DEFAULT_POLE_TOL) - alpha)
+            except PoleProximity:
+                failures.append(cl)
+                continue
+            # a large residual 1e-3 (relative) or more from every pole is a failed root
+            if residual > tol * (1 + abs(alpha)) and pole_in_band(spec, z**spec.k, 1e-3) is None:
+                failures.append(cl)
+                continue
+        sector, boundary = classify_sector(z, k_eff)
+        pts.append(AlphaPoint(z, abs(z), sector, boundary, cl.multiplicity, residual))
+    if failures:
+        raise SolverError(
+            "pole-adjacent or unresolved clusters: "
+            + ", ".join(f"{cl.center:.6g} (x{cl.multiplicity})" for cl in failures),
+            residuals=[abs(cl.center) for cl in failures],
+        )
+    return pts
+
+
+def group_joins(u: np.ndarray, lam: float) -> bool:
+    """Whether _group's distance matrix joins any two of the iterates u (scaled by lam)."""
+    roots = u * lam
+    scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
+    near = np.abs(roots[:, None] - roots[None, :]) < math.sqrt(DEFAULT_CLUSTER_TOL) * scale
+    np.fill_diagonal(near, False)
+    return bool(near.any())
+
+
+def check_simple(z: np.ndarray, last: np.ndarray) -> None:
+    """Raise SolverError when an iterate polished as a simple root is not a root of its own.
+
+    Either its last Newton step is still far above rounding level, or it
+    settled within _DUPLICATE_TOL of another simple root.  Reporting it would
+    count one root twice and lose another.
+    """
+    az = np.abs(z)
+    gap = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(gap, np.inf)
+    near = gap.argmin(axis=1)
+    nearest = gap[np.arange(len(z)), near]
+    bad = np.flatnonzero((last > _UNSETTLED) | (nearest <= _DUPLICATE_TOL * np.maximum(az, az[near])))
+    if not len(bad):
+        return
+    j = bad[np.argmax(last[bad])]
+    message = f"iterate at {z[j]:.17g} is not a simple root of its own: last polish step {last[j]:.2g} of |z|"
+    if len(z) > 1:
+        i = near[j]
+        message += f"; nearest simple root {z[i]:.17g} is {nearest[j] / az[j]:.2g} of |z| away"
+    raise SolverError(message, residuals=[last[j]])

@@ -15,8 +15,9 @@ from alphasectors import (
     verify_k2_distribution,
     verify_real_power_case,
 )
-from alphasectors.checks import group_by_modulus, normalized_alpha, predict_sectors
-from alphasectors.functions import AlphaPoint, alpha_polynomial
+from alphasectors import solver
+from alphasectors.checks import group_by_modulus, meromorphic_equivalent, normalized_alpha, predict_sectors
+from alphasectors.functions import AlphaPoint, alpha_polynomial, evaluate_G
 from alphasectors.sectors import classify_sector, unit_rotation
 
 from helpers import random_alpha_generic, random_alpha_real_direction, random_structured
@@ -110,6 +111,56 @@ def test_sector_forecast_holds_the_first_real_power_group():
         else:
             assert got == sorted(want), (spec, alpha)
     assert checked >= 50 and ray_pairs
+
+
+def _cd_sweep_case(rng):
+    """A spec with 1-4 c and d factors in e^+-1 (k 2-24, |p| <= 5 coprime to k, 0-3 a and b factors in e^+-1.5)."""
+    while True:
+        k = int(rng.integers(2, 25))
+        p = int(rng.choice([x for x in range(-5, 6) if x and math.gcd(abs(x), k) == 1]))
+        na, nb, nc, nd = (int(x) for x in rng.integers(0, 3, size=4))
+        if nc + nd:
+            a, b = (tuple(np.exp(rng.uniform(-1.5, 1.5, n)).tolist()) for n in (na, nb))
+            c, d = (tuple(np.exp(rng.uniform(-1.0, 1.0, n)).tolist()) for n in (nc, nd))
+            return StructuredFunction(p=p, k=k, a=a, b=b, c=c, d=d)
+
+
+def test_meromorphic_equivalent_has_the_same_alpha_points():
+    rng = np.random.default_rng(25)
+    for _ in range(40):
+        spec = _cd_sweep_case(rng)
+        alpha = complex(np.exp(rng.uniform(-1, 1) + 1j * rng.uniform(-math.pi, math.pi)))
+        m, alpha_m = meromorphic_equivalent(spec, alpha)
+        assert m.is_meromorphic_form and m.p % m.k == spec.p % spec.k
+        # G / alpha = M / alpha_m at every z, so the two alpha-sets are one
+        for z in np.exp(rng.uniform(-0.5, 0.5, 4) + 1j * rng.uniform(-math.pi, math.pi, 4)).tolist():
+            want = evaluate_G(m, z) / alpha_m
+            assert abs(evaluate_G(spec, z) / alpha - want) <= 1e-12 * abs(want)
+
+
+def test_sector_forecast_of_a_cd_spec_is_the_solved_sector_at_every_rank():
+    rng = np.random.default_rng(24)
+    checked = 0
+    for _ in range(60):
+        spec = _cd_sweep_case(rng)
+        alpha = complex(np.exp(rng.uniform(-2, 2) + 1j * rng.uniform(-math.pi, math.pi)))
+        pts, n = _every_point(spec, alpha)
+        assert len(pts) == n
+        if verify_generic_interlacing(pts, alpha, spec).passed:
+            assert predict_sectors(spec, alpha, n) == [pt.sector.s for pt in pts], (spec, alpha)
+            checked += 1
+    assert checked >= 50
+
+
+def test_a_cd_spec_whose_meromorphic_equivalent_is_out_of_range_keeps_the_default_start(monkeypatch):
+    spec = StructuredFunction(p=1, k=3, a=(1e200,), b=(2.0,), c=(1e-200,))  # M's a holds 1e200 twice
+    with pytest.raises(ValueError, match="field 'a'"):
+        predict_sectors(spec, 0.5 + 0.5j, 9)
+    starts = []
+    batch = solver._find_roots_batch
+    monkeypatch.setattr(solver, "_find_roots_batch", lambda *a, **kw: starts.append(a[3:]) or batch(*a, **kw))
+    alpha_points(spec, 0.5 + 0.5j, 1e80)
+    assert starts == [()]  # find_roots, with no forecast
 
 
 def test_interlacing_fig1_fixture():

@@ -345,6 +345,30 @@ def test_overflowing_spec_ends_in_one_error_line(tmp_path, payload, alpha, radiu
     assert len(lines) == 1 and lines[0].startswith("error: ") and "not a finite number" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "a, args, normalized",
+    [
+        (1e-100, ["predict", "--alpha=-1e9"], "(-inf+0j)"),
+        (1e-100, ["predict", "--alpha=1e9"], "(inf+0j)"),
+        (1e-100, ["verify", "--theorem", "first", "--alpha=-1e9", "--radius", "10"], "(-inf+0j)"),
+        (1e100, ["predict", "--alpha=1e-30"], "0j"),
+    ],
+    ids=["predict-negative", "predict-positive", "verify-first", "predict-underflow"],
+)
+def test_alpha_out_of_range_of_the_normalization_ends_in_one_error_line(tmp_path, a, args, normalized):
+    # the normalization constant is a^3: alpha over 1e-300 overflows, and over 1e300 underflows
+    spec_path = write_spec(tmp_path, {"type": "rational", "p": 1, "k": 3, "a": [a, a, a]})
+    src = os.path.dirname(os.path.dirname(alphasectors.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "alphasectors.cli", args[0], "--spec", spec_path, *args[1:]],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: alpha over the normalization constant is {normalized}, not a finite nonzero number"
+    ]
+
+
 def test_census_below_rounding_tolerance_finishes(tmp_path):
     # tol / 2^d under a panel's rounding noise is met at no depth; a panel
     # whose halves agree with it to rounding is accepted, where every panel

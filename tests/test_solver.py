@@ -1,4 +1,5 @@
 import cmath
+import contextlib
 import dataclasses
 import math
 import os
@@ -454,20 +455,26 @@ def _groups_bytes(members, centres, radii):
     ]
 
 
-def test_group_matches_the_union_find_grouping(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def screen_inputs(tmp_path_factory):
+    """The verify pools of seeds 1-2, the 36 q-series truncations and the 20 close-pair inputs."""
+    workdir = tmp_path_factory.mktemp("pools")
     qseries = []
     for family, t, N in QSERIES_GRID:
         src = np.asarray(_family_source(QSeriesSpec(family, 1j * t, N)), complex)
         qseries += [src[: N + 1], src[: N + 11]]
-    inputs = {
-        "verify": _verify_pool_polynomials(1, tmp_path) + _verify_pool_polynomials(2, tmp_path),
+    return {
+        "verify": _verify_pool_polynomials(1, workdir) + _verify_pool_polynomials(2, workdir),
         "qseries": qseries,
         "close-pair": _close_pair_polynomials(),
     }
+
+
+def test_group_matches_the_union_find_grouping(screen_inputs, monkeypatch):
     unions = []
     components = solver._components
     monkeypatch.setattr(solver, "_components", lambda near: unions.append(1) or components(near))
-    for name, polys in inputs.items():
+    for name, polys in screen_inputs.items():
         for coeffs in polys:
             sc, lam, m0 = solver._strip_and_scale(coeffs)
             stride = solver._stride(np.asarray(coeffs, complex)[m0 : m0 + len(sc)])
@@ -475,9 +482,69 @@ def test_group_matches_the_union_find_grouping(tmp_path, monkeypatch):
             (u,) = solver._aberth(horner, solver.DEFAULT_ROOT_TOL)
             unions.clear()
             got = _groups_bytes(*solver._group(u, lam, horner, 0))
-            # distinct simple roots skip the union-find; a close pair is joined, then subsplit
-            assert bool(unions) == (name == "close-pair"), name
+            # distinct simple roots pass the screen and skip the union-find; a close pair is
+            # joined, as the distance matrix joins it, then subsplit
+            assert bool(unions) == REFERENCE.group_joins(u, lam) == (name == "close-pair"), name
             assert got == _groups_bytes(*REFERENCE._group(u, lam, horner, 0)), name
+
+
+def _error_of(check, *args):
+    """The text and residuals of the SolverError check(*args) raises, or None."""
+    try:
+        check(*args)
+    except SolverError as exc:
+        return str(exc), np.array(exc.residuals).tobytes()
+    return None
+
+
+def test_check_simple_matches_the_gap_matrix(screen_inputs, monkeypatch):
+    seen = []
+    check = solver._check_simple
+    monkeypatch.setattr(solver, "_check_simple", lambda z, last: seen.append((z.copy(), last.copy())) or check(z, last))
+    for polys in screen_inputs.values():
+        for coeffs in polys:
+            with contextlib.suppress(SolverError):
+                find_roots(coeffs)
+    assert len(seen) == sum(map(len, screen_inputs.values()))
+    for z, last in seen:  # none of these settles as one root found twice: see the threshold test below
+        assert _error_of(check, z, last) == _error_of(REFERENCE.check_simple, z, last) is None
+
+
+def _ulps(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+def test_screens_keep_every_pair_at_the_threshold(monkeypatch):
+    # two points on one ray, the outer one a few ulps either side of the distance at which
+    # the matrix calls them one root found twice (_check_simple) or joins them (_group)
+    class Joined(Exception):
+        pass
+
+    def joined(near):
+        raise Joined
+
+    monkeypatch.setattr(solver, "_components", joined)
+    rng = np.random.default_rng(2027)
+    reach = math.sqrt(solver.DEFAULT_CLUSTER_TOL)
+    twice = joins = 0
+    for _ in range(300):
+        r, turn = math.exp(rng.uniform(-5, 5)), cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        for outer in (r / (1 - solver._DUPLICATE_TOL), (r * (1 + reach / 2) + reach) / (1 - reach / 2)):
+            for steps in range(-3, 4):
+                z = np.array([r * turn, _ulps(outer, steps) * turn])
+                last = np.full(2, 1e-16)
+                want = _error_of(REFERENCE.check_simple, z, last)
+                assert _error_of(solver._check_simple, z, last) == want, z
+                twice += want is not None
+                with contextlib.suppress(Joined):
+                    solver._group(z, 1.0, None, 0)
+                    assert not REFERENCE.group_joins(z, 1.0), z
+                    continue
+                assert REFERENCE.group_joins(z, 1.0), z
+                joins += 1
+    assert twice and joins
 
 
 def _polyval_newton_terms(sc, dsc, u):
@@ -1166,3 +1233,119 @@ def test_forecast_start_cuts_the_verify_pool_iterations(monkeypatch, tmp_path):
                 generic = real_direction_index(normalized_alpha(spec, alpha), spec.p, spec.k) is None
                 iterations[generic].append(len(calls))
         assert np.mean(iterations[True]) <= 7.0 and np.mean(iterations[False]) <= 10.0, (seed, iterations)
+
+
+# ---------------------------------------------------------------------------
+# alpha_points' array acceptance pass against its per-point loop
+# (REFERENCE.accept_points), byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _accepted(*args):
+    """alpha_points' acceptance: the array pass, or the per-point loop where the pass declines."""
+    pts = solver._accept(*args)
+    return solver._accept_each(*args) if pts is None else pts
+
+
+def _accept_outcome(accept, *args):
+    """Every field of every accepted point as bytes, or the failure's text and residuals."""
+    try:
+        pts = accept(*args)
+    except SolverError as exc:
+        return str(exc), np.array(exc.residuals).tobytes()
+    return [
+        (
+            np.complex128(pt.value).tobytes(),
+            np.float64(pt.modulus).tobytes(),
+            pt.sector,
+            pt.boundary,
+            pt.multiplicity,
+            np.float64(pt.residual).tobytes(),
+        )
+        for pt in pts
+    ]
+
+
+def _acceptance_spec(rng, k: int) -> StructuredFunction:
+    """A seeded rational spec: p of either sign coprime to k, 1-3 a and b factors, c and d in half of them."""
+    p = int(rng.choice([x for x in (-7, -5, -3, -2, -1, 1, 2, 3, 5, 7) if math.gcd(abs(x), k) == 1]))
+    a, b = (tuple(np.exp(rng.uniform(-1.5, 1.5, int(rng.integers(1, 4)))).tolist()) for _ in range(2))
+    c = d = ()
+    if rng.random() < 0.5:
+        c, d = (tuple(np.exp(rng.uniform(-1, 1, int(rng.integers(0, 3)))).tolist()) for _ in range(2))
+    return StructuredFunction(p=p, k=k, a=a, b=b, c=c, d=d)
+
+
+def _planted(spec, rng) -> list:
+    """Centres that are no alpha-points: each 1e-10, 5e-4 and 2e-3 (relative) off a pole in z^k, and
+    within 1e-9 +- 1e-12 rad of a ray."""
+    k = spec.k
+    out = []
+    for v in spec.b + tuple(1 / x for x in spec.d):  # the poles in w = z^k
+        for eps in (1e-10, 5e-4, 2e-3):
+            w = v * (1 + eps * cmath.exp(1j * rng.uniform(-math.pi, math.pi)))
+            out.append(w ** (1 / k) * unit_rotation(2 * int(rng.integers(0, k)), k))
+    for s in rng.integers(0, 2 * k, 3).tolist():
+        for off in (-1e-12, -3e-13, 0.0, 3e-13, 1e-12):
+            for side in (-1, 1):
+                out.append(math.exp(rng.uniform(-1, 1)) * cmath.exp(1j * (s * math.pi / k + side * (1e-9 + off))))
+    return [solver.RootCluster(z, (z,), 1, 0.0) for z in out]
+
+
+def test_acceptance_pass_matches_the_per_point_loop(monkeypatch):
+    loops = []
+    each = solver._accept_each
+    monkeypatch.setattr(solver, "_accept_each", lambda *args: loops.append(args) or each(*args))
+    rng = np.random.default_rng(23)
+    runs = failed = 0
+    for k in range(2, 41):
+        spec = _acceptance_spec(rng, k)
+        alpha = complex(np.exp(rng.uniform(-1, 1) + 1j * rng.uniform(-math.pi, math.pi)))
+        clusters = find_roots(alpha_polynomial(spec, alpha), max_multiplicity=2)
+        planted = _planted(spec, rng)
+        poles = 3 * (len(spec.b) + len(spec.d))  # the planted centres off the poles come first
+        gate = planted[1:poles:3]
+        radius = max(abs(cl.center) for cl in clusters)
+        for centres, rad, tol in (
+            (clusters, 2 * radius, solver.DEFAULT_TOL),
+            (clusters, radius / 2, solver.DEFAULT_TOL),
+            (clusters + gate, 2 * radius, solver.DEFAULT_TOL),  # inside the 1e-3 gate: accepted
+            (clusters + planted, 2 * radius, solver.DEFAULT_TOL),  # the band and beyond the gate: failures
+            (clusters + planted[poles:], 2 * radius, math.inf),  # by the rays
+        ):
+            args = (spec, alpha, centres, rad, tol, k, None)
+            got = _accept_outcome(_accepted, *args)
+            assert got == _accept_outcome(REFERENCE.accept_points, *args), (spec, alpha)
+            failed += isinstance(got, tuple)
+            runs += 1
+    assert not loops and failed >= 39
+    # |k| or |p| above 100: complex ** leaves its integer path, and the loop decides
+    for p, k in ((1, 101), (-101, 2)):
+        spec = StructuredFunction(p=p, k=k, a=(2.0,), b=(0.5,))
+        clusters = find_roots(alpha_polynomial(spec, 0.3 + 0.4j), max_multiplicity=2)
+        args = (spec, 0.3 + 0.4j, clusters, 10.0, solver.DEFAULT_TOL, spec.k, None)
+        assert _accept_outcome(_accepted, *args) == _accept_outcome(REFERENCE.accept_points, *args)
+    assert len(loops) == 2
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.25 - 0.5j])
+@pytest.mark.parametrize("name", FAMILY_SERIES)
+def test_acceptance_pass_matches_the_per_point_loop_on_series(name, alpha):
+    series = _family_series(*FAMILY_SERIES[name])
+    P = np.asarray(series.coeffs, complex) - np.eye(1, len(series.coeffs))[0] * alpha
+    clusters = find_roots(P, max_multiplicity=2)
+    values = np.polyval(P[::-1], np.array([cl.center for cl in clusters], complex))
+    for rad in (series.trust_radius, series.trust_radius / 3):
+        args = (series, alpha, clusters, rad, solver.DEFAULT_TOL, 2, values)
+        assert solver._accept(*args) is not None
+        assert _accept_outcome(solver._accept, *args) == _accept_outcome(REFERENCE.accept_points, *args)
+
+
+def test_acceptance_of_a_series_root_at_the_origin_is_the_loops_error():
+    series = SeriesFunction((0.0, 1.0, 2.0, 1.5), 1.0)
+    clusters = find_roots(series.coeffs, max_multiplicity=2)
+    values = np.polyval(np.asarray(series.coeffs, complex)[::-1], np.array([cl.center for cl in clusters]))
+    args = (series, 0.0, clusters, 1.0, solver.DEFAULT_TOL, 2, values)
+    want = _accept_outcome(REFERENCE.accept_points, *args)
+    assert want[0] == "alpha-point at the origin is outside the sector model"
+    assert _accept_outcome(_accepted, *args) == want
