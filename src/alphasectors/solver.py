@@ -41,12 +41,12 @@ reuses the roots truncate_series found for it at the default root tolerance.
 A rational spec starts Aberth in the sectors the paper predicts
 (checks.predict_sectors; a spec with c or d factors through its meromorphic
 equivalent); should that solve fail, or the forecast not apply, the default
-start decides.  Its points are accepted in one array pass (_accept) that
-gives, byte for byte, what the per-point loop (_accept_each) gives: the
-residual by CPython's own complex arithmetic rebuilt on the real and
-imaginary parts, sectors from np.arctan2 with classify_sector at the angle
-test's threshold.  The loop decides where the pass cannot follow it: |k| or
-|p| above 100, or any overflow or non-finite value.
+start decides.  One array pass (_accept) accepts its points: the residual
+on evaluate_G's bits (z^k and z^p by CPython's own z ** n, its complex
+product and quotient rebuilt on the parts), sectors from np.arctan2.  Where
+evaluate_G returns, the pass gives its points or SolverError byte for byte;
+where CPython's arithmetic would raise, a SolverError names the point and
+the quantity beyond double range.
 """
 
 from __future__ import annotations
@@ -62,13 +62,11 @@ from .checks import predict_sectors
 from .functions import (
     AlphaPoint,
     DEFAULT_POLE_TOL,
-    PoleProximity,
     SeriesFunction,
     StructuredFunction,
     _power,
     alpha_polynomial,
-    evaluate_G,
-    pole_in_band,
+    evaluate_G,  # noqa: F401 kept for the benchmark, which wraps it here
 )
 from .sectors import DEFAULT_ANGLE_TOL, SectorIndex, classify_sector, phase
 
@@ -874,12 +872,13 @@ def alpha_points(
     Structured specs must be rational (A = A0 = 0) and have alpha != 0; series
     specs must carry a trust radius covering the request (alpha = 0 is allowed
     there, meaning plain zeros of the truncation).  For series specs the sector
-    index k defaults to 2, the setting of the quadrant theorems; for
-    structured specs a k other than spec.k raises ValueError.  tol bounds
-    the residual of a rational spec's points, and the root tolerance is
-    min(tol, DEFAULT_ROOT_TOL); a series at alpha = 0 solved at the default
-    root tolerance takes the roots truncate_series carried instead of
-    solving again.
+    index k defaults to 2, the setting of the quadrant theorems, and must be
+    an integer in [1, pi / (4 DEFAULT_ANGLE_TOL)), the range classify_sector
+    takes; for structured specs a k other than spec.k raises ValueError.
+    tol bounds the residual of a rational spec's points, and the root
+    tolerance is min(tol, DEFAULT_ROOT_TOL); a series at alpha = 0 solved at
+    the default root tolerance takes the roots truncate_series carried
+    instead of solving again.
     """
     alpha = complex(alpha)
     if radius <= 0:
@@ -890,6 +889,9 @@ def alpha_points(
                 f"radius {radius} exceeds the certified trust radius {spec.trust_radius}"
             )
         k_eff = 2 if k is None else k
+        bound = math.pi / (4 * DEFAULT_ANGLE_TOL)  # classify_sector's bound on k
+        if type(k_eff) is not int or not 1 <= k_eff < bound:
+            raise ValueError(f"k must be an integer in [1, {bound:.10g}), pi/4 over the angle tolerance, got {k!r}")
         coeffs = np.asarray(spec.coeffs, complex)
         P = coeffs.copy()
         P[0] -= alpha
@@ -927,54 +929,8 @@ def alpha_points(
         # P, the series shifted by alpha, at every centre
         with np.errstate(all="ignore"):  # centres beyond the radius may overflow
             values = np.polyval(P[::-1], np.array([cl.center for cl in clusters], complex))
-    pts = _accept(spec, alpha, clusters, radius, tol, k_eff, values)
-    if pts is None:
-        pts = _accept_each(spec, alpha, clusters, radius, tol, k_eff, values)
-    return pts  # in the clusters' order, which _finish sorted by modulus then argument
-
-
-def _failed(failures: list[RootCluster]) -> SolverError:
-    return SolverError(
-        "pole-adjacent or unresolved clusters: "
-        + ", ".join(f"{cl.center:.6g} (x{cl.multiplicity})" for cl in failures),
-        residuals=[abs(cl.center) for cl in failures],
-    )
-
-
-def _accept_each(spec, alpha: complex, clusters: list[RootCluster], radius: float, tol: float, k_eff: int, values):
-    """The accepted points of alpha_points, one cluster at a time in Python.
-
-    Decides every input _accept passes on: a spec with |k| or |p| above 100,
-    where complex ** leaves its integer path, and any overflow, zero
-    division or non-finite value on the way, each raising as it arises.
-    """
-    pts: list[AlphaPoint] = []
-    failures = []
-    for i, cl in enumerate(clusters):
-        z = cl.center
-        if z == 0:
-            if isinstance(spec, SeriesFunction):
-                raise SolverError("alpha-point at the origin is outside the sector model")
-            continue  # spurious origin root introduced by clearing z^-k factors
-        if abs(z) > radius:
-            continue
-        if isinstance(spec, SeriesFunction):
-            residual = abs(complex(values[i]))
-        else:
-            try:
-                residual = abs(evaluate_G(spec, z, pole_tol=DEFAULT_POLE_TOL) - alpha)
-            except PoleProximity:
-                failures.append(cl)
-                continue
-            # a large residual 1e-3 (relative) or more from every pole is a failed root
-            if residual > tol * (1 + abs(alpha)) and pole_in_band(spec, z**spec.k, 1e-3) is None:
-                failures.append(cl)
-                continue
-        sector, boundary = classify_sector(z, k_eff)
-        pts.append(AlphaPoint(z, abs(z), sector, boundary, cl.multiplicity, residual))
-    if failures:
-        raise _failed(failures)
-    return pts
+    # in the clusters' order, which _finish sorted by modulus then argument
+    return _accept(spec, alpha, clusters, radius, tol, k_eff, values)
 
 
 def _c_prod(ar, ai, br, bi):
@@ -1000,69 +956,65 @@ def _divide(ar, ai, divisor):
     return np.where(pick, ar + p, q + ai) / denom, np.where(pick, ai - q, p - ar) / denom
 
 
-def _c_pow(zr, zi, n: int):
-    """z ** n as CPython forms it for an integer 0 < |n| <= 100: c_powu's binary powering, right to left, from 1.
+_RAISED = complex(math.nan, math.nan)  # _cpow's value where ** raises
 
-    A negative n takes 1 / z^|n| by the same quotient.
-    """
-    rr, ri = 1.0, 0.0
-    mask, e = 1, abs(n)
-    while True:
-        if e & mask:
-            rr, ri = _c_prod(rr, ri, zr, zi)
-        mask <<= 1
-        if mask > e:
-            break
-        zr, zi = _c_prod(zr, zi, zr, zi)
-    return (rr, ri) if n > 0 else _divide(1.0, 0.0, _divisor(rr, ri))
+
+def _cpow(centres: list[complex], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """z ** n at each centre by CPython's own complex power, and where ** raises (NaN there)."""
+    out = []
+    for z in centres:
+        try:
+            out.append(z**n)
+        except (OverflowError, ZeroDivisionError):  # a part beyond double range, or 0 to a negative power
+            out.append(_RAISED)
+    return np.array(out, complex), np.array([x is _RAISED for x in out], bool)
+
+
+def _abs(re, im) -> tuple[np.ndarray, np.ndarray]:
+    """abs of re + i im as CPython takes it, and where abs raises OverflowError: finite parts, infinite modulus."""
+    r = np.hypot(re, im)
+    r[np.isnan(r)] = math.nan  # CPython's NaN: hypot keeps an operand's, sign bit and all
+    return r, np.isfinite(re) & np.isfinite(im) & np.isinf(r)
 
 
 _ANGLE_MARGIN = 1e-12  # rad: np.arctan2 is within an ulp or so of math.atan2, far inside this
 
 
-def _accept(spec, alpha: complex, clusters: list[RootCluster], radius: float, tol: float, k_eff, values):
-    """_accept_each in one array pass over the centres, byte for byte, or None where that loop must decide.
+def _accept(spec, alpha: complex, clusters: list[RootCluster], radius: float, tol: float, k_eff: int, values):
+    """alpha_points' points among the clusters' centres, or its SolverError, in one array pass.
 
-    The residual |G(z) - alpha| takes CPython's own complex arithmetic on
-    the parts (_c_prod, _divide, _c_pow), in the order of evaluate_G: the
-    factor table's rows in turn, a zero row times x + v, a pole row over
-    x - v.  Moduli and residuals are np.hypot, as abs of a complex is.  The
-    pole band (DEFAULT_POLE_TOL) and the 1e-3 gate are masks, and the
-    failures keep the clusters' order.  Sectors come from np.arctan2, which
-    may differ from math.atan2 in the last bit; a point within
-    _ANGLE_MARGIN of the boundary test's threshold takes classify_sector.
-    Whenever an overflow, a zero division or a non-finite value arises, or
-    |k| or |p| exceeds 100, None hands the decision back to _accept_each.
+    The origin (an error for a series), centres beyond the radius and moduli
+    beyond double range are dropped.  A rational spec's point fails in the
+    pole band, or when its residual exceeds tol (1 + |alpha|) with every pole
+    1e-3 (relative) or more away; the first centre where CPython's arithmetic
+    would raise raises before the failures.  Sectors come from np.arctan2,
+    which may differ from math.atan2 in the last bit: within _ANGLE_MARGIN of
+    the angle test's threshold, classify_sector decides.
     """
-    if type(k_eff) is not int or not 0 < k_eff < math.pi / (4 * DEFAULT_ANGLE_TOL):
-        return None  # classify_sector refuses this k
-    series = values is not None
     centres = [cl.center for cl in clusters]
     z = np.array(centres, complex)
-    zr, zi = z.real, z.imag
-    mod = np.hypot(zr, zi)
-    if series and not z.all() or not np.isfinite(mod).all():
-        return None
-    idx = np.flatnonzero((z != 0) & ~(mod > radius))
-    mults = [cl.multiplicity for cl in clusters]
-    if len(idx) < len(z):
-        zr, zi, mod = zr[idx], zi[idx], mod[idx]
-        centres, mults = [centres[i] for i in idx.tolist()], [mults[i] for i in idx.tolist()]
-    if series:
-        residual = np.hypot(values.real, values.imag)[idx]
-        if not np.isfinite(residual).all():
-            return None
-    else:
-        if abs(spec.k) > 100 or abs(spec.p) > 100:
-            return None
-        with np.errstate(all="ignore"):  # each quotient branch divides by the part the other picks
-            found = _residuals(spec, alpha, zr, zi)
-        if found is None:
-            return None
-        residual, band, gate = found
-        keep = ~band & ~((residual > tol * (1 + abs(alpha))) & ~gate)
-        if not keep.all():
-            raise _failed([clusters[i] for i in idx[~keep]])
+    with np.errstate(all="ignore"):  # a modulus may overflow; each quotient branch divides by the part the other picks
+        mod = np.hypot(z.real, z.imag)
+        idx = np.flatnonzero((z != 0) & ~(mod > radius) & np.isfinite(mod))
+        zr, zi, mod = z.real[idx], z.imag[idx], mod[idx]
+        centres = [centres[i] for i in idx.tolist()]
+        if values is None:
+            residual, keep, faults = _residuals(spec, alpha, centres, tol)
+        else:
+            residual, over = _abs(values.real[idx], values.imag[idx])
+            keep, faults = np.ones(len(idx), bool), [(over, "the residual")]
+    raised = np.logical_or.reduce([mask for mask, _ in faults])
+    first = idx[raised][0] if raised.any() else len(z)
+    if values is not None and not z[:first].all():
+        raise SolverError("alpha-point at the origin is outside the sector model")
+    if raised.any():
+        j = int(raised.argmax())
+        what = next(what for mask, what in faults if mask[j])
+        raise SolverError(f"alpha-point candidate {centres[j]!r}: {what} lies beyond double range")
+    if not keep.all():
+        failed = [clusters[i] for i in idx[~keep]]
+        listed = ", ".join(f"{cl.center:.6g} (x{cl.multiplicity})" for cl in failed)
+        raise SolverError(f"pole-adjacent or unresolved clusters: {listed}", residuals=[abs(cl.center) for cl in failed])
     step = math.pi / k_eff
     theta = np.arctan2(zi, zr)
     nearest = np.rint(theta / step)
@@ -1075,6 +1027,7 @@ def _accept(spec, alpha: complex, clusters: list[RootCluster], radius: float, to
         sectors[j] = sector.s
     index = {s: _sector(s, k_eff) for s in set(sectors)}
     sectors = [index[s] for s in sectors]
+    mults = [clusters[i].multiplicity for i in idx.tolist()]
     return list(map(AlphaPoint, centres, mod.tolist(), sectors, boundary, mults, residual.tolist()))
 
 
@@ -1084,32 +1037,35 @@ def _sector(s: int, k: int) -> SectorIndex:
     return SectorIndex(s, k)
 
 
-def _residuals(spec: StructuredFunction, alpha: complex, zr: np.ndarray, zi: np.ndarray):
-    """(|G(z) - alpha|, in the DEFAULT_POLE_TOL band, within 1e-3 of a pole) at each z, evaluate_G's bits.
+def _residuals(spec: StructuredFunction, alpha: complex, centres: list[complex], tol: float):
+    """(|G(z) - alpha|, whether the point is kept, faults) at each centre, evaluate_G's bits.
 
-    Python's x + v adds complex(v, 0.0), so a zero row's imaginary part is
-    im x + 0.0 (turning -0.0 into +0.0), and a pole row's im x - 0.0 is im x.
-    The pole rows' divisors x - v, which do not depend on the running
-    product, are read off (_divisor) for all of them at once.  None when
-    z^k, z^p or z^-k is not a finite number, or the residual off the band is
-    not: there evaluate_G raises or abs may.
+    z^k and z^p are CPython's own z ** n (_cpow); then a zero row multiplies
+    by x + v, a pole row divides by x - v (its divisor read off at once).
+    Python's x + v adds complex(v, 0.0): a zero row's imaginary part is
+    im x + 0.0 (turning -0.0 into +0.0), a pole row's im x - 0.0 is im x.
+    faults lists (mask, what) at each step where CPython would raise, in evaluate_G's order.
     """
-    wr, wi = _c_pow(zr, zi, spec.k)
-    vr, vi = _c_pow(zr, zi, spec.p)
+    k = spec.k
+    w, w_raised = _cpow(centres, k)
+    val, val_raised = _cpow(centres, spec.p)
+    faults = [(w_raised, f"z^{k}"), (val_raised, f"z^{spec.p}")]
+    wr, wi, vr, vi = w.real, w.imag, val.real, val.imag
     sides = [(wr, wi)]
     if spec.c or spec.d:
         sides.append(_divide(1.0, 0.0, _divisor(wr, wi)))
-    if not all(np.isfinite(x).all() for side in [(vr, vi), *sides] for x in side):
-        return None
+        faults.append((w == 0, f"z^-{k}"))
     poles = [(v, recip) for v, is_pole, recip in spec.factors if is_pole]
-    band = gate = np.zeros(len(zr), bool)
+    band = gate = np.zeros(len(centres), bool)
     if poles:
         v = np.array([v for v, _ in poles])[:, None]
         br = np.array([sides[recip][0] for _, recip in poles]) - v
         bi = np.array([sides[recip][1] for _, recip in poles])
-        dist = np.hypot(br, bi)
+        dist, over = _abs(br, bi)
+        # no point is near one pole and overflows at another: near b or 1/d, z^k and z^-k are near-real
         band = (dist <= DEFAULT_POLE_TOL * v).any(axis=0)
         gate = (dist <= 1e-3 * v).any(axis=0)
+        faults.append((over.any(axis=0), f"the distance of z^{k} or z^-{k} from a pole"))
         divisors = _divisor(br, bi)
     shifted = [xi + 0.0 for _, xi in sides]
     j = 0
@@ -1119,7 +1075,6 @@ def _residuals(spec: StructuredFunction, alpha: complex, zr: np.ndarray, zi: np.
             j += 1
         else:
             vr, vi = _c_prod(vr, vi, sides[recip][0] + v, shifted[recip])
-    residual = np.hypot(vr - alpha.real, vi - alpha.imag)
-    if not np.isfinite(residual[~band]).all():
-        return None
-    return residual, band, gate
+    residual, over = _abs(vr - alpha.real, vi - alpha.imag)
+    faults.append((over & ~band, "the residual"))
+    return residual, ~band & ~((residual > tol * (1 + abs(alpha))) & ~gate), faults

@@ -19,7 +19,8 @@ Last, verbatim copies of alpha_points' per-point loop (accept_points), as it
 ran before the array acceptance pass, and of the n x n matrix decisions of
 _group (group_joins) and _check_simple (check_simple), as they ran before the
 sorted-moduli screens: test_solver compares the pass and the screens with
-these, byte for byte.
+these, byte for byte (where the loop lets an OverflowError or
+ZeroDivisionError escape, the pass must raise a SolverError naming the point).
 Loaded inside the package (see helpers.load_frozen) so that its relative
 imports resolve.
 """

@@ -1,5 +1,7 @@
 import argparse
 import cmath
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alphasectors
 from alphasectors.checks import (
@@ -367,6 +371,55 @@ def test_alpha_out_of_range_of_the_normalization_ends_in_one_error_line(tmp_path
     assert proc.stderr.splitlines() == [
         f"error: alpha over the normalization constant is {normalized}, not a finite nonzero number"
     ]
+
+
+# specs whose alpha-points at an extreme alpha have z^k or z^p beyond double range
+EXTREME_ALPHA_SPECS = {
+    "r13": {"type": "rational", "p": 1, "k": 3, "a": [1], "b": [2]},
+    "fig1": FIG1_JSON,
+    "cd": {"type": "rational", "p": 1, "k": 2, "a": [1], "b": [2], "c": [3], "d": [0.5]},
+    "p2cd": {"type": "rational", "p": 2, "k": 3, "c": [1e-3], "d": [2]},
+}
+
+
+def _run_quietly(argv):
+    """main(argv) with its stdout and stderr captured: its return value, or the SystemExit it raised."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize(
+    "name, alpha",
+    [("r13", "1e150"), ("r13", "1e300"), ("r13", "-1e120"), ("fig1", "1e300"), ("cd", "1e-300"), ("p2cd", "1e-300"), ("p2cd", "1e300")],
+)
+def test_alpha_point_beyond_double_range_ends_in_one_error_line(tmp_path, command, name, alpha):
+    # z^3 overflows, or z^k underflows to 0 under a d factor's 1 / z^k: the point is named, no traceback
+    spec_path = write_spec(tmp_path, EXTREME_ALPHA_SPECS[name])
+    got = _run_quietly([command, "--spec", spec_path, f"--alpha={alpha}", "--radius", "1e305"])
+    assert isinstance(got, SystemExit)
+    text = str(got.code)
+    assert text.startswith("error: alpha-point candidate ") and text.endswith("lies beyond double range"), text
+    assert "\n" not in text
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    name=st.sampled_from(sorted(EXTREME_ALPHA_SPECS)),
+    command=st.sampled_from(["solve", "verify"]),
+    sign=st.sampled_from([1, -1]),
+    exponent=st.integers(-300, 300),
+)
+def test_alpha_magnitude_fuzz_ends_in_a_status_or_one_error_line(tmp_path_factory, name, command, sign, exponent):
+    spec_path = write_spec(tmp_path_factory.mktemp("spec"), EXTREME_ALPHA_SPECS[name])
+    got = _run_quietly([command, "--spec", spec_path, f"--alpha={sign}e{exponent}", "--radius", "1e305"])
+    if isinstance(got, SystemExit):
+        assert str(got.code).startswith("error:") and "\n" not in str(got.code), got.code
+    else:
+        assert got in (0, 1)
 
 
 def test_census_below_rounding_tolerance_finishes(tmp_path):

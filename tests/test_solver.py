@@ -163,6 +163,21 @@ def test_alpha_points_refuses_a_k_that_disagrees_with_the_spec():
     assert alpha_points(FIG1, -1 - 1j, 10.0, k=3) == alpha_points(FIG1, -1 - 1j, 10.0)
 
 
+@pytest.mark.parametrize("k", [0, 2.5, -1, True, 10**9])
+def test_alpha_points_refuses_a_series_sector_index_classify_sector_refuses(monkeypatch, k):
+    # k = 0 divided by zero in the sector step; k = 2.5 labelled points SectorIndex(s=2.0, k=2.5)
+    monkeypatch.setattr(solver, "find_roots", lambda *args, **kwargs: pytest.fail("solved before checking k"))
+    with pytest.raises(ValueError, match=r"^k must be an integer in \[1, 785398163.4\), .*got " + repr(k)):
+        alpha_points(SeriesFunction((1, 2, 1.5, 0.3), 5.0), 0, 5, k=k)
+
+
+def test_alpha_points_takes_a_series_sector_index_in_range():
+    series = SeriesFunction((1, 2, 1.5, 0.3), 5.0)
+    for k in (1, 2, 7):
+        pts = alpha_points(series, 0, 5, k=k)
+        assert len(pts) == 3 and all(pt.sector.k == k for pt in pts)
+
+
 def test_alpha_points_fig1():
     pts = alpha_points(FIG1, -1 - 1j, 10.0)
     assert len(pts) == 9
@@ -1241,12 +1256,6 @@ def test_forecast_start_cuts_the_verify_pool_iterations(monkeypatch, tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _accepted(*args):
-    """alpha_points' acceptance: the array pass, or the per-point loop where the pass declines."""
-    pts = solver._accept(*args)
-    return solver._accept_each(*args) if pts is None else pts
-
-
 def _accept_outcome(accept, *args):
     """Every field of every accepted point as bytes, or the failure's text and residuals."""
     try:
@@ -1264,6 +1273,29 @@ def _accept_outcome(accept, *args):
         )
         for pt in pts
     ]
+
+
+def _assert_loops_outcome(*args):
+    """The pass against REFERENCE.accept_points: the loop's points or SolverError byte for byte, and where the
+    loop raises anything else, a SolverError naming the centre it raised at.  Returns the loop's outcome."""
+    try:
+        want = _accept_outcome(REFERENCE.accept_points, *args)
+    except (OverflowError, ZeroDivisionError):
+        spec, alpha, clusters, *rest = args
+        # the centre it raised at: the first whose prefix of the clusters the loop cannot finish
+        for i in range(len(clusters)):
+            try:
+                REFERENCE.accept_points(spec, alpha, clusters[: i + 1], *rest)
+            except (OverflowError, ZeroDivisionError):
+                break
+            except SolverError:
+                pass
+        with pytest.raises(SolverError, match="lies beyond double range") as raised:
+            solver._accept(*args)
+        assert str(raised.value).startswith(f"alpha-point candidate {clusters[i].center!r}: "), raised.value
+        return None
+    assert _accept_outcome(solver._accept, *args) == want, args[:2]
+    return want
 
 
 def _acceptance_spec(rng, k: int) -> StructuredFunction:
@@ -1292,10 +1324,7 @@ def _planted(spec, rng) -> list:
     return [solver.RootCluster(z, (z,), 1, 0.0) for z in out]
 
 
-def test_acceptance_pass_matches_the_per_point_loop(monkeypatch):
-    loops = []
-    each = solver._accept_each
-    monkeypatch.setattr(solver, "_accept_each", lambda *args: loops.append(args) or each(*args))
+def test_acceptance_pass_matches_the_per_point_loop():
     rng = np.random.default_rng(23)
     runs = failed = 0
     for k in range(2, 41):
@@ -1313,19 +1342,75 @@ def test_acceptance_pass_matches_the_per_point_loop(monkeypatch):
             (clusters + planted, 2 * radius, solver.DEFAULT_TOL),  # the band and beyond the gate: failures
             (clusters + planted[poles:], 2 * radius, math.inf),  # by the rays
         ):
-            args = (spec, alpha, centres, rad, tol, k, None)
-            got = _accept_outcome(_accepted, *args)
-            assert got == _accept_outcome(REFERENCE.accept_points, *args), (spec, alpha)
+            got = _assert_loops_outcome(spec, alpha, centres, rad, tol, k, None)
             failed += isinstance(got, tuple)
             runs += 1
-    assert not loops and failed >= 39
-    # |k| or |p| above 100: complex ** leaves its integer path, and the loop decides
+    assert failed >= 39
+    # |k| or |p| above 100, where complex ** leaves its integer path for exp and log
     for p, k in ((1, 101), (-101, 2)):
         spec = StructuredFunction(p=p, k=k, a=(2.0,), b=(0.5,))
         clusters = find_roots(alpha_polynomial(spec, 0.3 + 0.4j), max_multiplicity=2)
-        args = (spec, 0.3 + 0.4j, clusters, 10.0, solver.DEFAULT_TOL, spec.k, None)
-        assert _accept_outcome(_accepted, *args) == _accept_outcome(REFERENCE.accept_points, *args)
-    assert len(loops) == 2
+        assert _assert_loops_outcome(spec, 0.3 + 0.4j, clusters, 10.0, solver.DEFAULT_TOL, spec.k, None)
+
+
+def _centres(*zs) -> list:
+    """A simple cluster at each of zs."""
+    return [solver.RootCluster(complex(z), (complex(z),), 1, 0.0) for z in zs]
+
+
+@pytest.mark.parametrize(
+    "spec, alpha, centres, raised",
+    [
+        # z^3 overflows
+        (StructuredFunction(p=1, k=3, a=(1.0,), b=(2.0,)), 1e150, [1e150 + 1e100j, 1.0], OverflowError),
+        # z^2 underflows to 0, and a d factor takes 1 / z^2
+        (StructuredFunction(p=1, k=2, a=(1.0,), b=(2.0,), c=(3.0,), d=(0.5,)), 1e-300, [0.5, 1e-170j], ZeroDivisionError),
+        # with c factors alone, 1 / z^2 comes after the pole rows
+        (StructuredFunction(p=1, k=2, a=(1.0,), b=(2.0,), c=(3.0,)), 1e-300, [1e-170 + 0j, 0.5], ZeroDivisionError),
+        # z^3 underflows to 0, and z^-3 divides by it
+        (StructuredFunction(p=-3, k=2, a=(1.0,), b=(2.0,)), 1e300, [1e-120 + 1e-121j], ZeroDivisionError),
+        # z^-1 of a subnormal z overflows
+        (StructuredFunction(p=-1, k=2, a=(1.0,), b=(2.0,)), 1e300, [2.0, 1e-320 + 0j], OverflowError),
+        # z^-101 takes exp and log, and overflows
+        (StructuredFunction(p=-101, k=2, a=(1.0,), b=(2.0,)), 1.0, [1e-5 + 0j], OverflowError),
+        # z^2's parts are finite, its distance from the pole 1 is not
+        (StructuredFunction(p=1, k=2, a=(1.0,), b=(1.0,)), 1.0, [1.4142e154 * cmath.exp(0.125j * math.pi)], OverflowError),
+        # the residual's parts are finite, its modulus is not
+        (StructuredFunction(p=1, k=2, a=(1e300,)), 1.0, [2e8 * cmath.exp(0.25j * math.pi)], OverflowError),
+    ],
+)
+def test_acceptance_names_the_centre_where_the_loop_raises(spec, alpha, centres, raised):
+    args = (spec, complex(alpha), _centres(*centres), 1e305, solver.DEFAULT_TOL, spec.k, None)
+    with pytest.raises(raised):
+        REFERENCE.accept_points(*args)
+    assert _assert_loops_outcome(*args) is None
+
+
+def test_acceptance_of_non_finite_residuals_is_the_loops():
+    # beside the pole w = 1e300, z (z^2 + 1e300) overflows: on the real axis the residual is inf,
+    # accepted inside the 1e-3 gate and a failure beyond it; off the axis it is NaN, which no bound exceeds
+    spec = StructuredFunction(p=1, k=2, a=(1e300,), b=(1e300,))
+    for theta, eps, residual in ((0.0, 5e-4, math.inf), (0.0, 2e-3, None), (0.7, 2e-3, math.nan), (0.7, 1e-10, None)):
+        z = (1e300 * (1 + eps * cmath.exp(1j * theta))) ** 0.5
+        got = _assert_loops_outcome(spec, 1.0 + 0j, _centres(z, -z), 1e305, solver.DEFAULT_TOL, 2, None)
+        if residual is None:
+            assert got[0].startswith("pole-adjacent or unresolved clusters: "), (theta, eps)
+        else:  # NaN as CPython's abs gives it, sign bit clear
+            assert [pt[-1] for pt in got] == [np.float64(residual).tobytes()] * 2, (theta, eps)
+    # z^12 of a real 1e100 is NaN without raising: the residual is CPython's NaN, sign bit clear
+    spec = StructuredFunction(p=1, k=12, a=(1.0,), b=(2.0,))
+    args = (spec, 1.0 + 0j, _centres(1e100), 1e305, solver.DEFAULT_TOL, 12, None)
+    got = _assert_loops_outcome(*args)
+    assert got[0][-1] == np.float64(math.nan).tobytes()
+
+
+def test_acceptance_drops_a_centre_whose_modulus_leaves_double_range():
+    # abs of the centre overflows, so the loop raises; the pass counts it beyond every radius
+    spec = StructuredFunction(p=1, k=2, a=(1.0,), b=(2.0,))
+    args = (spec, 1.0 + 0j, _centres(1.5e308 + 1.5e308j), math.inf, solver.DEFAULT_TOL, 2, None)
+    with pytest.raises(OverflowError):
+        REFERENCE.accept_points(*args)
+    assert solver._accept(*args) == []
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.25 - 0.5j])
@@ -1336,16 +1421,26 @@ def test_acceptance_pass_matches_the_per_point_loop_on_series(name, alpha):
     clusters = find_roots(P, max_multiplicity=2)
     values = np.polyval(P[::-1], np.array([cl.center for cl in clusters], complex))
     for rad in (series.trust_radius, series.trust_radius / 3):
-        args = (series, alpha, clusters, rad, solver.DEFAULT_TOL, 2, values)
-        assert solver._accept(*args) is not None
-        assert _accept_outcome(solver._accept, *args) == _accept_outcome(REFERENCE.accept_points, *args)
+        assert _assert_loops_outcome(series, alpha, clusters, rad, solver.DEFAULT_TOL, 2, values)
 
 
 def test_acceptance_of_a_series_root_at_the_origin_is_the_loops_error():
     series = SeriesFunction((0.0, 1.0, 2.0, 1.5), 1.0)
     clusters = find_roots(series.coeffs, max_multiplicity=2)
     values = np.polyval(np.asarray(series.coeffs, complex)[::-1], np.array([cl.center for cl in clusters]))
-    args = (series, 0.0, clusters, 1.0, solver.DEFAULT_TOL, 2, values)
-    want = _accept_outcome(REFERENCE.accept_points, *args)
+    want = _assert_loops_outcome(series, 0.0, clusters, 1.0, solver.DEFAULT_TOL, 2, values)
     assert want[0] == "alpha-point at the origin is outside the sector model"
-    assert _accept_outcome(_accepted, *args) == want
+
+
+def test_acceptance_of_planted_series_values_is_the_loops():
+    # values whose modulus overflows from finite parts raise in the loop; infinite and NaN ones are accepted
+    series = SeriesFunction((1.0, 2.0, 1.5), 10.0)
+    huge, inf, nan = 1.5e308 + 1.5e308j, complex(math.inf, 1.0), complex(math.nan, 1.0)
+    for zs, values in (
+        ((0.5, 0.5j, -0.5), (0j, inf, nan)),
+        ((0.5, 0.5j, -0.5), (0j, huge, inf)),
+        ((0.5, 0, 0.5j), (0j, 0j, huge)),  # the origin first: the loop's SolverError
+        ((0.5, 0.5j, 0), (0j, huge, 0j)),  # the overflow first
+    ):
+        args = (series, 0.0, _centres(*zs), 1.0, solver.DEFAULT_TOL, 2, np.array(values, complex))
+        _assert_loops_outcome(*args)
