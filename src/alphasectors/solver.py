@@ -10,15 +10,15 @@ residue classes mod k, so P(z) = sum_r z^r Q_r(z^g) with g = k, while dense
 input keeps g = 1, one class.  Each step evaluates every root in one Horner
 loop in w = z^g over stacked lanes (_Horner): each class of P and P' inside
 the unit circle, of the reversed polynomial and its derivative at 1/u outside
-it.  Aberth's iterates are polished once: simple roots take Newton steps on
-the original coefficients with a compensated (twice-working-precision) Horner
-residual in w, with w = z^g formed error-free, all roots and classes at once,
-the four real products of each Horner step in one block; multiple roots take
-modified-Newton steps in 50-digit mpmath.  At stride 1 the Horner kernel is
-bit for bit the dense Horner loop.  The compensated polish runs at the solve's
-stride, except on dense input: there it takes the polish stride 3 with
-classes 0, 1 and 2 (_POLYPHASE), a third of the Horner rows on lanes three
-times wider, since its row loop costs tens of numpy calls a row.
+it.  Aberth's iterates are polished once, every root by one kernel: Newton
+on the original coefficients with a compensated (twice-working-precision)
+Horner residual in w, w = z^g formed error-free, all roots and classes at
+once, the four real products of each Horner step in one block; a root of
+multiplicity nu as the simple root of P^(nu-1), its coefficients formed in
+double.  At stride 1 the Horner kernel is bit for bit the dense Horner loop.
+The polish runs at the solve's stride, except on dense input and on P^(nu-1):
+there at stride 3 with classes 0, 1 and 2 (_POLYPHASE), which hold every
+exponent, a third of the rows (each tens of numpy calls) on lanes 3x wider.
 Every solve is a batch (_find_roots_batch; find_roots is the batch of one),
 run in one straight pass.  Polynomials of one stride and one degree mod g
 share the Horner tables, zero-padded at the top, so one Aberth loop and one
@@ -79,7 +79,6 @@ DEGREE_CAP = 512
 _LOG_MAX = math.log(np.finfo(float).max)
 _ANGLE_OFFSET = 2.399963229728653  # golden angle, fixed irrational offset
 _BINOMIAL_TURN = 0.01  # rad off a one-root edge's binomial root (0 to 0.05 iterate alike)
-_POLISH_DPS = 50
 
 
 class SolverError(RuntimeError):
@@ -653,9 +652,9 @@ def _compensated_newton_step(
 def _polish_simple(
     polys: list[np.ndarray], z: np.ndarray, stride: _Stride, owner: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Newton on the original coefficients for every simple root at once.
+    """Newton on the given coefficients for every simple root at once.
 
-    polys holds the original coefficients of each polynomial, owner[j] the
+    polys holds the coefficients of each polynomial, owner[j] the
     one root j belongs to.  Each root is scaled by its own power of two,
     z = 2^e u with |u| ~ 1, and its polynomial by another, 2^f, so that its
     largest term c_i 2^(e i) is about 1: no scaled coefficient column
@@ -663,9 +662,9 @@ def _polish_simple(
     so the polynomial solved is the caller's bit for bit.  Each step is
     compensated Horner in w = u^g, every root of every polynomial in one
     pass.  Any stride whose classes hold every exponent of polys serves:
-    the batch passes the solve's stride, or on dense input the polish
-    stride 3 with all three classes (_POLYPHASE), whose row loop runs
-    n // 3 + 1 times instead of n + 1.  Two steps, then up to
+    the batch passes the solve's stride, or on dense input and on P^(nu-1)
+    the polish stride 3 with all three classes (_POLYPHASE), whose row loop
+    runs n // 3 + 1 times instead of n + 1.  Two steps, then up to
     _MAX_POLISH_STEPS for roots whose last step is still above rounding
     level.  Returns the polished roots and the size of each root's last step
     relative to |u|.
@@ -699,41 +698,6 @@ def _polish_simple(
     return np.ldexp(u.view(float).reshape(-1, 2), e[:, None]).view(complex)[:, 0], last
 
 
-def _extended_polish(coeffs: np.ndarray, centers: list[complex], nus: list[int]) -> list[complex]:
-    """A few modified-Newton steps in 50-digit mpmath for each multiple root.
-
-    Near a multiple root the compensated residual no longer pins the centre
-    down; these are rare (the paper's double points), so the slow path is
-    kept for them alone, and mpmath is imported only here.
-    """
-    import mpmath as mp
-
-    out = []
-    with mp.workdps(_POLISH_DPS):
-        cs = [mp.mpc(c) for c in coeffs]
-        ds = [i * cs[i] for i in range(1, len(cs))]
-
-        def ev(poly, x):
-            acc = mp.mpc(0)
-            for cf in reversed(poly):
-                acc = acc * x + cf
-            return acc
-
-        for center, nu in zip(centers, nus):
-            x = mp.mpc(center)
-            for _ in range(4):
-                pv = ev(cs, x)
-                dv = ev(ds, x)
-                if dv == 0:
-                    break
-                step = nu * pv / dv
-                x = x - step
-                if abs(step) <= mp.mpf(10) ** (-_POLISH_DPS + 6) * (1 + abs(x)):
-                    break
-            out.append(complex(x))
-    return out
-
-
 def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None) -> list[RootCluster]:
     """All complex roots of an ascending coefficient list, with multiplicities.
 
@@ -757,10 +721,11 @@ def _find_roots_batch(
     one Aberth loop in which each keeps its own start, reciprocal sum and stop
     rule, and one compensated polish of their simple roots, at the polish
     stride (_POLYPHASE for dense input, else the stride).  Stripping, grouping
-    (_group), the checks and the multiple-root polish stay per polynomial.
-    _finish, the multiplicity bound, runs last on each polynomial in input
-    order: the first whose own solve fails raises its error.  forecasts[i],
-    if given, is the sector forecast (_start_points) polys[i] starts from.
+    (_group), the checks and the polish of each cluster of nu > 1 members (as
+    the simple root of P^(nu-1), at _POLYPHASE) stay per polynomial.  _finish,
+    the multiplicity bound, runs last on each polynomial in input order: the
+    first whose own solve fails raises its error.  forecasts[i], if given, is
+    the sector forecast (_start_points) polys[i] starts from.
     """
     results: list = []  # per polynomial, its clusters or the error its solve raised
     stacks: dict[tuple, list] = {}
@@ -808,9 +773,14 @@ def _find_roots_batch(
                     results[i] = exc
                     continue
             multiple = [j for j, ms in enumerate(members) if len(ms) > 1]
-            if multiple:
-                sizes = [len(members[j]) for j in multiple]
-                centres[multiple] = _extended_polish(original, centres[multiple].tolist(), sizes)
+            if multiple:  # a root of multiplicity nu is a simple root of P^(nu - 1)
+                derivatives = []
+                for j in multiple:
+                    d = original
+                    for _ in range(len(members[j]) - 1):
+                        d = np.arange(1, len(d)) * d[1:]
+                    derivatives.append(d)
+                centres[multiple] = _polish_simple(derivatives, centres[multiple], _POLYPHASE, np.arange(len(multiple)))[0]
             results[i] += [RootCluster(c, ms, len(ms), r) for ms, c, r in zip(members, centres.tolist(), radii)]
 
     for i, result in enumerate(results):
@@ -881,7 +851,7 @@ def alpha_points(
     instead of solving again.
     """
     alpha = complex(alpha)
-    if radius <= 0:
+    if not radius > 0:  # NaN too
         raise ValueError("radius must be positive")
     if isinstance(spec, SeriesFunction):
         if radius > spec.trust_radius:

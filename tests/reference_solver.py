@@ -11,9 +11,11 @@ scaled polynomial that every solve once ran on Aberth's iterates before
 clustering them, and find_roots as it ran then: with that pass, with the
 compensated polish of dense input below degree _POLYPHASE_DEGREE at stride
 1, and from the golden-angle start on every edge, put together from the
-solver's own checks and multiple-root polish, and from a verbatim copy of
-_group (with its _components) as it stood before distinct simple roots
-skipped the union-find.  test_solver holds the current solve to this one's
+solver's own checks, from a verbatim copy of _extended_polish (the 50-digit
+mpmath modified Newton that multiple roots took before the compensated
+polish of P^(nu-1), and the 50-digit reference polish of test_solver), and
+from a verbatim copy of _group (with its _components) as it stood before
+distinct simple roots skipped the union-find.  test_solver holds the current solve to this one's
 multiplicities and centres, and the current _group to the copy's groups.
 Last, verbatim copies of alpha_points' per-point loop (accept_points), as it
 ran before the array acceptance pass, and of the n x n matrix decisions of
@@ -45,7 +47,6 @@ from .solver import (
     MAX_ITERS,
     RootCluster,
     SolverError,
-    _extended_polish,
     _finish,
     _Horner,
     _newton_corrections,
@@ -60,6 +61,7 @@ from .solver import (
 )
 
 _POLYPHASE_DEGREE = 12  # dense input below this degree took its compensated polish at stride 1
+_POLISH_DPS = 50
 
 
 def _start_points(sc: np.ndarray, binomial: bool = True) -> np.ndarray:
@@ -207,6 +209,41 @@ def _group(u: np.ndarray, lam: float, horner: _Horner, which: int):
         raise SolverError("a root lies beyond double range")
     radii = [max(abs(m - c) for m in ms) if len(ms) > 1 else 0.0 for ms, c in zip(members, centres.tolist())]
     return members, centres, radii
+
+
+def _extended_polish(coeffs: np.ndarray, centers: list[complex], nus: list[int]) -> list[complex]:
+    """A few modified-Newton steps in 50-digit mpmath for each multiple root.
+
+    Near a multiple root the compensated residual no longer pins the centre
+    down; these are rare (the paper's double points), so the slow path is
+    kept for them alone, and mpmath is imported only here.
+    """
+    import mpmath as mp
+
+    out = []
+    with mp.workdps(_POLISH_DPS):
+        cs = [mp.mpc(c) for c in coeffs]
+        ds = [i * cs[i] for i in range(1, len(cs))]
+
+        def ev(poly, x):
+            acc = mp.mpc(0)
+            for cf in reversed(poly):
+                acc = acc * x + cf
+            return acc
+
+        for center, nu in zip(centers, nus):
+            x = mp.mpc(center)
+            for _ in range(4):
+                pv = ev(cs, x)
+                dv = ev(ds, x)
+                if dv == 0:
+                    break
+                step = nu * pv / dv
+                x = x - step
+                if abs(step) <= mp.mpf(10) ** (-_POLISH_DPS + 6) * (1 + abs(x)):
+                    break
+            out.append(complex(x))
+    return out
 
 
 def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None) -> list:

@@ -241,6 +241,18 @@ def test_alpha_points_series_requires_trust():
     assert all(abs(pt.value) <= 2.0 for pt in pts)
 
 
+@pytest.mark.parametrize(
+    "spec, alpha",
+    [(SeriesFunction((1.0, 2.0, 1.5), 5.0), 0.0), (FIG1, -1 - 1j)],
+    ids=["series", "fig1"],
+)
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_alpha_points_refuses_a_radius_that_is_not_positive(spec, alpha, radius):
+    # NaN compares false either way, so it would pass both range checks
+    with pytest.raises(ValueError, match="radius must be positive"):
+        alpha_points(spec, alpha, radius)
+
+
 def test_alpha_points_rejects_zero_alpha_for_structured():
     with pytest.raises(ValueError):
         alpha_points(FIG1, 0.0, 1.0)
@@ -264,8 +276,6 @@ def test_find_roots_nonconvergence_reports_residuals(monkeypatch):
 def test_alpha_points_true_double_on_ray():
     # alpha tuned to the critical level where the two on-ray points collide:
     # on the imaginary axis F(iy) = i y(3-y^2)/((1+y^2)(5+y^2)) peaks at y*
-    import mpmath as mp
-
     spec = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))
     with mp.workdps(40):
         g = lambda y: y * (3 - y * y) / ((1 + y * y) * (5 + y * y))
@@ -273,7 +283,11 @@ def test_alpha_points_true_double_on_ray():
         alpha = complex(0, float(g(y_star)))
     pts = alpha_points(spec, alpha, 10.0)
     assert pts[0].multiplicity == 2 and pts[0].boundary
-    assert abs(pts[0].value - 1j * float(y_star)) < 1e-7
+    # polished as the simple root of P' by the compensated Newton step: the
+    # critical point itself to rounding, and on the ray
+    z = pts[0].value
+    assert float(abs(mp.mpc(z) - 1j * y_star)) <= 1e-15 * float(y_star)
+    assert abs(z.real) <= 1e-15 * abs(z)
 
     from alphasectors import predict_first_location, verify_first_location, verify_real_power_case
 
@@ -281,6 +295,24 @@ def test_alpha_points_true_double_on_ray():
     fc = predict_first_location(spec, alpha)
     assert fc.kind == "ray-pair-possible"
     assert verify_first_location(pts, fc, 2).passed
+
+
+def test_near_double_centres_are_critical_points():
+    # a repeated root of a polynomial built in double: rounding splits it into
+    # a pair about sqrt(eps) apart, clustered as one double, whose centre is
+    # the root of P' between them (modified Newton, nu P / P', oscillates
+    # across the pair), to about cond(P') eps
+    rng = np.random.default_rng(2027)
+    for _ in range(20):
+        deg = int(rng.integers(8, 41))
+        roots = rng.normal(size=deg - 1) + 1j * rng.normal(size=deg - 1)
+        coeffs = np.poly(np.append(roots, roots[0]))[::-1]
+        doubles = [cl for cl in find_roots(coeffs) if cl.multiplicity == 2]
+        assert len(doubles) == 1
+        with mp.workdps(60):
+            dp = [i * mp.mpc(complex(c)) for i, c in enumerate(coeffs)][:0:-1]
+            ref = mp.findroot(lambda x: mp.polyval(dp, x), mp.mpc(doubles[0].center))
+            assert abs(doubles[0].center - ref) <= 1e-11 * abs(ref), (doubles[0].center, ref)
 
 
 def test_exponential_growth_series_route():
@@ -307,31 +339,6 @@ def test_exponential_growth_series_route():
     inside = sum(1 for pt in zeros if 0.05 < pt.modulus < radius * 0.999)
     assert count == inside
     assert verify_generic_interlacing(zeros, alpha, spec).passed
-
-
-def _mp_polish(coeffs, center: complex, nu: int) -> complex:
-    """Reference: the 50-digit mpmath polish every root took before the compensated one."""
-    with mp.workdps(50):
-        cs = [mp.mpc(c) for c in coeffs]
-        ds = [i * cs[i] for i in range(1, len(cs))]
-
-        def ev(poly, x):
-            acc = mp.mpc(0)
-            for cf in reversed(poly):
-                acc = acc * x + cf
-            return acc
-
-        x = mp.mpc(center)
-        for _ in range(4):
-            pv = ev(cs, x)
-            dv = ev(ds, x)
-            if dv == 0:
-                break
-            step = nu * pv / dv
-            x = x - step
-            if abs(step) <= mp.mpf(10) ** (-50 + 6) * (1 + abs(x)):
-                break
-        return complex(x)
 
 
 def _mp_abs_value(coeffs, z: complex, derivative: bool = False) -> float:
@@ -386,7 +393,7 @@ def test_compensated_polish_matches_extended_precision(name):
     assert simple
     for cl in simple:
         # a simple cluster's one member is the iterate both polishes start from
-        ref = _mp_polish(coeffs, cl.members[0], 1)
+        ref = REFERENCE._extended_polish(coeffs, [cl.members[0]], [1])[0]
         ulp = np.spacing(abs(ref))
         assert abs(cl.center - ref) <= 4 * ulp, (cl.center, ref)
         # no worse than the reference, or than a root one ulp from exact
@@ -811,8 +818,16 @@ def test_partial_theta_at_real_q_keeps_its_trust_radius_and_points(q, N, trust, 
 
 
 def test_import_leaves_mpmath_unloaded():
+    # nor does a solve with a double root, the fig3 true double among them
     src = os.path.dirname(os.path.dirname(os.path.abspath(alphasectors.__file__)))
-    code = "import sys, alphasectors, alphasectors.cli; print('mpmath' in sys.modules)"
+    code = (
+        "import sys, alphasectors, alphasectors.cli\n"
+        "from alphasectors import StructuredFunction, alpha_points, find_roots\n"
+        "assert find_roots([4, -4, 1])[0].multiplicity == 2\n"
+        "spec = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))\n"
+        "assert alpha_points(spec, 0.21755646163765166j, 10.0)[0].multiplicity == 2\n"
+        "print('mpmath' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
@@ -930,7 +945,7 @@ def test_sparse_solve_matches_extended_precision(monkeypatch, name):
     assert [(cl.center == 0, cl.multiplicity) for cl in clusters] == [(cl.center == 0, cl.multiplicity) for cl in dense]
     simple = [cl for cl in clusters if cl.multiplicity == 1 and cl.center != 0]
     for cl in simple[:: max(1, len(simple) // 24)]:
-        ref = _mp_polish(coeffs, cl.members[0], 1)
+        ref = REFERENCE._extended_polish(coeffs, [cl.members[0]], [1])[0]
         ulp = np.spacing(abs(ref))
         assert abs(cl.center - ref) <= 4 * ulp, (cl.center, ref)
         floor = _mp_abs_value(coeffs, ref, derivative=True) * ulp
