@@ -99,48 +99,57 @@ class RootCluster:
     cluster_radius: float
 
 
-def _strip_and_scale(coeffs) -> tuple[np.ndarray, float, int]:
-    """Strip zero leading/trailing coefficients; rescale z = lam*u in log space.
+def _scaled(z: np.ndarray, e) -> np.ndarray:
+    """z 2^e (e integers broadcast against z), exact by np.ldexp on the parts, even where 2^e is no double."""
+    parts = np.ascontiguousarray(z, complex).view(float).reshape(*np.shape(z), 2)
+    return np.ldexp(parts, np.expand_dims(e, -1)).view(complex)[..., 0]
 
-    Returns (scaled ascending coefficients with unit max modulus, lam,
-    origin_multiplicity).  The scaled polynomial has |c_0/c_n| = 1: its root
-    moduli have geometric mean 1, and when its Newton polygon is one edge
-    every initial guess lies on the unit circle (up to rounding).
+
+def _exponents(c: np.ndarray, owner, log_modulus) -> tuple[np.ndarray, np.ndarray]:
+    """(e, f) that scale root j to z = 2^e_j u and its polynomial c[owner[j]] by 2^f_j.
+
+    e_j rounds log_modulus[j], log2 of the root's modulus, and f_j brings the largest term
+    2^(f_j + e_j i) |c_i| within sqrt 2 of 1: none overflows, and none that matters goes subnormal.
+    """
+    with np.errstate(divide="ignore"):  # a zero coefficient is -inf, never the largest
+        logs = np.log2(np.abs(c))[owner]
+    e = np.round(log_modulus).astype(np.int64)
+    held = np.flatnonzero((logs > -np.inf).any(axis=0))  # exponents with a nonzero coefficient
+    f = -np.round((logs[:, held] + e[:, None] * held).max(axis=1)).astype(np.int64)
+    return e, f
+
+
+def _strip_and_scale(coeffs) -> tuple[np.ndarray, int, int]:
+    """Strip zero leading/trailing coefficients; scale z = 2^e u and the polynomial by 2^f, exactly.
+
+    Returns (scaled ascending coefficients, e, origin_multiplicity), (e, f)
+    from _exponents at the roots' geometric-mean modulus |c_0/c_n|^(1/n):
+    the scaled root moduli have geometric mean within sqrt 2 of 1.  Barring
+    underflow the scaled c_i is c_i 2^(f + e i) bit for bit; a real one stays real.
     """
     c = np.asarray(coeffs, complex)
     if not np.isfinite(c).all():
         i = np.flatnonzero(~np.isfinite(c))[0]
         raise ValueError(f"polynomial coefficient {i} is {c[i]}, not a finite number")
-    n = len(c) - 1
-    while n > 0 and c[n] == 0:
-        n -= 1
-    c = c[: n + 1]
-    if n == 0:
+    nz = np.flatnonzero(c)
+    if not len(nz) or nz[-1] == 0:
         raise ValueError("polynomial degree must be >= 1 after trailing-zero strip")
-    m0 = 0
-    while c[m0] == 0:
-        m0 += 1
-    c = c[m0:]
-    n = len(c) - 1
+    m0, top = int(nz[0]), int(nz[-1])
+    c, n = c[m0 : top + 1], top - m0
     if n == 0:
-        return np.array([1.0 + 0j]), 1.0, m0
-    mags = np.abs(c)
-    nz = mags > 0
-    logs = np.full(n + 1, -np.inf)
-    logs[nz] = np.log(mags[nz])
-    loglam = (logs[0] - logs[n]) / n
-    if loglam > _LOG_MAX:  # the roots' geometric-mean modulus
-        raise SolverError(f"root moduli near e^{loglam:.0f} lie beyond double range")
-    slog = logs + loglam * np.arange(n + 1)
-    slog -= slog[np.isfinite(slog)].max()
-    sc = np.zeros(n + 1, complex)
-    sc[nz] = np.exp(1j * np.angle(c[nz])) * np.exp(slog[nz])
+        return np.array([1.0 + 0j]), 0, m0
+    l0, ln = np.log2(np.abs(c[[0, n]]))
+    log_modulus = (l0 - ln) / n  # log2 of the roots' geometric-mean modulus
+    if log_modulus > math.log2(np.finfo(float).max):
+        raise SolverError(f"root moduli near 2^{log_modulus:.0f} lie beyond double range")
+    (e,), (f,) = _exponents(c[None], [0], [log_modulus])
+    sc = _scaled(c, f + e * np.arange(n + 1))
     if sc[0] == 0 or sc[n] == 0:  # the scaled problem would lose roots
         raise SolverError(
-            f"scaled coefficient moduli span e^{-min(slog[0], slog[n]):.0f}, beyond double range: "
+            f"scaled coefficient moduli span 2^{-min(l0, ln + e * n) - f:.0f}, beyond double range: "
             "an end coefficient underflows to 0"
         )
-    return sc, math.exp(loglam), m0
+    return sc, int(e), m0
 
 
 class _Stride(NamedTuple):
@@ -477,19 +486,19 @@ def _close_pairs(z: np.ndarray, t: float, a: float) -> tuple[np.ndarray, np.ndar
     return order[first], order[second]
 
 
-def _group(u: np.ndarray, lam: float, horner: _Horner, which: int):
+def _group(u: np.ndarray, e: int, horner: _Horner, which: int):
     """Aberth's iterates u of polynomial which of horner, grouped one root a group.
 
     Iterates closer than sqrt(DEFAULT_CLUSTER_TOL) (1 + |z|) are joined, and
     _subsplit parts each cluster into those that cannot be told apart.  Returns
-    each group's members z = lam u, centre (their mean) and radius (the farthest
+    each group's members z = 2^e u, centre (their mean) and radius (the farthest
     member's distance from it); a centre beyond double range raises SolverError.
     The pairs near enough to be joined are screened first (_close_pairs) and
     only those compared; with no pair joined, the usual case of distinct
     simple roots, the groups are the iterates themselves, one each in index
     order, read off the arrays, and no n x n matrix is formed.
     """
-    roots = u * lam
+    roots = _scaled(u, e)
     if not np.isfinite(roots).all():
         raise SolverError("a root lies beyond double range")
     reach = math.sqrt(DEFAULT_CLUSTER_TOL)
@@ -654,34 +663,25 @@ def _polish_simple(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Newton on the given coefficients for every simple root at once.
 
-    polys holds the coefficients of each polynomial, owner[j] the
-    one root j belongs to.  Each root is scaled by its own power of two,
-    z = 2^e u with |u| ~ 1, and its polynomial by another, 2^f, so that its
-    largest term c_i 2^(e i) is about 1: no scaled coefficient column
-    overflows and none that matters goes subnormal.  Powers of two are exact,
-    so the polynomial solved is the caller's bit for bit.  Each step is
-    compensated Horner in w = u^g, every root of every polynomial in one
-    pass.  Any stride whose classes hold every exponent of polys serves:
-    the batch passes the solve's stride, or on dense input and on P^(nu-1)
-    the polish stride 3 with all three classes (_POLYPHASE), whose row loop
-    runs n // 3 + 1 times instead of n + 1.  Two steps, then up to
-    _MAX_POLISH_STEPS for roots whose last step is still above rounding
-    level.  Returns the polished roots and the size of each root's last step
-    relative to |u|.
+    polys holds the coefficients of each polynomial, owner[j] the one root
+    j belongs to.  Each root and its polynomial are scaled by the powers of
+    two _exponents picks, exactly: the polynomial solved is the caller's bit
+    for bit.  Each step is compensated Horner in w = u^g, every root of
+    every polynomial in one pass.  Any stride whose classes hold every
+    exponent of polys serves: the batch passes the solve's stride, or on
+    dense input and on P^(nu-1) the polish stride 3 with all three classes
+    (_POLYPHASE), whose row loop runs n // 3 + 1 times instead of n + 1.
+    Two steps, then up to _MAX_POLISH_STEPS for roots whose last step is
+    still above rounding level.  Returns the polished roots and the size of
+    each root's last step relative to |u|.
     """
     n = max(len(c) for c in polys) - 1
     cf = np.zeros((n + 1, len(polys)), complex)
-    logs = np.full((len(polys), n + 1), -np.inf)
     for i, c in enumerate(polys):
         cf[: len(c), i] = c
-        with np.errstate(divide="ignore"):  # a zero coefficient is -inf, never the largest
-            logs[i, : len(c)] = np.log2(np.abs(c))
-    e = np.round(np.log2(np.abs(z))).astype(np.int64)
-    held = np.flatnonzero((logs > -np.inf).any(axis=0))  # exponents with a nonzero coefficient
-    top = (logs[owner][:, held] + e[:, None] * held).max(axis=1)
-    f = -np.round(top).astype(np.int64)
+    e, f = _exponents(cf.T, owner, np.log2(np.abs(z)))
     cf = cf.view(float).reshape(n + 1, len(polys), 2)
-    u = np.ldexp(z.view(float).reshape(-1, 2), -e[:, None]).view(complex)[:, 0]
+    u = _scaled(z, -e)
     last = np.zeros(len(z))
     todo = np.arange(len(z))
     for step in range(_MAX_POLISH_STEPS):
@@ -695,7 +695,7 @@ def _polish_simple(
             todo = todo[keep]
             if not len(todo):
                 break
-    return np.ldexp(u.view(float).reshape(-1, 2), e[:, None]).view(complex)[:, 0], last
+    return _scaled(u, e), last
 
 
 def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None) -> list[RootCluster]:
@@ -731,30 +731,30 @@ def _find_roots_batch(
     stacks: dict[tuple, list] = {}
     for i, coeffs in enumerate(polys):
         try:
-            sc, lam, m0 = _strip_and_scale(coeffs)
+            sc, e, m0 = _strip_and_scale(coeffs)
         except (ValueError, SolverError) as exc:
             results.append(exc)
             continue
         n = len(sc) - 1
         results.append([RootCluster(0j, (0j,) * m0, m0, 0.0)] if m0 else [])
         if n == 1:
-            root = complex(-sc[0] / sc[1] * lam)
+            root = complex(_scaled(-sc[:1] / sc[1:], e)[0])
             results[i].append(RootCluster(root, (root,), 1, 0.0))
         elif n >= 2:
             original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + n + 1])
             stride = _stride(original)  # sc may hold fewer nonzeros (underflow), never more
-            stacks.setdefault((stride, n % stride.g), []).append((i, sc, lam, original))
+            stacks.setdefault((stride, n % stride.g), []).append((i, sc, e, original))
 
     for (stride, _), stack in stacks.items():
         starts = forecasts and [forecasts[i] for i, *_ in stack]
         horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for _, sc, _, _ in stack], stride, starts)
         grouped = {}  # p: the members, centres and radii of stack[p]'s groups
-        for p, ((i, _, lam, _), u) in enumerate(zip(stack, _aberth(horner, tol))):
+        for p, ((i, _, e, _), u) in enumerate(zip(stack, _aberth(horner, tol))):
             if isinstance(u, SolverError):
                 results[i] = u
                 continue
             try:
-                grouped[p] = _group(u, lam, horner, p)
+                grouped[p] = _group(u, e, horner, p)
             except SolverError as exc:
                 results[i] = exc
         simple = {p: np.flatnonzero([len(ms) == 1 for ms in g[0]] & (g[1] != 0)) for p, g in grouped.items()}

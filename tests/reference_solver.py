@@ -1,5 +1,8 @@
-"""The start circles, the Aberth loop and the root polish as they stood before they were simplified.
+"""The scaling, the start circles, the Aberth loop and the root polish as they stood before they were simplified.
 
+A verbatim copy of solver._strip_and_scale as it scaled z = lam u in log
+space, before the exact power-of-two scaling: this module's find_roots
+scales with it, so the frozen pipeline keeps its own rounding.
 A copy of solver._start_points, which built each Newton-polygon circle with
 its own np.arange/np.exp (the one-root edge's binomial phase was added to
 that loop when the array form took it), and of solver._aberth, which
@@ -54,7 +57,6 @@ from .solver import (
     _pieces,
     _polish_simple,
     _stride,
-    _strip_and_scale,
     _UNSETTLED,
     _subsplit,
     find_roots as _find_roots,
@@ -62,6 +64,50 @@ from .solver import (
 
 _POLYPHASE_DEGREE = 12  # dense input below this degree took its compensated polish at stride 1
 _POLISH_DPS = 50
+
+
+def _strip_and_scale(coeffs) -> tuple[np.ndarray, float, int]:
+    """Strip zero leading/trailing coefficients; rescale z = lam*u in log space.
+
+    Returns (scaled ascending coefficients with unit max modulus, lam,
+    origin_multiplicity).  The scaled polynomial has |c_0/c_n| = 1: its root
+    moduli have geometric mean 1, and when its Newton polygon is one edge
+    every initial guess lies on the unit circle (up to rounding).
+    """
+    c = np.asarray(coeffs, complex)
+    if not np.isfinite(c).all():
+        i = np.flatnonzero(~np.isfinite(c))[0]
+        raise ValueError(f"polynomial coefficient {i} is {c[i]}, not a finite number")
+    n = len(c) - 1
+    while n > 0 and c[n] == 0:
+        n -= 1
+    c = c[: n + 1]
+    if n == 0:
+        raise ValueError("polynomial degree must be >= 1 after trailing-zero strip")
+    m0 = 0
+    while c[m0] == 0:
+        m0 += 1
+    c = c[m0:]
+    n = len(c) - 1
+    if n == 0:
+        return np.array([1.0 + 0j]), 1.0, m0
+    mags = np.abs(c)
+    nz = mags > 0
+    logs = np.full(n + 1, -np.inf)
+    logs[nz] = np.log(mags[nz])
+    loglam = (logs[0] - logs[n]) / n
+    if loglam > _LOG_MAX:  # the roots' geometric-mean modulus
+        raise SolverError(f"root moduli near e^{loglam:.0f} lie beyond double range")
+    slog = logs + loglam * np.arange(n + 1)
+    slog -= slog[np.isfinite(slog)].max()
+    sc = np.zeros(n + 1, complex)
+    sc[nz] = np.exp(1j * np.angle(c[nz])) * np.exp(slog[nz])
+    if sc[0] == 0 or sc[n] == 0:  # the scaled problem would lose roots
+        raise SolverError(
+            f"scaled coefficient moduli span e^{-min(slog[0], slog[n]):.0f}, beyond double range: "
+            "an end coefficient underflows to 0"
+        )
+    return sc, math.exp(loglam), m0
 
 
 def _start_points(sc: np.ndarray, binomial: bool = True) -> np.ndarray:

@@ -56,11 +56,31 @@ def test_find_roots_quadratic():
 
 
 def test_find_roots_double_root():
-    clusters = find_roots([4, -4, 1])
-    assert len(clusters) == 1
-    cl = clusters[0]
-    assert cl.multiplicity == 2
-    assert abs(cl.center - 2) < 1e-8
+    # a double at every scale of the coefficients: scaled in log space, the scaled copy's
+    # double split at 201 of these 601 scales, and the polish called each half no root of its own
+    for e in range(-300, 301):
+        clusters = find_roots(np.array([4.0, -4.0, 1.0]) * 10.0**e)
+        assert len(clusters) == 1, e
+        cl = clusters[0]
+        assert cl.multiplicity == 2, e
+        assert abs(cl.center - 2) <= 1e-15, (e, cl.center)
+
+
+def test_a_degree_one_root_is_the_quotient_bit_for_bit():
+    # scaled by powers of two, the root of c0 + c1 z is numpy's -c0 / c1 wherever its parts stay
+    # normal; the log-space scale gave [1e-300, 1] the root -1.0000000000000237e-300
+    rng = np.random.default_rng(0)
+    parts = rng.normal(size=(2000, 2, 2)) * 10.0 ** rng.uniform(-300, 300, size=(2000, 2, 1))
+    checked = 0
+    for c0, c1 in parts[..., 0] + 1j * parts[..., 1]:
+        with np.errstate(all="ignore"):
+            root = -c0 / c1
+        if 1e-300 <= abs(root) <= 1e300:
+            checked += 1
+            assert np.complex128(find_roots([c0, c1])[0].center).tobytes() == root.tobytes(), (c0, c1)
+    assert checked >= 1000
+    # the root needs the scale 2^1024, which is no double
+    assert np.complex128(find_roots([1.5e308, -1.0])[0].center).tobytes() == np.complex128(1.5e308).tobytes()
 
 
 def test_find_roots_triple_root_and_cap():
@@ -498,12 +518,13 @@ def test_group_matches_the_union_find_grouping(screen_inputs, monkeypatch):
     monkeypatch.setattr(solver, "_components", lambda near: unions.append(1) or components(near))
     for name, polys in screen_inputs.items():
         for coeffs in polys:
-            sc, lam, m0 = solver._strip_and_scale(coeffs)
+            sc, e, m0 = solver._strip_and_scale(coeffs)
+            lam = math.ldexp(1.0, e)  # the frozen copies take the scale as a float
             stride = solver._stride(np.asarray(coeffs, complex)[m0 : m0 + len(sc)])
             horner = solver._Horner([(sc, np.arange(1, len(sc)) * sc[1:])], stride)
             (u,) = solver._aberth(horner, solver.DEFAULT_ROOT_TOL)
             unions.clear()
-            got = _groups_bytes(*solver._group(u, lam, horner, 0))
+            got = _groups_bytes(*solver._group(u, e, horner, 0))
             # distinct simple roots pass the screen and skip the union-find; a close pair is
             # joined, as the distance matrix joins it, then subsplit
             assert bool(unions) == REFERENCE.group_joins(u, lam) == (name == "close-pair"), name
@@ -561,7 +582,7 @@ def test_screens_keep_every_pair_at_the_threshold(monkeypatch):
                 assert _error_of(solver._check_simple, z, last) == want, z
                 twice += want is not None
                 with contextlib.suppress(Joined):
-                    solver._group(z, 1.0, None, 0)
+                    solver._group(z, 0, None, 0)
                     assert not REFERENCE.group_joins(z, 1.0), z
                     continue
                 assert REFERENCE.group_joins(z, 1.0), z
@@ -772,6 +793,8 @@ def test_binomial_start_cuts_the_qseries_iterations(monkeypatch):
 
 REAL_ONE_ROOT_EDGES = {
     "quadratic": [1.0, -1.755, 1.0],  # two one-root edges, both binomial roots positive
+    "double": [4.0, -4.0, 1.0],
+    "fig3-0.5": alpha_polynomial(FIG3_SPEC, 0.5),
     "theta-0.5-40": partial_theta_coeffs(0.5, 40),
     "theta-minus-0.5-40": partial_theta_coeffs(-0.5, 40),
     "theta-0.8-80": partial_theta_coeffs(0.8, 80),
@@ -781,7 +804,10 @@ REAL_ONE_ROOT_EDGES = {
 @pytest.mark.parametrize("name", sorted(REAL_ONE_ROOT_EDGES))
 def test_real_polynomials_start_off_the_real_axis(name):
     c = np.asarray(REAL_ONE_ROOT_EDGES[name], complex)
-    # scaled as find_roots scales it, and exactly real: there a sign change makes a binomial root exactly real
+    # scaled as find_roots scales it, and exactly real: there a sign change makes a binomial root
+    # exactly real.  Scaled by powers of two, each real coefficient stays real (theta at q = -0.5
+    # is not quite real as built, its powers of q formed in complex arithmetic)
+    assert (solver._strip_and_scale(c)[0].imag[c.imag == 0] == 0).all()
     for sc in (solver._strip_and_scale(c)[0], c / np.abs(c).max()):
         u = solver._start_points(sc)
         # a real polynomial's one-root edges have real binomial roots: each start lies beside one
@@ -815,6 +841,24 @@ def test_partial_theta_at_real_q_keeps_its_trust_radius_and_points(q, N, trust, 
     assert series.trust_radius == trust
     zeros = alpha_points(series, 0.0, series.trust_radius)
     assert len(zeros) == points and all(pt.multiplicity == 1 for pt in zeros)
+
+
+def test_disturbed_exp_with_a_subnormal_coefficient_solves_to_its_series_roots():
+    # q = 0.3 + 0.3i, N = 40: c_39 = 5.4e-323 is subnormal and c_40 underflows to 0, so the
+    # degree-39 head is solved.  Its double-range scale split no root, and each point is within
+    # 1e-13 of a root of the exact series (64 terms, 60 digits), to which Newton refines it
+    series = spec_from_dict({"type": "series", "family": "disturbed-exp", "q": {"re": 0.3, "im": 0.3}, "N": 40})
+    points = alpha_points(series, 0.0, series.trust_radius)
+    assert len(points) == 21 and all(pt.multiplicity == 1 for pt in points)
+    with mp.workdps(60):
+        q = mp.mpc(0.3, 0.3)
+        exact = [q ** (n * (n - 1) // 2) / mp.factorial(n) for n in range(64)][::-1]
+        for pt in points:
+            z = mp.mpc(pt.value)
+            for _ in range(8):
+                value, slope = mp.polyval(exact, z, derivative=True)
+                z -= value / slope
+            assert abs(pt.value - complex(z)) <= 1e-13 * abs(complex(z)), (pt.value, complex(z))
 
 
 def test_import_leaves_mpmath_unloaded():
