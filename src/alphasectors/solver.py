@@ -13,9 +13,11 @@ the unit circle, of the reversed polynomial and its derivative at 1/u outside
 it.  Aberth's iterates are polished once, every root by one kernel: Newton
 on the original coefficients with a compensated (twice-working-precision)
 Horner residual in w, w = z^g formed error-free, all roots and classes at
-once, the four real products of each Horner step in one block; a root of
-multiplicity nu as the simple root of P^(nu-1), its coefficients formed in
-double.  At stride 1 the Horner kernel is bit for bit the dense Horner loop.
+once, the four real products of each Horner step in one block, the scaled
+coefficients tabled once per polish and each row contiguous ufuncs written
+into buffers allocated once per step; a root of multiplicity nu as the
+simple root of P^(nu-1), its coefficients formed in double.  At stride 1
+the Horner kernel is bit for bit the dense Horner loop.
 The polish runs at the solve's stride, except on dense input and on P^(nu-1):
 there at stride 3 with classes 0, 1 and 2 (_POLYPHASE), which hold every
 exponent, a third of the rows (each tens of numpy calls) on lanes 3x wider.
@@ -128,9 +130,12 @@ def _strip_and_scale(coeffs) -> tuple[np.ndarray, int, int]:
     underflow the scaled c_i is c_i 2^(f + e i) bit for bit; a real one stays real.
     """
     c = np.asarray(coeffs, complex)
-    if not np.isfinite(c).all():
-        i = np.flatnonzero(~np.isfinite(c))[0]
-        raise ValueError(f"polynomial coefficient {i} is {c[i]}, not a finite number")
+    with np.errstate(over="ignore"):  # finite parts whose modulus overflows are refused too
+        bad = np.flatnonzero(~np.isfinite(np.abs(c)))
+    if len(bad):
+        i = bad[0]
+        what = "not a finite number" if not np.isfinite(c[i]) else "of modulus beyond double range"
+        raise ValueError(f"polynomial coefficient {i} is {c[i]}, {what}")
     nz = np.flatnonzero(c)
     if not len(nz) or nz[-1] == 0:
         raise ValueError("polynomial degree must be >= 1 after trailing-zero strip")
@@ -533,45 +538,58 @@ _MAX_POLISH_STEPS = 4  # roots of a close pair can need more than two steps
 _UNSETTLED = 1e-12  # a last polish step above this (relative) did not converge
 
 
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a = hi + lo exactly, each half with at most 26 significant bits."""
-    c = _SPLIT * a
-    hi = c - (c - a)
-    return hi, a - hi
+def _split(a: np.ndarray, hi: np.ndarray, lo: np.ndarray) -> None:
+    """a = hi + lo exactly, each half with at most 26 significant bits, written into hi and lo."""
+    np.multiply(_SPLIT, a, out=lo)
+    np.subtract(lo, a, out=hi)
+    np.subtract(lo, hi, out=hi)
+    np.subtract(a, hi, out=lo)
 
 
-def _two_prod(a, a_hi, a_lo, b, b_hi, b_lo):
-    """(x, y) with x = fl(a*b) and x + y = a*b exactly (Dekker)."""
-    x = a * b
-    return x, a_lo * b_lo - (((x - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+def _two_prod(a, a_hi, a_lo, b, b_hi, b_lo, x, y, tmp) -> None:
+    """x = fl(a*b) and x + y = a*b exactly (Dekker), written into x and y; tmp is scratch, and may be a."""
+    np.multiply(a, b, out=x)
+    np.subtract(x, np.multiply(a_hi, b_hi, out=y), out=y)
+    np.subtract(y, np.multiply(a_lo, b_hi, out=tmp), out=y)
+    np.subtract(y, np.multiply(a_hi, b_lo, out=tmp), out=y)
+    np.subtract(np.multiply(a_lo, b_lo, out=tmp), y, out=y)
 
 
-def _two_sum(a, b):
-    """(s, t) with s = fl(a+b) and s + t = a+b exactly (Knuth)."""
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
+def _two_sum(a, b, s, t, tmp) -> tuple[np.ndarray, np.ndarray]:
+    """(s, t) with s = fl(a+b) and s + t = a+b exactly (Knuth), written into s and t; tmp is scratch."""
+    np.add(a, b, out=s)
+    np.subtract(s, a, out=t)
+    np.subtract(a, np.subtract(s, t, out=tmp), out=tmp)
+    np.add(tmp, np.subtract(b, t, out=t), out=t)
+    return s, t
 
 
-def _turns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block (a, i a) of complex rows a = (x, y), that is (x, y) and (-y, x), with its Dekker halves."""
-    a4 = np.stack([a, np.stack([-a[:, 1], a[:, 0]], axis=1)])
-    return (a4, *_split(a4))
+def _turns(a: np.ndarray) -> np.ndarray:
+    """(a, i a) for complex rows a = (x, y), that is (x, y) and (-y, x), and its Dekker halves: (3, 2, m, 2)."""
+    a4 = np.empty((3, 2, len(a), 2))
+    a4[0, 0] = a
+    np.negative(a[:, 1], out=a4[0, 1, :, 0])
+    a4[0, 1, :, 1] = a[:, 0]
+    _split(a4[0], a4[1], a4[2])
+    return a4
 
 
-def _exact_product(s: np.ndarray, turns) -> tuple[np.ndarray, np.ndarray]:
+def _exact_product(s: np.ndarray, turns: np.ndarray, buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, t) with p = fl(s a) and p + t = s a up to the rounding of t, for turns = _turns(a).
 
     Complex numbers are (m, 2) float rows so each real operation covers both
     parts.  s a = re(s) (x, y) + im(s) (-y, x): the four real products run as
     one (2, m, 2) block, (re s, re s) and (im s, im s) times the two halves
     of turns, each product and their sum error-free; t sums the errors.
+    Every intermediate, p and t too, is written into buf, (5, 2, m, 2).
     """
-    s4 = np.repeat(s.T, 2, axis=1).reshape(2, len(s), 2)
-    s4_hi, s4_lo = _split(s4)
-    ab, eab = _two_prod(s4, s4_hi, s4_lo, *turns)
-    p, ep = _two_sum(ab[0], ab[1])
-    return p, eab[0] + eab[1] + ep
+    s4, hi, lo, x, y = buf
+    np.copyto(s4, s.T[:, :, None])
+    _split(s4, hi, lo)
+    _two_prod(s4, hi, lo, *turns, x, y, s4)
+    p, ep = _two_sum(x[0], x[1], hi[0], hi[1], lo[0])
+    t = np.add(y[0], y[1], out=lo[1])
+    return p, np.add(t, ep, out=t)
 
 
 def _dd_power(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
@@ -582,36 +600,51 @@ def _dd_power(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
     exponentiation", IEEE Trans. Comput. 58, 2009): hi + lo is a^e to about
     eps^2 log2 e, where the rounded powers are off by about eps log2 e.
     """
+    m = len(a)
     ac = a.view(complex)[:, 0]
-    a_turns = _turns(a)
-    hi, lo = a, np.zeros(len(a), complex)
-    for bit in bin(e)[3:]:
+    bits = bin(e)[3:]
+    a_turns = _turns(a) if "1" in bits else None
+    hi, lo = a, np.zeros(m, complex)
+    for bit in bits:
         h = hi.view(complex)[:, 0]
-        hi, t = _exact_product(hi, _turns(hi))
+        hi, t = _exact_product(hi, _turns(hi), np.empty((5, 2, m, 2)))
         lo = t.view(complex)[:, 0] + 2 * h * lo
         if bit == "1":
-            hi, t = _exact_product(hi, a_turns)
+            hi, t = _exact_product(hi, a_turns, np.empty((5, 2, m, 2)))
             lo = t.view(complex)[:, 0] + lo * ac
     return hi, lo
 
 
-def _compensated_newton_step(
-    cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np.ndarray, stride: _Stride, owner: np.ndarray
-) -> np.ndarray:
-    """Newton corrections q(u)/q'(u) for q_j(u) = 2^f_j p(2^e_j u), one root per entry of u.
+def _scaled_lanes(cf: np.ndarray, e: np.ndarray, f: np.ndarray, stride: _Stride, owner: np.ndarray) -> np.ndarray:
+    """(row, class, root, re/im) table of root j's coefficients c_i 2^(e_j i + f_j), exactly.
 
     cf holds the ascending coefficients of P polynomials as (re, im) rows,
     (n + 1, P, 2), each zero-padded above its degree; owner[j] names the
-    polynomial of root j.  The scaled coefficient c_i 2^(e_j i + f_j) is
-    formed column by column, exactly, so q_j is the caller's polynomial.
-    q(u) = sum_r u^r Q_r(w), w = u^g, over the stride's classes r: each
-    Q_r(w) comes from compensated Horner in w (Graillat, Langlois & Louvet
-    2009; complex error-free transformations as in Graillat &
-    Menissier-Morain 2012), about as accurate as Horner in twice the working
-    precision, with every class of every root a lane of one loop (its
-    coefficients laid out by _class_lanes, as _Horner's).  The zero rows above a shorter
-    polynomial's top coefficient keep its lanes at zero until that row, as
-    the leading zero of a derivative lane does.
+    polynomial of root j.  The rows run from the top down, laid out per
+    class by _class_lanes, as _Horner's are; one np.ldexp scales them all.
+    """
+    g, classes = stride
+    r = np.array(classes)
+    rows = (len(cf) - 1) // g + 1
+    k = (r[:, None] + g * np.arange(rows - 1, -1, -1)[:, None, None]) * e + f  # (row, class, root)
+    return np.ldexp(_class_lanes(cf, g, r, rows)[:, :, owner], k[..., None])
+
+
+def _compensated_newton_step(table: np.ndarray, u: np.ndarray, stride: _Stride) -> np.ndarray:
+    """Newton corrections q(u)/q'(u) for q_j(u) = 2^f_j p(2^e_j u), one root per entry of u.
+
+    table (_scaled_lanes) holds q_j's coefficients, so q_j is the caller's
+    polynomial bit for bit.  q(u) = sum_r u^r Q_r(w), w = u^g, over the
+    stride's classes r: each Q_r(w) comes from compensated Horner in w
+    (Graillat, Langlois & Louvet 2009; complex error-free transformations as
+    in Graillat & Menissier-Morain 2012), about as accurate as Horner in
+    twice the working precision, with every class of every root a lane of
+    one loop.  Each row of the loop is contiguous ufuncs written into buffers
+    allocated once per step: the state s alternates between two of them, and
+    every complex product goes to a buffer that is none of its operands (at
+    one element numpy's in-place complex multiply rounds otherwise).  The
+    zero rows above a shorter polynomial's top coefficient keep its lanes at
+    zero until that row, as the leading zero of a derivative lane does.
     w is the double-double w_hi + w_lo (_dd_power); s w_lo joins each step's
     error terms.  The classes are added with double-double u^r and TwoSum.
     q'(u) = g u^(g-1) Q_0'(w) + sum_(r >= 1) u^(r-1) (r Q_r(w) + g w Q_r'(w)),
@@ -622,27 +655,27 @@ def _compensated_newton_step(
     m = len(u)
     g, classes = stride
     c = len(classes)
-    r = np.array(classes)
-    rows = (len(cf) - 1) // g + 1
-    coef = _class_lanes(cf, g, r, rows)[:, :, owner]  # (row, class, root, re/im)
     uf = u.view(float).reshape(m, 2)  # (x, y)
     wf, w_lo = _dd_power(uf, g)
     w = np.tile(wf.view(complex)[:, 0], c)
     w_turns = _turns(np.tile(wf, (c, 1)))
     w_lo = np.tile(w_lo, c)
-    k = (r + g * (rows - 1))[:, None] * e + f  # the exponent of each class's top row, per root
-    s = np.ldexp(coef[0], k[:, :, None]).reshape(c * m, 2)
-    err = np.zeros(c * m, complex)
-    der = np.zeros(c * m, complex)
-    for j in range(1, rows):
-        sv = s.view(complex)[:, 0]
-        der = der * w + sv
-        k -= g * e
-        p, t = _exact_product(s, w_turns)
-        s, es = _two_sum(p, np.ldexp(coef[j], k[:, :, None]).reshape(c * m, 2))
-        t = (t + es).view(complex)[:, 0]
-        err = err * w + (t + sv * w_lo if g > 1 else t)
-    s = s.reshape(c, m, 2)
+    buf = np.empty((5, 2, c * m, 2))  # _exact_product's
+    states = np.empty((2, c * m, 2))  # s, alternating between the two
+    es, tmp = np.empty((2, c * m, 2))
+    err, der, prod, slo = np.zeros((4, c * m), complex)
+    states[0] = table[0].reshape(c * m, 2)
+    for j in range(1, len(table)):
+        s, sv = states[(j - 1) % 2], states.view(complex)[(j - 1) % 2, :, 0]
+        np.add(np.multiply(der, w, out=prod), sv, out=der)
+        p, t = _exact_product(s, w_turns, buf)
+        _two_sum(p, table[j].reshape(c * m, 2), states[j % 2], es, tmp)
+        t = np.add(t, es, out=t).view(complex)[:, 0]
+        np.multiply(err, w, out=prod)
+        if g > 1:
+            t = np.add(t, np.multiply(sv, w_lo, out=slo), out=slo)
+        np.add(prod, t, out=err)
+    s = states[(len(table) - 1) % 2].reshape(c, m, 2)
     err = err.reshape(c, m)
     der = der.reshape(c, m)
     val, lo = s[0], err[0]
@@ -650,8 +683,8 @@ def _compensated_newton_step(
     for i in range(1, c):
         si = s[i].view(complex)[:, 0]
         ph, pl = _dd_power(uf, classes[i])
-        x, t = _exact_product(s[i], _turns(ph))
-        val, es = _two_sum(val, x)
+        x, t = _exact_product(s[i], _turns(ph), np.empty((5, 2, m, 2)))
+        val, es = _two_sum(val, x, *np.empty((3, m, 2)))
         lo = lo + (t + es).view(complex)[:, 0] + ph.view(complex)[:, 0] * err[i] + pl * si
         term = classes[i] * si + g * w[:m] * der[i]
         dval = dval + (term if classes[i] == 1 else _power(u, classes[i] - 1) * term)
@@ -666,8 +699,9 @@ def _polish_simple(
     polys holds the coefficients of each polynomial, owner[j] the one root
     j belongs to.  Each root and its polynomial are scaled by the powers of
     two _exponents picks, exactly: the polynomial solved is the caller's bit
-    for bit.  Each step is compensated Horner in w = u^g, every root of
-    every polynomial in one pass.  Any stride whose classes hold every
+    for bit.  The scaled table (_scaled_lanes) is built once; each step is
+    compensated Horner in w = u^g on the table's roots still moving, every
+    root of every polynomial in one pass.  Any stride whose classes hold every
     exponent of polys serves: the batch passes the solve's stride, or on
     dense input and on P^(nu-1) the polish stride 3 with all three classes
     (_POLYPHASE), whose row loop runs n // 3 + 1 times instead of n + 1.
@@ -680,19 +714,20 @@ def _polish_simple(
     for i, c in enumerate(polys):
         cf[: len(c), i] = c
     e, f = _exponents(cf.T, owner, np.log2(np.abs(z)))
-    cf = cf.view(float).reshape(n + 1, len(polys), 2)
+    with np.errstate(all="ignore"):
+        table = _scaled_lanes(cf.view(float).reshape(n + 1, len(polys), 2), e, f, stride, owner)
     u = _scaled(z, -e)
     last = np.zeros(len(z))
     todo = np.arange(len(z))
     for step in range(_MAX_POLISH_STEPS):
         with np.errstate(all="ignore"):
-            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo], stride, owner[todo])
+            w = _compensated_newton_step(table, u[todo], stride)
             w[~np.isfinite(w)] = 0.0
             u[todo] -= w
             last[todo] = np.abs(w) / np.abs(u[todo])
         if step >= 1:
             keep = last[todo] > _EPS
-            todo = todo[keep]
+            todo, table = todo[keep], table[:, :, keep]
             if not len(todo):
                 break
     return _scaled(u, e), last

@@ -26,6 +26,12 @@ _group (group_joins) and _check_simple (check_simple), as they ran before the
 sorted-moduli screens: test_solver compares the pass and the screens with
 these, byte for byte (where the loop lets an OverflowError or
 ZeroDivisionError escape, the pass must raise a SolverError naming the point).
+And verbatim copies of the compensated polish (_polish_simple,
+_compensated_newton_step, _exact_product, _turns, _dd_power and the
+error-free _split, _two_prod and _two_sum they call) as they ran before each
+polish scaled its coefficient table once and the row loop wrote into
+buffers allocated once per step: this module's find_roots polishes with
+them, and test_solver holds the current polish to them byte for byte.
 Loaded inside the package (see helpers.load_frozen) so that its relative
 imports resolve.
 """
@@ -36,26 +42,32 @@ import math
 
 import numpy as np
 
-from .functions import DEFAULT_POLE_TOL, AlphaPoint, PoleProximity, SeriesFunction, evaluate_G, pole_in_band
+from .functions import DEFAULT_POLE_TOL, AlphaPoint, PoleProximity, SeriesFunction, _power, evaluate_G, pole_in_band
 from .sectors import classify_sector
 from .solver import (
     _ANGLE_OFFSET,
     _BINOMIAL_TURN,
     _DENSE,
     _DUPLICATE_TOL,
+    _EPS,
     _LOG_MAX,
+    _MAX_POLISH_STEPS,
     _POLYPHASE,
+    _SPLIT,
     DEFAULT_CLUSTER_TOL,
     DEFAULT_ROOT_TOL,
     MAX_ITERS,
     RootCluster,
     SolverError,
+    _class_lanes,
+    _exponents,
     _finish,
     _Horner,
     _newton_corrections,
     _owned,
     _pieces,
-    _polish_simple,
+    _scaled,
+    _Stride,
     _stride,
     _UNSETTLED,
     _subsplit,
@@ -290,6 +302,171 @@ def _extended_polish(coeffs: np.ndarray, centers: list[complex], nus: list[int])
                     break
             out.append(complex(x))
     return out
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = hi + lo exactly, each half with at most 26 significant bits."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, a_hi, a_lo, b, b_hi, b_lo):
+    """(x, y) with x = fl(a*b) and x + y = a*b exactly (Dekker)."""
+    x = a * b
+    return x, a_lo * b_lo - (((x - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
+
+
+def _two_sum(a, b):
+    """(s, t) with s = fl(a+b) and s + t = a+b exactly (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _turns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block (a, i a) of complex rows a = (x, y), that is (x, y) and (-y, x), with its Dekker halves."""
+    a4 = np.stack([a, np.stack([-a[:, 1], a[:, 0]], axis=1)])
+    return (a4, *_split(a4))
+
+
+def _exact_product(s: np.ndarray, turns) -> tuple[np.ndarray, np.ndarray]:
+    """(p, t) with p = fl(s a) and p + t = s a up to the rounding of t, for turns = _turns(a).
+
+    Complex numbers are (m, 2) float rows so each real operation covers both
+    parts.  s a = re(s) (x, y) + im(s) (-y, x): the four real products run as
+    one (2, m, 2) block, (re s, re s) and (im s, im s) times the two halves
+    of turns, each product and their sum error-free; t sums the errors.
+    """
+    s4 = np.repeat(s.T, 2, axis=1).reshape(2, len(s), 2)
+    s4_hi, s4_lo = _split(s4)
+    ab, eab = _two_prod(s4, s4_hi, s4_lo, *turns)
+    p, ep = _two_sum(ab[0], ab[1])
+    return p, eab[0] + eab[1] + ep
+
+
+def _dd_power(a: np.ndarray, e: int) -> tuple[np.ndarray, np.ndarray]:
+    """a^e (e >= 1) as hi + lo: hi as (m, 2) float rows, lo complex.
+
+    Binary powering in which every product is error-free and lo carries the
+    errors to first order (Graillat, "Accurate floating-point product and
+    exponentiation", IEEE Trans. Comput. 58, 2009): hi + lo is a^e to about
+    eps^2 log2 e, where the rounded powers are off by about eps log2 e.
+    """
+    ac = a.view(complex)[:, 0]
+    a_turns = _turns(a)
+    hi, lo = a, np.zeros(len(a), complex)
+    for bit in bin(e)[3:]:
+        h = hi.view(complex)[:, 0]
+        hi, t = _exact_product(hi, _turns(hi))
+        lo = t.view(complex)[:, 0] + 2 * h * lo
+        if bit == "1":
+            hi, t = _exact_product(hi, a_turns)
+            lo = t.view(complex)[:, 0] + lo * ac
+    return hi, lo
+
+
+def _compensated_newton_step(
+    cf: np.ndarray, e: np.ndarray, f: np.ndarray, u: np.ndarray, stride: _Stride, owner: np.ndarray
+) -> np.ndarray:
+    """Newton corrections q(u)/q'(u) for q_j(u) = 2^f_j p(2^e_j u), one root per entry of u.
+
+    cf holds the ascending coefficients of P polynomials as (re, im) rows,
+    (n + 1, P, 2), each zero-padded above its degree; owner[j] names the
+    polynomial of root j.  The scaled coefficient c_i 2^(e_j i + f_j) is
+    formed column by column, exactly, so q_j is the caller's polynomial.
+    q(u) = sum_r u^r Q_r(w), w = u^g, over the stride's classes r: each
+    Q_r(w) comes from compensated Horner in w (Graillat, Langlois & Louvet
+    2009; complex error-free transformations as in Graillat &
+    Menissier-Morain 2012), about as accurate as Horner in twice the working
+    precision, with every class of every root a lane of one loop (its
+    coefficients laid out by _class_lanes, as _Horner's).  The zero rows above a shorter
+    polynomial's top coefficient keep its lanes at zero until that row, as
+    the leading zero of a derivative lane does.
+    w is the double-double w_hi + w_lo (_dd_power); s w_lo joins each step's
+    error terms.  The classes are added with double-double u^r and TwoSum.
+    q'(u) = g u^(g-1) Q_0'(w) + sum_(r >= 1) u^(r-1) (r Q_r(w) + g w Q_r'(w)),
+    the Q_r' by plain Horner run alongside.  At stride 1, w = u is exact, so
+    no w_lo term is formed, and q' is Q_0' itself: adding s 0 or multiplying
+    by 1 would turn a -0 into +0 or an inf into a NaN.
+    """
+    m = len(u)
+    g, classes = stride
+    c = len(classes)
+    r = np.array(classes)
+    rows = (len(cf) - 1) // g + 1
+    coef = _class_lanes(cf, g, r, rows)[:, :, owner]  # (row, class, root, re/im)
+    uf = u.view(float).reshape(m, 2)  # (x, y)
+    wf, w_lo = _dd_power(uf, g)
+    w = np.tile(wf.view(complex)[:, 0], c)
+    w_turns = _turns(np.tile(wf, (c, 1)))
+    w_lo = np.tile(w_lo, c)
+    k = (r + g * (rows - 1))[:, None] * e + f  # the exponent of each class's top row, per root
+    s = np.ldexp(coef[0], k[:, :, None]).reshape(c * m, 2)
+    err = np.zeros(c * m, complex)
+    der = np.zeros(c * m, complex)
+    for j in range(1, rows):
+        sv = s.view(complex)[:, 0]
+        der = der * w + sv
+        k -= g * e
+        p, t = _exact_product(s, w_turns)
+        s, es = _two_sum(p, np.ldexp(coef[j], k[:, :, None]).reshape(c * m, 2))
+        t = (t + es).view(complex)[:, 0]
+        err = err * w + (t + sv * w_lo if g > 1 else t)
+    s = s.reshape(c, m, 2)
+    err = err.reshape(c, m)
+    der = der.reshape(c, m)
+    val, lo = s[0], err[0]
+    dval = der[0] if g == 1 else g * _power(u, g - 1) * der[0]
+    for i in range(1, c):
+        si = s[i].view(complex)[:, 0]
+        ph, pl = _dd_power(uf, classes[i])
+        x, t = _exact_product(s[i], _turns(ph))
+        val, es = _two_sum(val, x)
+        lo = lo + (t + es).view(complex)[:, 0] + ph.view(complex)[:, 0] * err[i] + pl * si
+        term = classes[i] * si + g * w[:m] * der[i]
+        dval = dval + (term if classes[i] == 1 else _power(u, classes[i] - 1) * term)
+    return (val.view(complex)[:, 0] + lo) / dval
+
+
+def _polish_simple(
+    polys: list[np.ndarray], z: np.ndarray, stride: _Stride, owner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Newton on the given coefficients for every simple root at once.
+
+    polys holds the coefficients of each polynomial, owner[j] the one root
+    j belongs to.  Each root and its polynomial are scaled by the powers of
+    two _exponents picks, exactly: the polynomial solved is the caller's bit
+    for bit.  Each step is compensated Horner in w = u^g, every root of
+    every polynomial in one pass.  Any stride whose classes hold every
+    exponent of polys serves: the batch passes the solve's stride, or on
+    dense input and on P^(nu-1) the polish stride 3 with all three classes
+    (_POLYPHASE), whose row loop runs n // 3 + 1 times instead of n + 1.
+    Two steps, then up to _MAX_POLISH_STEPS for roots whose last step is
+    still above rounding level.  Returns the polished roots and the size of
+    each root's last step relative to |u|.
+    """
+    n = max(len(c) for c in polys) - 1
+    cf = np.zeros((n + 1, len(polys)), complex)
+    for i, c in enumerate(polys):
+        cf[: len(c), i] = c
+    e, f = _exponents(cf.T, owner, np.log2(np.abs(z)))
+    cf = cf.view(float).reshape(n + 1, len(polys), 2)
+    u = _scaled(z, -e)
+    last = np.zeros(len(z))
+    todo = np.arange(len(z))
+    for step in range(_MAX_POLISH_STEPS):
+        with np.errstate(all="ignore"):
+            w = _compensated_newton_step(cf, e[todo], f[todo], u[todo], stride, owner[todo])
+            w[~np.isfinite(w)] = 0.0
+            u[todo] -= w
+            last[todo] = np.abs(w) / np.abs(u[todo])
+        if step >= 1:
+            keep = last[todo] > _EPS
+            todo = todo[keep]
+            if not len(todo):
+                break
+    return _scaled(u, e), last
 
 
 def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | None = None) -> list:

@@ -3,12 +3,16 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alphasectors
 from alphasectors import (
@@ -157,6 +161,18 @@ def test_find_roots_rejects_constants():
 def test_find_roots_rejects_non_finite_coefficients(coeffs):
     with pytest.raises(ValueError, match="not a finite number"):
         find_roots(coeffs)
+
+
+@pytest.mark.parametrize(
+    "coeffs, i", [([1, 1.5e308 + 1.5e308j], 1), ([1.5e308 + 1.5e308j, 1], 0), ([1, 1.5e308 - 1.5e308j, 1], 1)]
+)
+def test_find_roots_rejects_a_coefficient_whose_modulus_overflows(coeffs, i):
+    # finite parts, infinite modulus: the scale's log2 |c_i| read inf and named 2^9223372036854775808
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"polynomial coefficient {i} is {complex(coeffs[i])}, of modulus beyond double range"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            find_roots(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -617,8 +633,8 @@ def _sliced_compensated_step(cf, e, f, u):
     n = len(cf) - 1
     uf = u.view(float).reshape(m, 2)
     iu = np.stack([-uf[:, 1], uf[:, 0]], axis=1)
-    u_hi, u_lo = solver._split(uf)
-    iu_hi, iu_lo = solver._split(iu)
+    u_hi, u_lo = REFERENCE._split(uf)
+    iu_hi, iu_lo = REFERENCE._split(iu)
     k = e * n + f
     s = np.ldexp(cf[n], k[:, None])
     err = np.zeros(m, complex)
@@ -626,11 +642,11 @@ def _sliced_compensated_step(cf, e, f, u):
     for i in range(n - 1, -1, -1):
         der = der * u + s.view(complex)[:, 0]
         k -= e
-        s_hi, s_lo = solver._split(s)
-        a, ea = solver._two_prod(s[:, :1], s_hi[:, :1], s_lo[:, :1], uf, u_hi, u_lo)
-        b, eb = solver._two_prod(s[:, 1:], s_hi[:, 1:], s_lo[:, 1:], iu, iu_hi, iu_lo)
-        p, ep = solver._two_sum(a, b)
-        s, es = solver._two_sum(p, np.ldexp(cf[i], k[:, None]))
+        s_hi, s_lo = REFERENCE._split(s)
+        a, ea = REFERENCE._two_prod(s[:, :1], s_hi[:, :1], s_lo[:, :1], uf, u_hi, u_lo)
+        b, eb = REFERENCE._two_prod(s[:, 1:], s_hi[:, 1:], s_lo[:, 1:], iu, iu_hi, iu_lo)
+        p, ep = REFERENCE._two_sum(a, b)
+        s, es = REFERENCE._two_sum(p, np.ldexp(cf[i], k[:, None]))
         err = err * u + (ea + eb + ep + es).view(complex)[:, 0]
     return (s.view(complex)[:, 0] + err) / der
 
@@ -691,10 +707,119 @@ def test_compensated_step_matches_the_sliced_products_bit_for_bit(name):
     coeffs, z = STEP_CASES[name](rng)
     cf, e, f, u = _step_inputs(np.ascontiguousarray(coeffs, complex), z)
     with np.errstate(all="ignore"):
-        got = solver._compensated_newton_step(cf[:, None], e, f, u.copy(), solver._DENSE, np.zeros(len(u), np.intp))
+        table = solver._scaled_lanes(cf[:, None], e, f, solver._DENSE, np.zeros(len(u), np.intp))
+        got = solver._compensated_newton_step(table, u.copy(), solver._DENSE)
         want = _sliced_compensated_step(cf, e, f, u.copy())
     assert np.isfinite(want).mean() > 0.9
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the compensated polish against its frozen copy (REFERENCE._polish_simple),
+# which scaled each Horner row and built each block on fresh arrays
+# ---------------------------------------------------------------------------
+
+
+def _polish_outcome(polish, polys, z, stride, owner):
+    """The bytes of the roots and last-step sizes polish returns, or the exception it raises."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            return [a.tobytes() for a in polish([p.copy() for p in polys], z.copy(), stride, owner.copy())]
+        except Exception as exc:  # noqa: BLE001 - both sides must fail alike
+            return type(exc), str(exc)
+
+
+def _recorded_polishes(monkeypatch, solves) -> list:
+    """The arguments of every _polish_simple call the solves make."""
+    calls = []
+    polish = solver._polish_simple
+
+    def record(polys, z, stride, owner):
+        calls.append(([p.copy() for p in polys], z.copy(), stride, owner.copy()))
+        return polish(polys, z, stride, owner)
+
+    monkeypatch.setattr(solver, "_polish_simple", record)
+    for solve in solves:
+        with contextlib.suppress(SolverError):
+            solve()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_polishes_match_the_frozen_polish(calls):
+    assert calls
+    for args in calls:
+        got = _polish_outcome(solver._polish_simple, *args)
+        assert isinstance(got, list), got
+        assert got == _polish_outcome(REFERENCE._polish_simple, *args), args[2]
+
+
+def test_polish_matches_the_frozen_polish_on_the_screen_inputs(screen_inputs, monkeypatch):
+    polys = [coeffs for group in screen_inputs.values() for coeffs in group]
+    calls = _recorded_polishes(monkeypatch, [lambda c=c: find_roots(c) for c in polys])
+    # the k-strides of verify, _POLYPHASE on dense input and on P^(nu-1), and simple roots left alone
+    strides = {stride for _, _, stride, _ in calls}
+    assert solver._POLYPHASE in strides and any(s.g >= 8 for s in strides)
+    assert any(len(p) < len(max(polys, key=len)) for ps, *_ in calls for p in ps)
+    _assert_polishes_match_the_frozen_polish(calls)
+
+
+def test_polish_matches_the_frozen_polish_on_the_differential_cases(monkeypatch):
+    cases = [DIFFERENTIAL_CASES[name]()[0] for name in sorted(DIFFERENTIAL_CASES)]
+    _assert_polishes_match_the_frozen_polish(_recorded_polishes(monkeypatch, [lambda c=c: find_roots(c) for c in cases]))
+
+
+def test_polish_matches_the_frozen_polish_on_multiple_roots(monkeypatch):
+    # the double centres polish as simple roots of P' at _POLYPHASE: the fig3 true double,
+    # a real double, and a double beside a triple root at the origin, z^3 (z + 1)^2
+    solves = [
+        lambda: alpha_points(FIG3_SPEC, 0.21755646163765166j, 10.0),
+        lambda: find_roots([4, -4, 1]),
+        lambda: find_roots([0, 0, 0, 1, 2, 1]),
+    ]
+    calls = _recorded_polishes(monkeypatch, solves)
+    # fig3's degree-4 polynomial polishes its two simple roots, then P' (4 coefficients) its double
+    assert [(len(ps[0]), len(z), stride) for ps, z, stride, _ in calls] == [
+        (5, 2, solver._POLYPHASE), (4, 1, solver._POLYPHASE), (2, 1, solver._POLYPHASE), (2, 1, solver._POLYPHASE)
+    ]
+    _assert_polishes_match_the_frozen_polish(calls)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308, math.inf, -math.inf, math.nan, 1e308]
+_ENTRY = st.one_of(st.floats(-4.0, 4.0), st.sampled_from(_SPECIAL), st.floats(allow_subnormal=True))
+_COMPLEX = st.builds(complex, _ENTRY, _ENTRY)
+_MODERATE = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _polish_inputs(draw):
+    """_polish_simple's arguments: polynomials held in the stride's classes, built from drawn roots,
+    each polished root started beside one of them (where the compensated terms decide the last bits),
+    and a few coefficients and starts replaced by signed zeros, subnormals, huge or non-finite values."""
+    g = draw(st.sampled_from([1, 2, 3, 5, 8]))
+    classes = (0,) if g == 1 else tuple(sorted(draw(st.sets(st.integers(0, g - 1), min_size=1))))
+    polys, z, owner = [], [], []
+    for i in range(draw(st.integers(1, 3))):
+        c = np.polynomial.polynomial.polyfromroots(draw(st.lists(_MODERATE, min_size=1, max_size=30)))
+        c[~np.isin(np.arange(len(c)) % g, classes)] = 0
+        roots = np.roots(c[::-1]) if c.any() else np.zeros(0)
+        nudge = draw(st.sampled_from([0.0, 1e-15, 1e-11, 1e-7, 1e-3]))
+        z += list(roots[: draw(st.integers(1, 6))] * (1 + nudge * (1 + 0.5j)))
+        owner += [i] * (len(z) - len(owner))
+        for _ in range(draw(st.integers(0, 2))):
+            c[draw(st.integers(0, len(c) - 1))] = draw(_COMPLEX)
+        polys.append(c)
+    z, owner = (z, owner) if z else ([draw(_COMPLEX)], [0])
+    for _ in range(draw(st.integers(0, 2))):
+        z[draw(st.integers(0, len(z) - 1))] = draw(_COMPLEX)
+    return polys, np.array(z, complex), solver._Stride(g, classes), np.array(owner, np.intp)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(args=_polish_inputs())
+def test_polish_matches_the_frozen_polish_on_drawn_inputs(args):
+    assert _polish_outcome(solver._polish_simple, *args) == _polish_outcome(REFERENCE._polish_simple, *args)
 
 
 def test_find_roots_at_degree_cap():
@@ -1058,7 +1183,7 @@ def test_sparse_compensated_step_matches_extended_precision(k, p, with_cd):
     z = np.array([cl.center for cl in find_roots(coeffs)])[::3]
     z = z * (1 + 1e-12 * (rng.normal(size=len(z)) + 1j * rng.normal(size=len(z))))
     cf, e, f, u = _step_inputs(coeffs, z)
-    got = solver._compensated_newton_step(cf[:, None], e, f, u, stride, np.zeros(len(u), np.intp))
+    got = solver._compensated_newton_step(solver._scaled_lanes(cf[:, None], e, f, stride, np.zeros(len(u), np.intp)), u, stride)
     with mp.workdps(60):
         cs = [mp.mpc(c) for c in coeffs[::-1]]
         for zi, ei, gi in zip(z, e, got):
