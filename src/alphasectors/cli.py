@@ -30,7 +30,6 @@ from .checks import (
     normalized_alpha,
     points_census,
     predict_first_location,
-    predict_next_sector,
     verify_first_location,
     verify_generic_interlacing,
     verify_k2_distribution,
@@ -39,12 +38,8 @@ from .checks import (
 from .functions import AlphaPoint, SeriesFunction, StructuredFunction, factor_moduli, truncate_series
 from .qseries import QSeriesSpec
 from .sectors import classify_sector, real_direction_index
-from .solver import SolverError, alpha_points
+from .solver import DEFAULT_TOL, SolverError, alpha_points
 from .winding import InconclusiveRegion, sector_census
-
-
-def _default_tol() -> float:
-    return _number_flag(os.environ.get("ALPHASECTORS_TOL", "1e-9"), "ALPHASECTORS_TOL")
 
 
 def _fmt(x: float) -> str:
@@ -498,7 +493,7 @@ def _demo_series(name: str, tol: float):
 
 def run_demo(name: str, outdir: str = ".", tol: float | None = None) -> int:
     """Execute a bundled fixture end to end; nonzero exit on any failure."""
-    tol = _default_tol() if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     if name in FIGURES:
         points, reports, spec = _demo_figure(name, tol)
     elif name in SERIES_DEMOS:
@@ -529,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", required=True, help="path to a JSON function spec")
         p.add_argument("--alpha", required=True, help="complex target, e.g. -1-1i")
         if tol_help:
-            p.add_argument("--tol", type=_number_flag, default=_default_tol(), help=tol_help)
+            p.add_argument("--tol", type=_number_flag, default=DEFAULT_TOL, help=tol_help)
 
     def outputs(p):
         """The artifacts of the commands that solve: a points CSV, a JSON report, an SVG plot."""
@@ -563,14 +558,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo", help="run a bundled fixture end to end")
     p.add_argument("name", choices=DEMO_NAMES)
     p.add_argument("--outdir", default=".")
-    p.add_argument("--tol", type=_number_flag, default=_default_tol())
+    p.add_argument("--tol", type=_number_flag, default=DEFAULT_TOL)
     p.set_defaults(func=cmd_demo)
     return parser
 
 
-@functools.lru_cache(maxsize=4)
-def _parser(env_tol: str | None) -> argparse.ArgumentParser:
-    """build_parser(), built once per ALPHASECTORS_TOL value, whose --tol default it holds.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser(), built once.
 
     main builds it on first use rather than at import.  set_defaults binds
     the cmd_* functions when the parser is built, so patching cli.cmd_*
@@ -580,7 +575,7 @@ def _parser(env_tol: str | None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser(os.environ.get("ALPHASECTORS_TOL")).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (SolverError, ValueError) as exc:  # typed library errors; PoleProximity arrives as a SolverError

@@ -33,10 +33,11 @@ _finish: on every polynomial at the end of the pass, and on the roots
 alpha_points reuses.  The iteration cap (MAX_ITERS) and the cluster distance
 (DEFAULT_CLUSTER_TOL) are fixed; only the root tolerance and the multiplicity
 bound are parameters.
-_group and _check_simple first screen the pairs of roots that could be near
-(_close_pairs: a window over the sorted moduli, widened so that rounding
-never drops a pair) and run their distance test on those alone; the n x n
-matrices are formed only when a screened pair passes it.
+A root is its centre and its multiplicity (RootCluster).  _group and
+_check_simple decide every near pair from one list: the pairs of roots that
+could be near (_close_pairs: a window over the sorted moduli, widened so that
+rounding never drops a pair), whose distance test they run on those alone;
+no n x n matrix is formed.
 alpha_points converts a spec to its alpha-polynomial, solves, classifies
 sectors, and returns modulus-sorted points; a series solved at alpha = 0
 reuses the roots truncate_series found for it at the default root tolerance.
@@ -93,12 +94,10 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootCluster:
-    """A group of iterates identified as one root of some multiplicity."""
+    """A root, polished, and its multiplicity."""
 
     center: complex
-    members: tuple[complex, ...]
     multiplicity: int
-    cluster_radius: float
 
 
 def _scaled(z: np.ndarray, e) -> np.ndarray:
@@ -427,25 +426,24 @@ def _aberth(horner: _Horner, tol: float) -> list:
     return out
 
 
-def _components(near: np.ndarray) -> list[list[int]]:
-    """Connected components of the graph whose adjacency is the upper triangle of `near`.
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> list[list[int]]:
+    """Connected components of the graph on 0 .. n - 1 with the edges (i[t], j[t]).
 
     Members ascend within a group; groups are listed by their smallest member.
     """
-    n = len(near)
     parent = list(range(n))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    for i, j in zip(*np.nonzero(np.triu(near, 1))):
-        parent[find(i)] = find(j)
+    for a, b in zip(i.tolist(), j.tolist()):
+        parent[find(a)] = find(b)
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
+    for a in range(n):
+        groups.setdefault(find(a), []).append(a)
     return list(groups.values())
 
 
@@ -453,11 +451,11 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _subsplit(horner: _Horner, u: np.ndarray, which: int) -> list[list[int]]:
-    """Partition a distance-cluster, its scaled members u, by indistinguishability.
+    """Partition a distance-cluster, its scaled iterates u, by indistinguishability.
 
-    Each member gets the Newton uncertainty radius (|P| + rounding noise) / |P'|,
+    Each iterate gets the Newton uncertainty radius (|P| + rounding noise) / |P'|,
     the noise being n eps sum |c_i| |u|^i, formed like N.  Below this distance
-    two iterates cannot be told apart: a converged member of a multiple root
+    two iterates cannot be told apart: a converged iterate of a multiple root
     sits within it of the center, while genuinely distinct simple roots
     separate by much more than their radii.  which names the cluster's
     polynomial in horner's stack.
@@ -466,7 +464,7 @@ def _subsplit(horner: _Horner, u: np.ndarray, which: int) -> list[list[int]]:
     sc, dsc = horner.polys[which]
     bound = _Horner([(np.abs(sc), np.abs(dsc))], horner.stride)(np.abs(u), np.zeros(len(u), np.intp))[0]
     acc = (np.abs(num) + _EPS * (len(sc) - 1) * bound) / np.maximum(np.abs(den), 1e-300)
-    return _components(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :]))
+    return _components(len(u), *np.nonzero(np.abs(u[:, None] - u[None, :]) <= 4.0 * (acc[:, None] + acc[None, :])))
 
 
 _SCREEN_SLACK = 1e-6  # relative widening of _close_pairs' window; its rounding is a few ulps
@@ -491,40 +489,34 @@ def _close_pairs(z: np.ndarray, t: float, a: float) -> tuple[np.ndarray, np.ndar
     return order[first], order[second]
 
 
-def _group(u: np.ndarray, e: int, horner: _Horner, which: int):
+def _group(u: np.ndarray, e: int, horner: _Horner, which: int) -> tuple[np.ndarray, np.ndarray]:
     """Aberth's iterates u of polynomial which of horner, grouped one root a group.
 
     Iterates closer than sqrt(DEFAULT_CLUSTER_TOL) (1 + |z|) are joined, and
-    _subsplit parts each cluster into those that cannot be told apart.  Returns
-    each group's members z = 2^e u, centre (their mean) and radius (the farthest
-    member's distance from it); a centre beyond double range raises SolverError.
-    The pairs near enough to be joined are screened first (_close_pairs) and
-    only those compared; with no pair joined, the usual case of distinct
-    simple roots, the groups are the iterates themselves, one each in index
-    order, read off the arrays, and no n x n matrix is formed.
+    _subsplit parts each cluster into those that cannot be told apart.  Only
+    the pairs _close_pairs screens are compared, and those that pass are the
+    edges the groups are read from.  Returns each group's centre, the mean of
+    its z = 2^e u, and its size, the multiplicity; a root beyond double range
+    raises SolverError.  With no pair joined, the usual case of distinct
+    simple roots, the groups are the iterates themselves, in index order.
     """
     roots = _scaled(u, e)
     if not np.isfinite(roots).all():
         raise SolverError("a root lies beyond double range")
     reach = math.sqrt(DEFAULT_CLUSTER_TOL)
     i, j = _close_pairs(roots, reach, 1.0)
-    if not (np.abs(roots[i] - roots[j]) < reach * (1.0 + np.abs(roots[i] + roots[j]) / 2)).any():
-        return [(z,) for z in roots.tolist()], roots, [0.0] * len(roots)
-    scale = 1.0 + np.abs(roots[:, None] + roots[None, :]) / 2
-    near = np.abs(roots[:, None] - roots[None, :]) < reach * scale
-    np.fill_diagonal(near, False)
+    near = np.abs(roots[i] - roots[j]) < reach * (1.0 + np.abs(roots[i] + roots[j]) / 2)
+    if not near.any():
+        return roots, np.ones(len(roots), np.intp)
     groups = []
-    for idx in _components(near):
+    for idx in _components(len(roots), i[near], j[near]):
         # keep close but genuinely distinguishable simple roots separate
         subs = _subsplit(horner, u[idx], which) if len(idx) > 1 else [[0]]
-        groups += [[idx[i] for i in sub] for sub in subs]
-    zs = roots.tolist()
-    members = [tuple(zs[j] for j in g) for g in groups]
-    centres = np.array([ms[0] if len(ms) == 1 else np.mean(roots[g]) for ms, g in zip(members, groups)])
+        groups += [[idx[s] for s in sub] for sub in subs]
+    centres = np.array([roots[g[0]] if len(g) == 1 else np.mean(roots[g]) for g in groups])
     if not np.isfinite(centres).all():
         raise SolverError("a root lies beyond double range")
-    radii = [max(abs(m - c) for m in ms) if len(ms) > 1 else 0.0 for ms, c in zip(members, centres.tolist())]
-    return members, centres, radii
+    return centres, np.array([len(g) for g in groups])
 
 
 # the compensated polish's stride on dense input: a third of the Horner rows, each three
@@ -756,7 +748,7 @@ def _find_roots_batch(
     one Aberth loop in which each keeps its own start, reciprocal sum and stop
     rule, and one compensated polish of their simple roots, at the polish
     stride (_POLYPHASE for dense input, else the stride).  Stripping, grouping
-    (_group), the checks and the polish of each cluster of nu > 1 members (as
+    (_group), the checks and the polish of each root of multiplicity nu > 1 (as
     the simple root of P^(nu-1), at _POLYPHASE) stay per polynomial.  _finish,
     the multiplicity bound, runs last on each polynomial in input order: the
     first whose own solve fails raises its error.  forecasts[i], if given, is
@@ -771,10 +763,9 @@ def _find_roots_batch(
             results.append(exc)
             continue
         n = len(sc) - 1
-        results.append([RootCluster(0j, (0j,) * m0, m0, 0.0)] if m0 else [])
+        results.append([RootCluster(0j, m0)] if m0 else [])
         if n == 1:
-            root = complex(_scaled(-sc[:1] / sc[1:], e)[0])
-            results[i].append(RootCluster(root, (root,), 1, 0.0))
+            results[i].append(RootCluster(complex(_scaled(-sc[:1] / sc[1:], e)[0]), 1))
         elif n >= 2:
             original = np.ascontiguousarray(np.asarray(coeffs, complex)[m0 : m0 + n + 1])
             stride = _stride(original)  # sc may hold fewer nonzeros (underflow), never more
@@ -783,7 +774,7 @@ def _find_roots_batch(
     for (stride, _), stack in stacks.items():
         starts = forecasts and [forecasts[i] for i, *_ in stack]
         horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for _, sc, _, _ in stack], stride, starts)
-        grouped = {}  # p: the members, centres and radii of stack[p]'s groups
+        grouped = {}  # p: the centres and multiplicities of stack[p]'s roots
         for p, ((i, _, e, _), u) in enumerate(zip(stack, _aberth(horner, tol))):
             if isinstance(u, SolverError):
                 results[i] = u
@@ -792,13 +783,13 @@ def _find_roots_batch(
                 grouped[p] = _group(u, e, horner, p)
             except SolverError as exc:
                 results[i] = exc
-        simple = {p: np.flatnonzero([len(ms) == 1 for ms in g[0]] & (g[1] != 0)) for p, g in grouped.items()}
+        simple = {p: np.flatnonzero((nu == 1) & (centres != 0)) for p, (centres, nu) in grouped.items()}
         if any(len(js) for js in simple.values()):
-            z, owner = _owned({p: grouped[p][1][js] for p, js in simple.items()})
+            z, owner = _owned({p: grouped[p][0][js] for p, js in simple.items()})
             polish_stride = _POLYPHASE if stride == _DENSE else stride
             z, steps = _polish_simple([original for *_, original in stack], z, polish_stride, owner)
             z, last = _pieces(z, simple), _pieces(steps, simple)
-        for p, (members, centres, radii) in grouped.items():
+        for p, (centres, nu) in grouped.items():
             i, *_, original = stack[p]
             if len(simple[p]):
                 centres[simple[p]] = z[p]
@@ -807,16 +798,16 @@ def _find_roots_batch(
                 except SolverError as exc:
                     results[i] = exc
                     continue
-            multiple = [j for j, ms in enumerate(members) if len(ms) > 1]
-            if multiple:  # a root of multiplicity nu is a simple root of P^(nu - 1)
+            multiple = np.flatnonzero(nu > 1)
+            if len(multiple):  # a root of multiplicity nu is a simple root of P^(nu - 1)
                 derivatives = []
                 for j in multiple:
                     d = original
-                    for _ in range(len(members[j]) - 1):
+                    for _ in range(nu[j] - 1):
                         d = np.arange(1, len(d)) * d[1:]
                     derivatives.append(d)
                 centres[multiple] = _polish_simple(derivatives, centres[multiple], _POLYPHASE, np.arange(len(multiple)))[0]
-            results[i] += [RootCluster(c, ms, len(ms), r) for ms, c, r in zip(members, centres.tolist(), radii)]
+            results[i] += list(map(RootCluster, centres.tolist(), nu.tolist()))
 
     for i, result in enumerate(results):
         if isinstance(result, Exception):
@@ -829,27 +820,25 @@ def _check_simple(z: np.ndarray, last: np.ndarray) -> None:
     """Raise SolverError when an iterate polished as a simple root is not a root of its own.
 
     Either its last Newton step is still far above rounding level, or it
-    settled within _DUPLICATE_TOL of another simple root.  Reporting it would
-    count one root twice and lose another.  Every step settled and no pair
-    screened by _close_pairs that close, the n x n gaps are never formed.
+    settled within _DUPLICATE_TOL of another simple root, a pair that
+    _close_pairs screens.  Reporting it would count one root twice and lose
+    another.  The error names the root with the largest last step among
+    those, and its nearest simple root.
     """
-    if not (last > _UNSETTLED).any():
-        i, j = _close_pairs(z, _DUPLICATE_TOL, 0.0)
-        if not (np.abs(z[i] - z[j]) <= _DUPLICATE_TOL * np.maximum(np.abs(z[i]), np.abs(z[j]))).any():
-            return
-    az = np.abs(z)
-    gap = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(gap, np.inf)
-    near = gap.argmin(axis=1)
-    nearest = gap[np.arange(len(z)), near]
-    bad = np.flatnonzero((last > _UNSETTLED) | (nearest <= _DUPLICATE_TOL * np.maximum(az, az[near])))
+    i, j = _close_pairs(z, _DUPLICATE_TOL, 0.0)
+    twice = np.abs(z[i] - z[j]) <= _DUPLICATE_TOL * np.maximum(np.abs(z[i]), np.abs(z[j]))
+    bad = last > _UNSETTLED
+    bad[i[twice]] = bad[j[twice]] = True
+    bad = np.flatnonzero(bad)
     if not len(bad):
         return
     j = bad[np.argmax(last[bad])]
     message = f"iterate at {z[j]:.17g} is not a simple root of its own: last polish step {last[j]:.2g} of |z|"
     if len(z) > 1:
-        i = near[j]
-        message += f"; nearest simple root {z[i]:.17g} is {nearest[j] / az[j]:.2g} of |z| away"
+        gap = np.abs(z - z[j])
+        gap[j] = np.inf
+        i = gap.argmin()
+        message += f"; nearest simple root {z[i]:.17g} is {gap[i] / np.abs(z[j]):.2g} of |z| away"
     raise SolverError(message, residuals=[last[j]])
 
 

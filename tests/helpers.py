@@ -119,15 +119,7 @@ QSERIES_GRID = [
 
 
 def clusters_bytes(clusters):
-    """Every centre, member, multiplicity and radius of a cluster list, as bytes (None stays None)."""
+    """Every centre and multiplicity of a cluster list, the centres as bytes (None stays None)."""
     if clusters is None:
         return None
-    return [
-        (
-            np.complex128(cl.center).tobytes(),
-            np.array(cl.members, complex).tobytes(),
-            cl.multiplicity,
-            np.float64(cl.cluster_radius).tobytes(),
-        )
-        for cl in clusters
-    ]
+    return [(np.complex128(cl.center).tobytes(), cl.multiplicity) for cl in clusters]

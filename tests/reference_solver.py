@@ -487,7 +487,7 @@ def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | No
     if isinstance(u, SolverError):
         raise u
     u = _newton_polish(horner, u, np.zeros(len(u), np.intp))
-    members, centres, radii = _group(u, lam, horner, 0)
+    members, centres, _ = _group(u, lam, horner, 0)
     sizes = np.array([len(ms) for ms in members])
     simple = np.flatnonzero((sizes == 1) & (centres != 0))
     if len(simple):
@@ -498,8 +498,8 @@ def find_roots(coeffs, tol: float = DEFAULT_ROOT_TOL, max_multiplicity: int | No
     multiple = np.flatnonzero(sizes > 1)
     if len(multiple):
         centres[multiple] = _extended_polish(original, centres[multiple].tolist(), sizes[multiple].tolist())
-    clusters = [RootCluster(0j, (0j,) * m0, m0, 0.0)] if m0 else []
-    clusters += [RootCluster(complex(c), ms, len(ms), r) for ms, c, r in zip(members, centres, radii)]
+    clusters = [RootCluster(0j, m0)] if m0 else []
+    clusters += [RootCluster(complex(c), len(ms)) for ms, c in zip(members, centres)]
     return _finish(clusters, max_multiplicity)
 
 

@@ -10,7 +10,9 @@ raised message of the current module must be repr-equal to the copy's.  The
 copy read a list out of modulus order without saying so, where every
 verifier now reports each descent as a modulus-order violation; so the
 broken lists are compared after sorting by (modulus, argument), as the solver
-sorts, and the out-of-order lists are checked on their own below.
+sorts, and the out-of-order lists are checked on their own below.  Last, each
+predicate that no solved or broken list raises fires on a hand-built list,
+with the copy's report.
 """
 
 import cmath
@@ -18,10 +20,11 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from alphasectors import alpha_points, checks
 from alphasectors.functions import AlphaPoint, StructuredFunction
-from alphasectors.sectors import DEFAULT_ANGLE_TOL, classify_sector
+from alphasectors.sectors import DEFAULT_ANGLE_TOL, SectorIndex, classify_sector
 from alphasectors.solver import SolverError
 
 from helpers import load_frozen, random_alpha_generic, random_alpha_real_direction, random_structured
@@ -149,3 +152,94 @@ def test_swapped_fig3_list_gets_one_verdict_from_both_verifiers():
 
     assert at_first_pair(pairing) == at_first_pair(quadrant)
     assert [name for name, _ in at_first_pair(pairing)] == ["modulus-order", "pair-reflection"]
+
+
+# ---------------------------------------------------------------------------
+# the predicates no solved list raises, each on a hand-built list
+# ---------------------------------------------------------------------------
+
+FIG1 = StructuredFunction(p=-1, k=3, a=(0.1, 1.0, 4.0), b=(1.0, 5.0))
+FIG2A = StructuredFunction(p=1, k=3, a=(1.0, 3.0, 4.0), b=(1.0, 5.0))
+FIG3 = StructuredFunction(p=1, k=2, a=(3.0,), b=(1.0, 5.0))
+FIG3_ALPHA = 0.2j  # Im alpha^2 = 0 with s = 1: the mirror is z -> -conj(z), the line the imaginary axis
+
+
+def _point(z: complex, k: int, multiplicity: int = 1, sector: int | None = None) -> AlphaPoint:
+    """An alpha-point at z, labelled by classify_sector unless sector overrides its sector."""
+    s, boundary = classify_sector(z, k)
+    if sector is not None:
+        s = SectorIndex(sector, k)
+    return AlphaPoint(complex(z), abs(z), s, boundary, multiplicity, 0.0)
+
+
+_NEAR_RAY = 1.5 * cmath.exp(1e-7j)  # in Q0, 1e-7 rad off ray 0: no boundary point
+# its mirror image turned 2e-7 rad across the negative real axis: still a mirror pair within
+# DEFAULT_GAP_TOL, but in Q2, so both points of the pair lie in even sectors
+_ACROSS = -_NEAR_RAY.conjugate() * cmath.exp(2e-7j)
+
+# name: (the verifier run on a module, the (predicate, indices) of its report)
+RARE_PREDICATES = {
+    "off-boundary": (
+        lambda m: m.verify_generic_interlacing([_point(1.0, 3)], -1 - 1j, FIG1),
+        [("off-boundary", (0,))],
+    ),
+    # a pair of total multiplicity <= 2 with a multiplicity other than 1: reachable only below 1
+    "pair-simple": (
+        lambda m: m.verify_real_power_case([_point(_NEAR_RAY, 2, 2), _point(-_NEAR_RAY.conjugate(), 2, 0)], FIG3_ALPHA, FIG3),
+        [("pair-simple", (0, 1))],
+    ),
+    "pair-sectors-both-even": (
+        lambda m: m.verify_real_power_case([_point(_NEAR_RAY, 2), _point(_ACROSS, 2)], FIG3_ALPHA, FIG3),
+        [("pair-sectors", (0, 1))],
+    ),
+    # the partner of Q0 is Q1; the mirror image labelled Q3
+    "pair-sectors-wrong-partner": (
+        lambda m: m.verify_real_power_case(
+            [_point(_NEAR_RAY, 2), _point(-_NEAR_RAY.conjugate(), 2, sector=3)], FIG3_ALPHA, FIG3
+        ),
+        [("pair-sectors", (0, 1))],
+    ),
+    # three simple points on the ray {z e_1 > 0}, the negative imaginary axis
+    "ray-alternation": (
+        lambda m: m.verify_real_power_case([_point(-1j * t, 2) for t in (1.0, 2.0, 3.0)], FIG3_ALPHA, FIG3),
+        [("ray-alternation", (1,))],
+    ),
+    "empty-alpha-set": (
+        lambda m: m.verify_first_location([], m.predict_first_location(FIG2A, cmath.exp(1j * math.pi / 3)), 3),
+        [("empty-alpha-set", ())],
+    ),
+    # the forecast allows a double on ray 1 (arg pi/3) only; this one lies on ray 0
+    "first-double-ray": (
+        lambda m: m.verify_first_location(
+            [_point(0.5, 3, 2), _point(2 * cmath.exp(0.5j), 3)], m.predict_first_location(FIG2A, cmath.exp(1j * math.pi / 3)), 3
+        ),
+        [("first-double-ray", (0,))],
+    ),
+    # alpha imaginary, p = 3: a first pair at distinct moduli on one ray is the p = +-1 pattern only
+    "distinct-first-pair-power": (
+        lambda m: m.verify_k2_distribution([_point(1j, 2), _point(2j, 2)], 1j, j=1, sign_of_p=1),
+        [("distinct-first-pair-power", (0, 1))],
+    ),
+    "axis-multiplicity": (
+        lambda m: m.verify_k2_distribution([_point(2.0, 2, 3)], 1.0, j=-1, sign_of_p=-1),
+        [("axis-multiplicity", (0,))],
+    ),
+    # alpha real, p = -1: (-1)^j alpha Re z1 must be negative
+    "first-sign-real-axis-negative-power": (
+        lambda m: m.verify_k2_distribution([_point(-1.0, 2)], 1.0, j=-1, sign_of_p=-1),
+        [("first-sign", (0,))],
+    ),
+    "off-axes": (
+        lambda m: m.verify_k2_distribution([_point(1.0, 2)], 1 + 1j, j=0, sign_of_p=1, first_point_checks=False),
+        [("off-axes", (0,))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RARE_PREDICATES))
+def test_each_rare_predicate_fires_on_a_hand_built_list(name):
+    run, want = RARE_PREDICATES[name]
+    report = run(checks)
+    assert not report.passed
+    assert [(v.predicate, v.indices) for v in report.violations] == want
+    assert repr(report) == repr(run(REFERENCE))

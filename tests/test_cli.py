@@ -27,7 +27,6 @@ from alphasectors.checks import (
 )
 from alphasectors.cli import (
     DEMO_NAMES,
-    _default_tol,
     build_parser,
     emit_results,
     main,
@@ -38,7 +37,7 @@ from alphasectors.cli import (
 )
 from alphasectors.functions import SeriesFunction, StructuredFunction, truncate_series
 from alphasectors.qseries import disturbed_exp_coeffs, partial_theta_coeffs
-from alphasectors.solver import alpha_points
+from alphasectors.solver import DEFAULT_TOL, alpha_points
 from alphasectors.winding import sector_census
 
 
@@ -135,7 +134,7 @@ def test_csv_rows_carry_each_point_field_by_field(tmp_path, payload, alpha):
     spec_path = write_spec(tmp_path, payload)
     csv_path = tmp_path / "points.csv"
     assert main(["solve", "--spec", spec_path, f"--alpha={alpha!r}", "--radius", "10", "--csv", str(csv_path)]) == 0
-    points = alpha_points(spec_from_dict(payload), alpha, 10.0, tol=_default_tol())
+    points = alpha_points(spec_from_dict(payload), alpha, 10.0, tol=DEFAULT_TOL)
     assert points
     rows = [
         f"{i},{pt.value.real:.17g},{pt.value.imag:.17g},{pt.modulus:.17g},{pt.sector.s},"
@@ -209,7 +208,6 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         (FIG1_JSON, census_args(rin="0.01", rout="10", alpha="0"), "error: alpha must be nonzero for structured specs"),
         (FIG1_JSON, [*solve_args(), "--tol", "0"], "error: --tol"),
         (FIG1_JSON, [*solve_args(command="verify"), "--tol=-1"], "error: --tol"),
-        (FIG1_JSON, ["ALPHASECTORS_TOL=abc", *solve_args()], "error: ALPHASECTORS_TOL"),
         (MIXED_SCALE_JSON, solve_args(radius="1"), "field 'a'"),
         (MIXED_SCALE_JSON, census_args(alpha="1"), "field 'a'"),
         (MIXED_SCALE_JSON, ["predict", "--alpha=1"], "field 'a'"),
@@ -245,7 +243,7 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         "A0-inf",
         *[f"{spec}-{command}" for spec in ("a-underflow", "ab-overflow", "a-overflow")
           for command in ("solve", "predict", "census")],
-        "census-tol-nan", "census-alpha-zero", "solve-tol-zero", "verify-tol-negative", "env-tol-string",
+        "census-tol-nan", "census-alpha-zero", "solve-tol-zero", "verify-tol-negative",
         "a-mixed-scale-solve", "a-mixed-scale-census", "a-mixed-scale-predict",
         "verify-main-real-alpha", "verify-main2-generic-alpha", "solve-trust-radius-zero",
         "predict-k-beyond-angle-tol",
@@ -253,11 +251,7 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         "a-string", "b-bool", "c-bool", "d-string", "A-bool", "A0-string", "coeffs-bool", "q-im-bool",
     ],
 )
-def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, monkeypatch, payload, args, field):
-    # leading NAME=value entries set the environment, as on a shell command line
-    while "=" in args[0] and not args[0].startswith("-"):
-        monkeypatch.setenv(*args[0].split("=", 1))
-        args = args[1:]
+def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, args, field):
     spec_path = write_spec(tmp_path, payload)
     with pytest.raises(SystemExit) as exc:
         main([args[0], "--spec", spec_path, *args[1:]])
@@ -498,14 +492,6 @@ def test_unknown_demo_rejected(tmp_path):
         run_demo("nope", str(tmp_path))
 
 
-def test_env_tolerance_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("ALPHASECTORS_TOL", "1e-6")
-    from alphasectors.cli import build_parser
-
-    args = build_parser().parse_args(["solve", "--spec", "x.json", "--alpha", "1", "--radius", "1"])
-    assert args.tol == 1e-6
-
-
 def test_main_reuses_its_parser_with_unchanged_output(tmp_path, capsys):
     import alphasectors.cli as cli
 
@@ -530,27 +516,6 @@ def test_main_reuses_its_parser_with_unchanged_output(tmp_path, capsys):
     assert all(out for _, out in fresh)
 
 
-def test_env_tolerance_reaches_the_command_between_main_calls(tmp_path, monkeypatch):
-    import alphasectors.cli as cli
-
-    seen = []
-
-    def recording(spec, alpha, radius, tol):
-        seen.append(tol)
-        return []
-
-    monkeypatch.setattr(cli, "alpha_points", recording)
-    spec_path = write_spec(tmp_path, FIG1_JSON)
-    argv = ["solve", "--spec", spec_path, "--alpha", "1", "--radius", "1"]
-    for value in ("1e-6", "1e-7", "1e-6", None):
-        if value is None:
-            monkeypatch.delenv("ALPHASECTORS_TOL", raising=False)
-        else:
-            monkeypatch.setenv("ALPHASECTORS_TOL", value)
-        assert main(argv) == 0
-    assert seen == [1e-6, 1e-7, 1e-6, 1e-9]
-
-
 def test_verify_exit_one_on_failed_report(tmp_path, monkeypatch):
     import alphasectors.cli as cli
     from alphasectors.checks import VerificationReport, Violation
@@ -562,6 +527,40 @@ def test_verify_exit_one_on_failed_report(tmp_path, monkeypatch):
     spec_path = write_spec(tmp_path, FIG1_JSON)
     rc = cli.main(["verify", "--spec", spec_path, "--alpha=-1-1i", "--radius", "10", "--theorem", "main"])
     assert rc == 1
+
+
+def test_failed_verify_writes_each_violation_to_json(tmp_path, monkeypatch, capsys):
+    import alphasectors.cli as cli
+    from alphasectors.functions import AlphaPoint
+    from alphasectors.sectors import classify_sector
+
+    # a point on ray 0, where the interlacing theorem puts none
+    on_ray = AlphaPoint(1 + 0j, 1.0, *classify_sector(1 + 0j, 3), 1, 0.0)
+    monkeypatch.setattr(cli, "alpha_points", lambda spec, alpha, radius, tol: [on_ray])
+    spec_path = write_spec(tmp_path, FIG1_JSON)
+    report = tmp_path / "report.json"
+    rc = main(["verify", "--spec", spec_path, "--alpha=-1-1i", "--radius", "10", "--json", str(report)])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[1] == "  violation: off-boundary at (0,) [(1+0j)]"
+    (written,) = json.loads(report.read_text())["reports"]
+    assert written["passed"] is False
+    assert written["violations"] == [{"predicate": "off-boundary", "indices": [0], "values": ["(1+0j)"]}]
+
+
+def test_demo_fig1_reports_a_census_mismatch(tmp_path, monkeypatch, capsys):
+    import alphasectors.cli as cli
+
+    counts = sector_census(cli.FIG1_SPEC, -1 - 1j, 0.01, 10.0)
+    monkeypatch.setattr(cli, "sector_census", lambda *args, **kwargs: [0] * 6)
+    assert run_demo("fig1", str(tmp_path)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [
+        "fig1: winding census: FAILED (1 checks)",
+        f"  violation: census-mismatch at () [{[0] * 6}, {counts}]",
+    ]
+    census = json.loads((tmp_path / "fig1_report.json").read_text())["reports"][-1]
+    assert census["theorem"] == "winding census" and census["passed"] is False
+    assert census["violations"] == [{"predicate": "census-mismatch", "indices": [], "values": [str([0] * 6), str(counts)]}]
 
 
 def test_emit_unwritable_path_named(tmp_path):
@@ -677,7 +676,7 @@ def _demo_series(family: str, n_trunc: int, source, tol: float):
 
 def reference_run_demo(name: str, outdir: str = ".", tol: float | None = None) -> int:
     """Execute a bundled fixture end to end; nonzero exit on any failure."""
-    tol = _default_tol() if tol is None else tol
+    tol = DEFAULT_TOL if tol is None else tol
     if name == "fig1":
         points, reports, spec = _demo_fig1(tol)
     elif name == "fig2a":

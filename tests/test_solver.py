@@ -428,8 +428,7 @@ def test_compensated_polish_matches_extended_precision(name):
         simple = simple[::pick]
     assert simple
     for cl in simple:
-        # a simple cluster's one member is the iterate both polishes start from
-        ref = REFERENCE._extended_polish(coeffs, [cl.members[0]], [1])[0]
+        ref = REFERENCE._extended_polish(coeffs, [cl.center], [1])[0]
         ulp = np.spacing(abs(ref))
         assert abs(cl.center - ref) <= 4 * ulp, (cl.center, ref)
         # no worse than the reference, or than a root one ulp from exact
@@ -505,12 +504,9 @@ def _close_pair_polynomials() -> list:
     return polys
 
 
-def _groups_bytes(members, centres, radii):
-    """Every group's centre, members, size and radius, as bytes: clusters_bytes of _group's output."""
-    return [
-        (np.complex128(c).tobytes(), np.array(ms, complex).tobytes(), len(ms), np.float64(r).tobytes())
-        for ms, c, r in zip(members, centres, radii)
-    ]
+def _groups_bytes(centres, multiplicities):
+    """Every group's centre, as bytes, and its multiplicity: clusters_bytes of _group's output."""
+    return [(np.complex128(c).tobytes(), int(nu)) for c, nu in zip(centres, multiplicities)]
 
 
 @pytest.fixture(scope="module")
@@ -531,7 +527,7 @@ def screen_inputs(tmp_path_factory):
 def test_group_matches_the_union_find_grouping(screen_inputs, monkeypatch):
     unions = []
     components = solver._components
-    monkeypatch.setattr(solver, "_components", lambda near: unions.append(1) or components(near))
+    monkeypatch.setattr(solver, "_components", lambda *args: unions.append(1) or components(*args))
     for name, polys in screen_inputs.items():
         for coeffs in polys:
             sc, e, m0 = solver._strip_and_scale(coeffs)
@@ -544,7 +540,8 @@ def test_group_matches_the_union_find_grouping(screen_inputs, monkeypatch):
             # distinct simple roots pass the screen and skip the union-find; a close pair is
             # joined, as the distance matrix joins it, then subsplit
             assert bool(unions) == REFERENCE.group_joins(u, lam) == (name == "close-pair"), name
-            assert got == _groups_bytes(*REFERENCE._group(u, lam, horner, 0)), name
+            members, centres, _ = REFERENCE._group(u, lam, horner, 0)
+            assert got == _groups_bytes(centres, map(len, members)), name
 
 
 def _error_of(check, *args):
@@ -581,7 +578,7 @@ def test_screens_keep_every_pair_at_the_threshold(monkeypatch):
     class Joined(Exception):
         pass
 
-    def joined(near):
+    def joined(*args):
         raise Joined
 
     monkeypatch.setattr(solver, "_components", joined)
@@ -1114,7 +1111,7 @@ def test_sparse_solve_matches_extended_precision(monkeypatch, name):
     assert [(cl.center == 0, cl.multiplicity) for cl in clusters] == [(cl.center == 0, cl.multiplicity) for cl in dense]
     simple = [cl for cl in clusters if cl.multiplicity == 1 and cl.center != 0]
     for cl in simple[:: max(1, len(simple) // 24)]:
-        ref = REFERENCE._extended_polish(coeffs, [cl.members[0]], [1])[0]
+        ref = REFERENCE._extended_polish(coeffs, [cl.center], [1])[0]
         ulp = np.spacing(abs(ref))
         assert abs(cl.center - ref) <= 4 * ulp, (cl.center, ref)
         floor = _mp_abs_value(coeffs, ref, derivative=True) * ulp
@@ -1505,7 +1502,7 @@ def _planted(spec, rng) -> list:
         for off in (-1e-12, -3e-13, 0.0, 3e-13, 1e-12):
             for side in (-1, 1):
                 out.append(math.exp(rng.uniform(-1, 1)) * cmath.exp(1j * (s * math.pi / k + side * (1e-9 + off))))
-    return [solver.RootCluster(z, (z,), 1, 0.0) for z in out]
+    return [solver.RootCluster(z, 1) for z in out]
 
 
 def test_acceptance_pass_matches_the_per_point_loop():
@@ -1539,7 +1536,7 @@ def test_acceptance_pass_matches_the_per_point_loop():
 
 def _centres(*zs) -> list:
     """A simple cluster at each of zs."""
-    return [solver.RootCluster(complex(z), (complex(z),), 1, 0.0) for z in zs]
+    return [solver.RootCluster(complex(z), 1) for z in zs]
 
 
 @pytest.mark.parametrize(
