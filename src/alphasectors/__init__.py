@@ -17,6 +17,7 @@ from .sectors import (
 from .functions import (
     AlphaPoint,
     PoleProximity,
+    RootCluster,
     SeriesFunction,
     StructuredFunction,
     alpha_polynomial,
@@ -24,9 +25,8 @@ from .functions import (
     evaluate_R,
     exponential_alpha_series,
     normalization_constant,
-    truncate_series,
 )
-from .solver import RootCluster, SolverError, alpha_points, find_roots
+from .solver import SolverError, alpha_points, find_roots, truncate_series
 from .winding import AnnularSector, InconclusiveRegion, count_in_contour, sector_census
 from .checks import (
     FirstPointForecast,

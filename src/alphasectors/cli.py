@@ -35,10 +35,10 @@ from .checks import (
     verify_k2_distribution,
     verify_real_power_case,
 )
-from .functions import AlphaPoint, SeriesFunction, StructuredFunction, factor_moduli, truncate_series
+from .functions import AlphaPoint, SeriesFunction, StructuredFunction, factor_moduli
 from .qseries import QSeriesSpec
 from .sectors import classify_sector, real_direction_index
-from .solver import DEFAULT_TOL, SolverError, alpha_points
+from .solver import DEFAULT_TOL, SolverError, alpha_points, truncate_series
 from .winding import InconclusiveRegion, sector_census
 
 
@@ -578,7 +578,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SolverError, ValueError) as exc:  # typed library errors; PoleProximity arrives as a SolverError
+    except (SolverError, ValueError) as exc:  # typed library errors; no CLI path evaluates G pointwise
         raise SystemExit(f"error: {exc}") from None
 
 

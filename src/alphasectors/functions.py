@@ -25,10 +25,15 @@ rows only.
 
 SeriesFunction holds a Maclaurin truncation of an entire target together with
 a certified trust radius; roots inside the trust radius are accepted as roots
-of the full function at the configured tolerance.  truncate_series, which
-solves the truncation to certify that radius, keeps the roots it found on the
-series (field `roots`), and alpha_points reuses them for the alpha = 0 solve
-instead of solving the same coefficients again.
+of the full function at the configured tolerance.  solver.truncate_series,
+which solves the truncation to certify that radius, keeps the roots it found
+on the series (field `roots`, RootClusters), and alpha_points reuses them for
+the alpha = 0 solve instead of solving the same coefficients again.
+
+This is the model layer: it imports sectors alone, and the solver, the
+winding oracle, the checks and the CLI build on it.  The evaluators take no
+tolerance: the pole band is DEFAULT_POLE_TOL.  pole_in_band alone takes a
+band, so that a wider one, such as the acceptance's 1e-3 gate, can be tested.
 """
 
 from __future__ import annotations
@@ -36,14 +41,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sectors import DEFAULT_ANGLE_TOL, SectorIndex, phase
-
-if TYPE_CHECKING:
-    from .solver import RootCluster
+from .sectors import K_BOUND, SectorIndex, phase
 
 DEFAULT_POLE_TOL = 1e-9
 
@@ -51,10 +52,10 @@ DEFAULT_POLE_TOL = 1e-9
 class PoleProximity(Exception):
     """Evaluation requested inside the pole band; the value is not a number."""
 
-    def __init__(self, z: complex, pole: complex, message: str = ""):
+    def __init__(self, z: complex, pole: complex):
         self.z = z
         self.pole = pole
-        super().__init__(message or f"evaluation at {z} is within the pole band of {pole}")
+        super().__init__(f"evaluation at {z} is within the pole band of {pole}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,8 @@ class StructuredFunction:
         object.__setattr__(self, "d", tuple(float(x) for x in self.d))
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
-        if not DEFAULT_ANGLE_TOL < math.pi / (4 * self.k):  # classify_sector's bound on its angle tolerance
-            bound = math.pi / (4 * DEFAULT_ANGLE_TOL)
-            raise ValueError(f"k must be below {bound:.10g}, pi/4 over the angle tolerance, got {self.k}")
+        if not self.k < K_BOUND:  # classify_sector's bound on k
+            raise ValueError(f"k must be below {K_BOUND:.10g}, pi/4 over the angle tolerance, got {self.k}")
         if self.p == 0 or math.gcd(abs(self.p), self.k) != 1:
             raise ValueError(f"|p|={abs(self.p)} and k={self.k} must be coprime (p nonzero)")
         for name in ("a", "b", "c", "d"):
@@ -161,6 +161,14 @@ class SeriesFunction:
 
 
 @dataclass(frozen=True)
+class RootCluster:
+    """A root, polished, and its multiplicity."""
+
+    center: complex
+    multiplicity: int
+
+
+@dataclass(frozen=True)
 class AlphaPoint:
     """One solution of F(z) = alpha."""
 
@@ -225,24 +233,24 @@ def _product(spec: StructuredFunction, w, val, exp):
     return val
 
 
-def evaluate_G(spec: StructuredFunction, z: complex, pole_tol: float = DEFAULT_POLE_TOL) -> complex:
+def evaluate_G(spec: StructuredFunction, z: complex) -> complex:
     """Evaluate the structured function at a nonzero point.
 
-    Raises PoleProximity when z^k (or z^-k) falls within pole_tol relative
-    distance of a pole parameter, instead of returning a large number.
+    Raises PoleProximity when z^k (or z^-k) falls within DEFAULT_POLE_TOL
+    relative distance of a pole parameter, instead of returning a large number.
     """
     z = complex(z)
     if z == 0:
         raise ValueError("z must be nonzero")
     zk = z**spec.k
     val = z**spec.p
-    pole = pole_in_band(spec, zk, pole_tol)
+    pole = pole_in_band(spec, zk, DEFAULT_POLE_TOL)
     if pole is not None:
         raise PoleProximity(z, pole[0] ** ((-1.0 if pole[2] else 1.0) / spec.k))
     return _product(spec, zk, val, cmath.exp)
 
 
-def evaluate_R(spec: StructuredFunction, w: complex, pole_tol: float = DEFAULT_POLE_TOL) -> complex:
+def evaluate_R(spec: StructuredFunction, w: complex) -> complex:
     """Single-valued branch function on the closed upper half-plane.
 
     R(w) = root^p * exp(A w + A0/w) * prod(w + a)/prod(w - b) * prod(1/w + c)/prod(1/w - d)
@@ -260,7 +268,7 @@ def evaluate_R(spec: StructuredFunction, w: complex, pole_tol: float = DEFAULT_P
         theta = -theta
     root = abs(w) ** (1.0 / spec.k) * cmath.exp(1j * theta / spec.k)
     val = root**spec.p
-    pole = pole_in_band(spec, w, pole_tol)
+    pole = pole_in_band(spec, w, DEFAULT_POLE_TOL)
     if pole is not None:
         raise PoleProximity(w, 1.0 / pole[0] if pole[2] else complex(pole[0]))
     return _product(spec, w, val, cmath.exp)
@@ -418,140 +426,3 @@ def eval_log_derivative_many(spec: StructuredFunction, z: np.ndarray) -> tuple[n
     else:
         x = zk * s_w + zmk * s_r
     return val, (spec.p + k * x) / z
-
-
-# ---------------------------------------------------------------------------
-# series truncation with certified trust radius
-# ---------------------------------------------------------------------------
-
-_TAIL_EXTRA = 10  # degree headroom required of the source series
-_GRID = np.geomspace(1e-3, 1e9, 241)[::-1]  # the trust radii tried, from the top
-_CIRCLE_SAMPLES = 256  # points of each circle on which _min_on_circles takes min |P|
-
-
-def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFunction:
-    """Degree-N truncation with a certified trust radius.
-
-    The trust radius is the largest rho on a geometric grid, scanned from the
-    top, such that
-
-      * the dropped tail is bounded: sum_{n>N} |c_n| rho^n <= tail_tol *
-        max(1, min_{|z|=rho} |P_N(z)|), with the unknown tail beyond the
-        source estimated by the observed geometric decay, and
-      * roots of the degree-N and degree-(N+10) truncations inside rho agree
-        to 10*tail_tol relative.
-
-    Both truncations are solved in one batched solve (bit for bit two
-    find_roots calls), or in one solve when the _TAIL_EXTRA extra
-    coefficients are all zero and the two are one polynomial.  The grid is
-    scanned at once: the tail bound and the root agreement of every radius
-    as arrays, then the minimum of |P_N| on the circles of only those radii,
-    above the first that a tail within tail_tol accepts outright, that still
-    need it, a doubling number of circles per evaluation.
-
-    Non-decaying tails give trust_radius 0.  The result carries the roots of
-    the degree-N solve (SeriesFunction.roots) unless the tail check returned
-    before solving.
-    """
-    if N < 1:
-        raise ValueError("truncation degree must be >= 1")
-    if not tail_tol > 0:  # also refuses NaN
-        raise ValueError("tail_tol must be positive")
-    src = np.asarray(series.coeffs, complex)
-    if len(src) < N + _TAIL_EXTRA + 1:
-        raise ValueError(
-            f"source coefficients up to degree >= {N + _TAIL_EXTRA} required, got {len(src) - 1}"
-        )
-    head = src[: N + 1]
-    wide = src[: N + _TAIL_EXTRA + 1]
-
-    # a non-decaying coefficient tail certifies nothing
-    tail_mags = np.abs(src[N + 1 :])
-    if tail_mags[-1] > 0 and tail_mags[-1] >= tail_mags[0] > 0:
-        return SeriesFunction(tuple(head), 0.0)
-
-    from . import solver  # deferred: solver depends on this module
-
-    if wide[N + 1 :].any():
-        clusters, clusters_w = solver._find_roots_batch([head, wide])
-    else:  # the wider truncation is the same polynomial
-        clusters = clusters_w = solver._find_roots_batch([head])[0]
-    tail = _tail_bounds(src, N, _GRID)
-    agree = _roots_agree([cl.center for cl in clusters], [cl.center for cl in clusters_w], _GRID, 10 * tail_tol)
-    accept = agree & (tail <= tail_tol)  # whatever min |P_N|: the bound's floor max(1, ...) is at least 1
-    first = int(np.argmax(accept)) if accept.any() else len(_GRID)
-    # the radii above it that need min |P_N| on their circle: 1, 2, 4, ... circles at a
-    # time from the top, until one is accepted
-    unsure = np.flatnonzero(agree[:first] & np.isfinite(tail[:first]))
-    for chunk in np.split(unsure, [1, 3, 7, 15, 31, 63, 127]):
-        if not len(chunk) or accept[: chunk[0]].any():
-            break
-        accept[chunk] = tail[chunk] <= tail_tol * np.maximum(1.0, _min_on_circles(head, _GRID[chunk]))
-    rho = float(_GRID[np.argmax(accept)]) if accept.any() else 0.0
-    return SeriesFunction(tuple(head), rho, tuple(clusters))
-
-
-def _tail_bounds(src: np.ndarray, N: int, rhos: np.ndarray) -> np.ndarray:
-    """sum_{n>N} |c_n| rho^n bounded for each radius, inf where no bound holds.
-
-    One row per radius: the terms in log space, scaled by the largest (the
-    peak), summed, and the unseen remainder beyond the source extrapolated
-    geometrically from the last two terms.  A row whose peak exceeds e^600
-    (term overflow), or whose last terms decay by a ratio of 0.9 or more, or
-    end in a nonzero after a zero, bounds nothing.  An all-zero tail is 0.
-    """
-    mags = np.abs(src[N + 1 :])
-    n_idx = np.arange(N + 1, len(src), dtype=float)
-    log_rho = np.array([math.log(rho) for rho in rhos])
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        logs = np.where(mags > 0, np.log(np.where(mags > 0, mags, 1.0)), -np.inf)
-        logs = logs[None, :] + n_idx[None, :] * log_rho[:, None]
-        peak = logs.max(axis=1)
-        finite = np.isfinite(peak)
-        terms = np.where(finite[:, None], np.exp(logs - peak[:, None]), 0.0)
-        partial = terms.sum(axis=1)
-        last, prev = terms[:, -1], terms[:, -2]
-        g = last / prev
-    extend = (last > 0) & (prev > 0) & (g < 0.9)
-    partial[extend] += last[extend] * g[extend] / (1 - g[extend])
-    bounded = ~(peak > 600.0) & (extend | ~(last > 0))
-    tail = np.where(bounded, 0.0, np.inf)
-    scale = bounded & finite
-    tail[scale] = partial[scale] * np.array([math.exp(x) for x in peak[scale]])
-    return tail
-
-
-def _min_on_circles(coeffs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
-    """min |P| at _CIRCLE_SAMPLES points of the circle |z| = rho, per radius; 0 where a term passes e^600."""
-    theta = np.linspace(0.0, 2 * math.pi, _CIRCLE_SAMPLES, endpoint=False)
-    n = len(coeffs) - 1
-    logs = np.where(np.abs(coeffs) > 0, np.log(np.where(np.abs(coeffs) > 0, np.abs(coeffs), 1.0)), -np.inf)
-    log_rho = np.array([math.log(rho) for rho in rhos])
-    shift = (logs[None, :] + np.arange(n + 1)[None, :] * log_rho[:, None]).max(axis=1)
-    fit = np.isfinite(shift) & (shift <= 600.0)
-    out = np.zeros(len(rhos))
-    if fit.any():
-        m = np.abs(np.polyval(coeffs[::-1], rhos[fit, None] * np.exp(1j * theta)[None, :])).min(axis=1)
-        out[fit] = np.where(np.isfinite(m), m, 0.0)
-    return out
-
-
-def _roots_agree(roots_n, roots_w, rhos: np.ndarray, tol: float) -> np.ndarray:
-    """For each radius: as many roots of each list inside it, each of roots_n within tol (relative) of one of roots_w there.
-
-    One distance matrix serves every radius: with roots_w ordered by
-    modulus, the nearest inside rho is a running minimum along each row.
-    Moduli and distances are hypot, as Python's abs of a complex.
-    """
-    rn = np.asarray(roots_n, complex)
-    rw = np.asarray(roots_w, complex)
-    an = np.hypot(rn.real, rn.imag)
-    aw = np.hypot(rw.real, rw.imag)
-    order = np.argsort(aw, kind="stable")
-    diff = rn[:, None] - rw[order][None, :]
-    nearest = np.minimum.accumulate(np.hypot(diff.real, diff.imag), axis=1)
-    inside = an[None, :] <= rhos[:, None]
-    count_w = np.searchsorted(aw[order], rhos, side="right")
-    # count_w - 1 = -1 only where no root of roots_w is inside, and then the counts differ or none is
-    far = nearest[:, count_w - 1].T > tol * (1 + an)[None, :]
-    return (inside.sum(axis=1) == count_w) & ~(inside & far).any(axis=1)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_ANGLE_TOL = 1e-9
+K_BOUND = math.pi / (4 * DEFAULT_ANGLE_TOL)  # k below it keeps the angle tolerance under pi/(4k)
 
 
 def phase(z: complex) -> float:
@@ -52,23 +53,23 @@ def unit_rotation(m: int, k: int) -> complex:
     return cmath.exp(1j * math.pi * r / k)
 
 
-def classify_sector(
-    z: complex, k: int, angle_tol: float = DEFAULT_ANGLE_TOL
-) -> tuple[SectorIndex, bool]:
+def classify_sector(z: complex, k: int) -> tuple[SectorIndex, bool]:
     """Sector of z, plus a boundary flag.
 
     Returns (Q_s, False) when Arg z lies inside (s*pi/k, (s+1)*pi/k), and
-    (s, True) when Arg z is within angle_tol of the ray s*pi/k; in the boundary
-    case s names the ray shared by Q_{s-1} and Q_s (lower-index convention).
+    (s, True) when Arg z is within DEFAULT_ANGLE_TOL of the ray s*pi/k; in the
+    boundary case s names the ray shared by Q_{s-1} and Q_s (lower-index
+    convention).  k must lie below K_BOUND, so that the tolerance stays
+    under a quarter of the sector angle.
     """
     if z == 0:
         raise ValueError("sector classification requires z != 0")
-    if not 0 <= angle_tol < math.pi / (4 * k):
-        raise ValueError(f"angle_tol must lie in [0, pi/(4k)), got {angle_tol}")
+    if not k < K_BOUND:
+        raise ValueError(f"k must be below {K_BOUND:.10g}, pi/4 over the angle tolerance, got {k}")
     theta = phase(z)  # (-pi, pi]
     step = math.pi / k
     nearest = round(theta / step)
-    if abs(theta - nearest * step) <= angle_tol:
+    if abs(theta - nearest * step) <= DEFAULT_ANGLE_TOL:
         return SectorIndex(nearest, k), True
     return SectorIndex(math.floor(theta / step), k), False
 
@@ -82,14 +83,12 @@ def solve_linear_congruence(p: int, r: int, k: int) -> int:
     return (pow(p % k, -1, k) * r) % k
 
 
-def real_direction_index(
-    alpha: complex, p: int, k: int, angle_tol: float = DEFAULT_ANGLE_TOL
-) -> int | None:
+def real_direction_index(alpha: complex, p: int, k: int) -> int | None:
     """The s in [0, k) with Im(alpha * e_{ps}) = 0, or None.
 
     Some s exists exactly when Im alpha^k = 0, i.e. alpha lies on one of the
     2k boundary rays.  Detection is angular: the direction of alpha*e_{ps}
-    must be within angle_tol of the real axis.
+    must be within DEFAULT_ANGLE_TOL of the real axis.
     """
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
@@ -97,7 +96,7 @@ def real_direction_index(
         raise ValueError(f"p={p} and k={k} must be coprime")
     for s in range(k):
         w = alpha * unit_rotation(p * s, k)
-        if abs(math.remainder(phase(w), math.pi)) <= angle_tol:
+        if abs(math.remainder(phase(w), math.pi)) <= DEFAULT_ANGLE_TOL:
             return s
     return None
 
@@ -116,17 +115,17 @@ def ray_indices(s: int, k: int) -> tuple[int, int]:
     return m_pos, m_neg
 
 
-def line_side(z: complex, s: int, k: int, angle_tol: float = DEFAULT_ANGLE_TOL) -> int:
+def line_side(z: complex, s: int, k: int) -> int:
     """Position of z relative to the line {Im(z e_s) = 0}.
 
     Returns +1 on the positive ray {z e_s > 0}, -1 on the negative ray,
-    0 when z is not within angle_tol of the line.
+    0 when z is not within DEFAULT_ANGLE_TOL of the line.
     """
     if z == 0:
         raise ValueError("z must be nonzero")
     w = z * unit_rotation(s, k)
     theta = phase(w)
-    if abs(math.remainder(theta, math.pi)) > angle_tol:
+    if abs(math.remainder(theta, math.pi)) > DEFAULT_ANGLE_TOL:
         return 0
     return 1 if abs(theta) < math.pi / 2 else -1
 

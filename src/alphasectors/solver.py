@@ -27,8 +27,8 @@ share the Horner tables, zero-padded at the top, so one Aberth loop and one
 compensated polish of the simple roots serve them all, each kernel taking the
 polynomial of every root from an owner index array; each polynomial keeps its
 own start, reciprocal sum, stop rule, grouping (_group) and checks, and gets
-bit for bit the clusters of its own solve.  truncate_series solves its two
-truncations this way.  The multiplicity bound is checked in one place,
+bit for bit the clusters of its own solve.  truncate_series, which certifies
+a series' trust radius, solves its two truncations this way.  The multiplicity bound is checked in one place,
 _finish: on every polynomial at the end of the pass, and on the roots
 alpha_points reuses.  The iteration cap (MAX_ITERS) and the cluster distance
 (DEFAULT_CLUSTER_TOL) are fixed; only the root tolerance and the multiplicity
@@ -55,7 +55,6 @@ the quantity beyond double range.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -65,13 +64,14 @@ from .checks import predict_sectors
 from .functions import (
     AlphaPoint,
     DEFAULT_POLE_TOL,
+    RootCluster,
     SeriesFunction,
     StructuredFunction,
     _power,
     alpha_polynomial,
     evaluate_G,  # noqa: F401 kept for the benchmark, which wraps it here
 )
-from .sectors import DEFAULT_ANGLE_TOL, SectorIndex, classify_sector, phase
+from .sectors import DEFAULT_ANGLE_TOL, K_BOUND, SectorIndex, classify_sector, phase
 
 DEFAULT_TOL = 1e-9
 DEFAULT_CLUSTER_TOL = 1e-7
@@ -90,14 +90,6 @@ class SolverError(RuntimeError):
     def __init__(self, message: str, residuals=None):
         super().__init__(message)
         self.residuals = tuple(residuals) if residuals is not None else ()
-
-
-@dataclass(frozen=True)
-class RootCluster:
-    """A root, polished, and its multiplicity."""
-
-    center: complex
-    multiplicity: int
 
 
 def _scaled(z: np.ndarray, e) -> np.ndarray:
@@ -867,8 +859,8 @@ def alpha_points(
     specs must carry a trust radius covering the request (alpha = 0 is allowed
     there, meaning plain zeros of the truncation).  For series specs the sector
     index k defaults to 2, the setting of the quadrant theorems, and must be
-    an integer in [1, pi / (4 DEFAULT_ANGLE_TOL)), the range classify_sector
-    takes; for structured specs a k other than spec.k raises ValueError.
+    an integer in [1, K_BOUND), the range classify_sector takes; for
+    structured specs a k other than spec.k raises ValueError.
     tol bounds the residual of a rational spec's points, and the root
     tolerance is min(tol, DEFAULT_ROOT_TOL); a series at alpha = 0 solved at
     the default root tolerance takes the roots truncate_series carried
@@ -883,9 +875,8 @@ def alpha_points(
                 f"radius {radius} exceeds the certified trust radius {spec.trust_radius}"
             )
         k_eff = 2 if k is None else k
-        bound = math.pi / (4 * DEFAULT_ANGLE_TOL)  # classify_sector's bound on k
-        if type(k_eff) is not int or not 1 <= k_eff < bound:
-            raise ValueError(f"k must be an integer in [1, {bound:.10g}), pi/4 over the angle tolerance, got {k!r}")
+        if type(k_eff) is not int or not 1 <= k_eff < K_BOUND:
+            raise ValueError(f"k must be an integer in [1, {K_BOUND:.10g}), pi/4 over the angle tolerance, got {k!r}")
         coeffs = np.asarray(spec.coeffs, complex)
         P = coeffs.copy()
         P[0] -= alpha
@@ -1072,3 +1063,138 @@ def _residuals(spec: StructuredFunction, alpha: complex, centres: list[complex],
     residual, over = _abs(vr - alpha.real, vi - alpha.imag)
     faults.append((over & ~band, "the residual"))
     return residual, ~band & ~((residual > tol * (1 + abs(alpha))) & ~gate), faults
+
+
+# ---------------------------------------------------------------------------
+# series truncation with certified trust radius
+# ---------------------------------------------------------------------------
+
+_TAIL_EXTRA = 10  # degree headroom required of the source series
+_GRID = np.geomspace(1e-3, 1e9, 241)[::-1]  # the trust radii tried, from the top
+_CIRCLE_SAMPLES = 256  # points of each circle on which _min_on_circles takes min |P|
+
+
+def truncate_series(series: SeriesFunction, N: int, tail_tol: float) -> SeriesFunction:
+    """Degree-N truncation with a certified trust radius.
+
+    The trust radius is the largest rho on a geometric grid, scanned from the
+    top, such that
+
+      * the dropped tail is bounded: sum_{n>N} |c_n| rho^n <= tail_tol *
+        max(1, min_{|z|=rho} |P_N(z)|), with the unknown tail beyond the
+        source estimated by the observed geometric decay, and
+      * roots of the degree-N and degree-(N+10) truncations inside rho agree
+        to 10*tail_tol relative.
+
+    Both truncations are solved in one batched solve (bit for bit two
+    find_roots calls), or in one solve when the _TAIL_EXTRA extra
+    coefficients are all zero and the two are one polynomial.  The grid is
+    scanned at once: the tail bound and the root agreement of every radius
+    as arrays, then the minimum of |P_N| on the circles of only those radii,
+    above the first that a tail within tail_tol accepts outright, that still
+    need it, a doubling number of circles per evaluation.
+
+    Non-decaying tails give trust_radius 0.  The result carries the roots of
+    the degree-N solve (SeriesFunction.roots) unless the tail check returned
+    before solving.
+    """
+    if N < 1:
+        raise ValueError("truncation degree must be >= 1")
+    if not tail_tol > 0:  # also refuses NaN
+        raise ValueError("tail_tol must be positive")
+    src = np.asarray(series.coeffs, complex)
+    if len(src) < N + _TAIL_EXTRA + 1:
+        raise ValueError(
+            f"source coefficients up to degree >= {N + _TAIL_EXTRA} required, got {len(src) - 1}"
+        )
+    head = src[: N + 1]
+    wide = src[: N + _TAIL_EXTRA + 1]
+
+    # a non-decaying coefficient tail certifies nothing
+    tail_mags = np.abs(src[N + 1 :])
+    if tail_mags[-1] > 0 and tail_mags[-1] >= tail_mags[0] > 0:
+        return SeriesFunction(tuple(head), 0.0)
+
+    if wide[N + 1 :].any():
+        clusters, clusters_w = _find_roots_batch([head, wide])
+    else:  # the wider truncation is the same polynomial
+        clusters = clusters_w = _find_roots_batch([head])[0]
+    tail = _tail_bounds(src, N, _GRID)
+    agree = _roots_agree([cl.center for cl in clusters], [cl.center for cl in clusters_w], _GRID, 10 * tail_tol)
+    accept = agree & (tail <= tail_tol)  # whatever min |P_N|: the bound's floor max(1, ...) is at least 1
+    first = int(np.argmax(accept)) if accept.any() else len(_GRID)
+    # the radii above it that need min |P_N| on their circle: 1, 2, 4, ... circles at a
+    # time from the top, until one is accepted
+    unsure = np.flatnonzero(agree[:first] & np.isfinite(tail[:first]))
+    for chunk in np.split(unsure, [1, 3, 7, 15, 31, 63, 127]):
+        if not len(chunk) or accept[: chunk[0]].any():
+            break
+        accept[chunk] = tail[chunk] <= tail_tol * np.maximum(1.0, _min_on_circles(head, _GRID[chunk]))
+    rho = float(_GRID[np.argmax(accept)]) if accept.any() else 0.0
+    return SeriesFunction(tuple(head), rho, tuple(clusters))
+
+
+def _tail_bounds(src: np.ndarray, N: int, rhos: np.ndarray) -> np.ndarray:
+    """sum_{n>N} |c_n| rho^n bounded for each radius, inf where no bound holds.
+
+    One row per radius: the terms in log space, scaled by the largest (the
+    peak), summed, and the unseen remainder beyond the source extrapolated
+    geometrically from the last two terms.  A row whose peak exceeds e^600
+    (term overflow), or whose last terms decay by a ratio of 0.9 or more, or
+    end in a nonzero after a zero, bounds nothing.  An all-zero tail is 0.
+    """
+    mags = np.abs(src[N + 1 :])
+    n_idx = np.arange(N + 1, len(src), dtype=float)
+    log_rho = np.array([math.log(rho) for rho in rhos])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        logs = np.where(mags > 0, np.log(np.where(mags > 0, mags, 1.0)), -np.inf)
+        logs = logs[None, :] + n_idx[None, :] * log_rho[:, None]
+        peak = logs.max(axis=1)
+        finite = np.isfinite(peak)
+        terms = np.where(finite[:, None], np.exp(logs - peak[:, None]), 0.0)
+        partial = terms.sum(axis=1)
+        last, prev = terms[:, -1], terms[:, -2]
+        g = last / prev
+    extend = (last > 0) & (prev > 0) & (g < 0.9)
+    partial[extend] += last[extend] * g[extend] / (1 - g[extend])
+    bounded = ~(peak > 600.0) & (extend | ~(last > 0))
+    tail = np.where(bounded, 0.0, np.inf)
+    scale = bounded & finite
+    tail[scale] = partial[scale] * np.array([math.exp(x) for x in peak[scale]])
+    return tail
+
+
+def _min_on_circles(coeffs: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """min |P| at _CIRCLE_SAMPLES points of the circle |z| = rho, per radius; 0 where a term passes e^600."""
+    theta = np.linspace(0.0, 2 * math.pi, _CIRCLE_SAMPLES, endpoint=False)
+    n = len(coeffs) - 1
+    logs = np.where(np.abs(coeffs) > 0, np.log(np.where(np.abs(coeffs) > 0, np.abs(coeffs), 1.0)), -np.inf)
+    log_rho = np.array([math.log(rho) for rho in rhos])
+    shift = (logs[None, :] + np.arange(n + 1)[None, :] * log_rho[:, None]).max(axis=1)
+    fit = np.isfinite(shift) & (shift <= 600.0)
+    out = np.zeros(len(rhos))
+    if fit.any():
+        m = np.abs(np.polyval(coeffs[::-1], rhos[fit, None] * np.exp(1j * theta)[None, :])).min(axis=1)
+        out[fit] = np.where(np.isfinite(m), m, 0.0)
+    return out
+
+
+def _roots_agree(roots_n, roots_w, rhos: np.ndarray, tol: float) -> np.ndarray:
+    """For each radius: as many roots of each list inside it, each of roots_n within tol (relative) of one of roots_w there.
+
+    One distance matrix serves every radius: with roots_w ordered by
+    modulus, the nearest inside rho is a running minimum along each row.
+    Moduli and distances are hypot, as Python's abs of a complex.
+    """
+    rn = np.asarray(roots_n, complex)
+    rw = np.asarray(roots_w, complex)
+    an = np.hypot(rn.real, rn.imag)
+    aw = np.hypot(rw.real, rw.imag)
+    order = np.argsort(aw, kind="stable")
+    diff = rn[:, None] - rw[order][None, :]
+    nearest = np.minimum.accumulate(np.hypot(diff.real, diff.imag), axis=1)
+    inside = an[None, :] <= rhos[:, None]
+    count_w = np.searchsorted(aw[order], rhos, side="right")
+    # count_w - 1 = -1 only where no root of roots_w is inside, and then the counts differ or none is
+    far = nearest[:, count_w - 1].T > tol * (1 + an)[None, :]
+    return (inside.sum(axis=1) == count_w) & ~(inside & far).any(axis=1)

@@ -138,9 +138,9 @@ def verify_generic_interlacing(
         raise TypeError("the interlacing verifier needs a structured spec (p, k)")
     p, k = spec.p, spec.k
     an = normalized_alpha(spec, alpha)
-    if real_direction_index(an, p, k, angle_tol) is not None:
+    if real_direction_index(an, p, k) is not None:
         raise ValueError("Im alpha^k = 0: use verify_real_power_case")
-    alpha_sector, _ = classify_sector(an, k, angle_tol)
+    alpha_sector, _ = classify_sector(an, k)
     violations: list[Violation] = []
     checks = 0
     for i, pt in enumerate(points):
@@ -208,7 +208,7 @@ def verify_real_power_case(
         raise TypeError("the pairing verifier needs a structured spec (p, k)")
     p, k = spec.p, spec.k
     an = normalized_alpha(spec, alpha)
-    s = real_direction_index(an, p, k, angle_tol)
+    s = real_direction_index(an, p, k)
     if s is None:
         raise ValueError("Im alpha^k != 0: use verify_generic_interlacing")
     reflect = unit_rotation(-2 * s, k)
@@ -249,7 +249,7 @@ def verify_real_power_case(
             grp.m, grp.valid = m, True
         else:
             pt = points[idx[0]]
-            side = line_side(pt.value, s, k, angle_tol)
+            side = line_side(pt.value, s, k)
             checks += 1
             if side == 0:
                 name = "missing-partner" if not pt.boundary else "off-dichotomy-ray"
@@ -348,7 +348,7 @@ def predict_first_location(
 
     j %= 2 * k
     q, kappa = split_index(j, k)
-    s = real_direction_index(an, p, k, max(angle_tol, 1e-12))
+    s = real_direction_index(an, p, k)
     if p > 0:
         if kappa == 0:  # alpha e_{-2q} > 0
             m = solve_linear_congruence(p, q % k, k)

@@ -519,7 +519,7 @@ def accept_points(spec, alpha: complex, clusters: list, radius: float, tol: floa
             residual = abs(complex(values[i]))
         else:
             try:
-                residual = abs(evaluate_G(spec, z, pole_tol=DEFAULT_POLE_TOL) - alpha)
+                residual = abs(evaluate_G(spec, z) - alpha)
             except PoleProximity:
                 failures.append(cl)
                 continue

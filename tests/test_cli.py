@@ -35,15 +35,16 @@ from alphasectors.cli import (
     spec_from_dict,
     spec_to_dict,
 )
-from alphasectors.functions import SeriesFunction, StructuredFunction, truncate_series
+from alphasectors.functions import SeriesFunction, StructuredFunction
 from alphasectors.qseries import disturbed_exp_coeffs, partial_theta_coeffs
-from alphasectors.solver import DEFAULT_TOL, alpha_points
+from alphasectors.solver import DEFAULT_TOL, alpha_points, truncate_series
 from alphasectors.winding import sector_census
 
 
 def write_spec(tmp_path, payload, name="spec.json"):
+    """payload as JSON, or a str payload as the file's text as it stands."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload))
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -233,6 +234,30 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         ],
         ({"type": "series", "coeffs": [1, True, 2], "trust_radius": 1}, solve_args("0"), "field coeffs[1]"),
         ({**THETA_JSON, "q": {"re": 0, "im": True}}, solve_args("0"), "field q"),
+        # flag values that do not parse
+        (FIG1_JSON, solve_args("abc"), "error: --alpha: cannot parse complex number 'abc'"),
+        (FIG1_JSON, [*solve_args(), "--tol", "abc"], "error: --tol: cannot parse tolerance 'abc'"),
+        (FIG1_JSON, solve_args(radius="abc"), "error: --radius: cannot parse radius 'abc'"),
+        # spec files that name no function
+        ('{"type": "rational",', solve_args(), "invalid JSON at line 1"),
+        ({"type": "rational", "k": 3, "a": [1]}, solve_args(), "missing required field 'p'"),
+        ({"type": "rational", "p": 1, "k": 3, "a": 1}, solve_args(), "field 'a' must be a list"),
+        ({"type": "series"}, solve_args("0"), "series spec needs 'family' or 'coeffs'"),
+        ({"p": 1, "k": 3, "a": [1]}, solve_args(), "field 'type' must be 'rational' or 'series'"),
+        ({"type": "polynomial", "p": 1, "k": 3, "a": [1]}, solve_args(), "field 'type' must be 'rational' or 'series'"),
+        # family specs out of range
+        ({**THETA_JSON, "family": "theta"}, solve_args("0"), "unknown family 'theta'"),
+        ({**THETA_JSON, "q": 1.5}, solve_args("0"), "|q| must lie in (0, 1]"),
+        ({**THETA_JSON, "N": 0}, solve_args("0"), "N must be >= 1"),
+        ({**THETA_JSON, "tail_tol": 0}, solve_args("0"), "tail_tol must be positive"),
+        # a flag or command that does not apply to the spec
+        (FIG1_JSON, solve_args(radius="trust"), "error: --radius trust is only meaningful for series specs"),
+        (THETA_JSON, ["predict", "--alpha=0"], "error: predict requires a rational spec"),
+        (THETA_JSON, solve_args("0", command="verify"), "error: verify works on rational specs"),
+        (FIG1_JSON, [*solve_args("-1-1i", radius="10", command="verify"), "--theorem", "k2"],
+         "error: --theorem k2 requires k = 2"),
+        (THETA_JSON, census_args(rin="0", rout="1e6", alpha="0"),
+         "error: --rout: region exceeds the certified trust radius"),
     ],
     ids=[
         "p-not-int", "a-not-float", "top-level-list", "q-re-string", "coeffs-re-string", "alpha-nan",
@@ -249,6 +274,10 @@ MIXED_SCALE_JSON = {"type": "rational", "p": 1, "k": 2, "a": [1e300, 1e-300, 1e3
         "predict-k-beyond-angle-tol",
         "p-fraction", "k-fraction", "p-bool", "k-string", "N-fraction",
         "a-string", "b-bool", "c-bool", "d-string", "A-bool", "A0-string", "coeffs-bool", "q-im-bool",
+        "alpha-unparsed", "tol-unparsed", "radius-unparsed",
+        "invalid-json", "p-missing", "a-not-list", "series-empty", "type-missing", "type-unknown",
+        "family-unknown", "q-beyond-unit", "N-zero", "tail-tol-zero",
+        "radius-trust-rational", "predict-series", "verify-series", "verify-k2-at-k3", "census-rout-beyond-trust",
     ],
 )
 def test_malformed_input_is_a_system_exit_naming_the_field(tmp_path, payload, args, field):

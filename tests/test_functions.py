@@ -16,15 +16,15 @@ from alphasectors import (
     unit_rotation,
 )
 from alphasectors.functions import (
-    _TAIL_EXTRA,
     DEFAULT_POLE_TOL,
     alpha_polynomial,
     eval_log_derivative_many,
     eval_many,
     log_derivative_many,
+    pole_in_band,
 )
 from alphasectors.qseries import disturbed_exp_coeffs, partial_theta_coeffs, sokal_poly_coeffs
-from alphasectors.solver import find_roots
+from alphasectors.solver import _TAIL_EXTRA, find_roots
 
 from helpers import QSERIES_GRID, clusters_bytes, load_frozen
 
@@ -603,6 +603,15 @@ def _outcome(fn, *args):
         return (type(exc).__name__,)
 
 
+def _banded_G(spec, z):
+    """evaluate_G with its pole band widened to 1e-3, the band tested through pole_in_band."""
+    z = complex(z)
+    pole = pole_in_band(spec, z**spec.k, 1e-3)
+    if pole is not None:
+        raise PoleProximity(z, pole[0] ** ((-1.0 if pole[2] else 1.0) / spec.k))
+    return evaluate_G(spec, z)  # outside the 1e-3 band, outside the default one too
+
+
 def test_factor_table_matches_the_written_out_loops_bitwise():
     rng = np.random.default_rng(2027)
     pole_outcomes = 0
@@ -611,10 +620,11 @@ def test_factor_table_matches_the_written_out_loops_bitwise():
         assert _outcome(normalization_constant, spec) == _outcome(ref_normalization_constant, spec)
         zs = _probe_points(rng, spec)
         for z in zs:
-            for tol in (DEFAULT_POLE_TOL, 1e-3):
-                got = _outcome(evaluate_G, spec, z, tol)
-                assert got == _outcome(ref_evaluate_G, spec, z, tol), (spec, z, tol)
-                pole_outcomes += got[0] == "pole"
+            got = _outcome(evaluate_G, spec, z)
+            assert got == _outcome(ref_evaluate_G, spec, z), (spec, z)
+            banded = _outcome(_banded_G, spec, z)
+            assert banded == _outcome(ref_evaluate_G, spec, z, 1e-3), (spec, z)
+            pole_outcomes += (got[0] == "pole") + (banded[0] == "pole")
             w = z**spec.k
             w = complex(w.real, abs(w.imag)) if w.imag != 0 else w
             assert _outcome(evaluate_R, spec, w) == _outcome(ref_evaluate_R, spec, w), (spec, w)

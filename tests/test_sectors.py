@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphasectors.sectors import (
+    DEFAULT_ANGLE_TOL,
+    K_BOUND,
     SectorIndex,
     phase,
     classify_sector,
@@ -44,11 +46,12 @@ def test_classify_sector_examples():
     assert (s.s, boundary) == (2, False)
 
 
-def test_classify_sector_rejects_zero_and_bad_tol():
+def test_classify_sector_rejects_zero_and_k_beyond_bound():
     with pytest.raises(ValueError):
         classify_sector(0j, 3)
-    with pytest.raises(ValueError):
-        classify_sector(1 + 1j, 3, angle_tol=1.0)
+    classify_sector(1 + 1j, math.floor(K_BOUND))
+    with pytest.raises(ValueError, match="k must be below"):
+        classify_sector(1 + 1j, math.ceil(K_BOUND))
 
 
 def test_sector_index_normalizes():
@@ -163,8 +166,8 @@ def test_rotation_shifts_sectors(z, k):
 )
 def test_real_direction_iff_small_imag_power(alpha, k, p_raw):
     p = p_raw if math.gcd(p_raw, k) == 1 else 1
-    tol = 1e-9
-    s = real_direction_index(alpha, p, k, tol)
+    tol = DEFAULT_ANGLE_TOL
+    s = real_direction_index(alpha, p, k)
     w = alpha**k
     # |Im(alpha^k)| <= ~tol * |alpha|^k up to the sine of the angular band
     if s is not None:
