@@ -59,11 +59,13 @@ def classify_sector(z: complex, k: int) -> tuple[SectorIndex, bool]:
     Returns (Q_s, False) when Arg z lies inside (s*pi/k, (s+1)*pi/k), and
     (s, True) when Arg z is within DEFAULT_ANGLE_TOL of the ray s*pi/k; in the
     boundary case s names the ray shared by Q_{s-1} and Q_s (lower-index
-    convention).  k must lie below K_BOUND, so that the tolerance stays
-    under a quarter of the sector angle.
+    convention).  k must be a positive integer below K_BOUND, so that the
+    tolerance stays under a quarter of the sector angle.
     """
     if z == 0:
         raise ValueError("sector classification requires z != 0")
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be a positive integer, got {k!r}")
     if not k < K_BOUND:
         raise ValueError(f"k must be below {K_BOUND:.10g}, pi/4 over the angle tolerance, got {k}")
     theta = phase(z)  # (-pi, pi]

@@ -222,16 +222,14 @@ class _Horner:
     gives +0, polyval's start.
 
     polys lists (sc, dsc) pairs that share the stride and n mod g, hence the
-    lane weights; owner[j] names the polynomial of root j, and forecasts[i]
-    is the sector forecast _aberth starts polys[i] from, or None.  A shorter
+    lane weights; owner[j] names the polynomial of root j.  A shorter
     polynomial is zero-padded at the top to the longest: from the +0 start,
     each such step gives +0 again, so a root's lanes sum bit for bit as in a
     table of its polynomial alone.
     """
 
-    def __init__(self, polys: list[tuple[np.ndarray, np.ndarray]], stride: _Stride, forecasts=None):
+    def __init__(self, polys: list[tuple[np.ndarray, np.ndarray]], stride: _Stride):
         self.polys, self.stride = polys, stride
-        self.forecasts = forecasts or [None] * len(polys)
         self.degrees = np.array([len(sc) - 1 for sc, _ in polys])
         n = int(self.degrees[0])
         g, classes = stride
@@ -352,14 +350,15 @@ def _pieces(a: np.ndarray, parts: dict[int, np.ndarray]) -> dict[int, np.ndarray
     return out
 
 
-def _aberth(horner: _Horner, tol: float) -> list:
+def _aberth(horner: _Horner, tol: float, forecasts=None) -> list:
     """Aberth-Ehrlich iteration on each scaled polynomial of horner's stack, all in one loop.
 
     horner evaluates the stack, one call per iteration for every root still
-    moving.  Each polynomial keeps its own start (from its forecast, if any),
-    its own pairwise reciprocal sum and its own stop and stall rule, and
-    leaves the loop at the iteration where it would stop if solved alone, so
-    its iterates are bit for bit those of a solo run.  The moving roots live
+    moving.  Each polynomial keeps its own start (_start_points, from its
+    sector forecast forecasts[i] when one is given), its own pairwise
+    reciprocal sum and its own stop and stall rule, and leaves the loop at
+    the iteration where it would stop if solved alone, so its iterates are
+    bit for bit those of a solo run.  The moving roots live
     in one stacked array, each polynomial's a view of it, restacked (with
     their owner index) only when a polynomial leaves; each reciprocal matrix
     is formed in one buffer kept across iterations.  Returns, per
@@ -367,7 +366,7 @@ def _aberth(horner: _Horner, tol: float) -> list:
     """
     out: list = [None] * len(horner.polys)
     u: dict[int, np.ndarray] = {}
-    for i, ((sc, _), forecast) in enumerate(zip(horner.polys, horner.forecasts)):
+    for i, ((sc, _), forecast) in enumerate(zip(horner.polys, forecasts or [None] * len(horner.polys))):
         try:
             u[i] = _start_points(sc, forecast)
         except SolverError as exc:
@@ -765,9 +764,9 @@ def _find_roots_batch(
 
     for (stride, _), stack in stacks.items():
         starts = forecasts and [forecasts[i] for i, *_ in stack]
-        horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for _, sc, _, _ in stack], stride, starts)
+        horner = _Horner([(sc, np.arange(1, len(sc)) * sc[1:]) for _, sc, _, _ in stack], stride)
         grouped = {}  # p: the centres and multiplicities of stack[p]'s roots
-        for p, ((i, _, e, _), u) in enumerate(zip(stack, _aberth(horner, tol))):
+        for p, ((i, _, e, _), u) in enumerate(zip(stack, _aberth(horner, tol, starts))):
             if isinstance(u, SolverError):
                 results[i] = u
                 continue

@@ -23,13 +23,18 @@ which alpha's direction is real is first certified free of alpha-points
 (_monotone_parts); one that is not fails as InconclusiveRegion, edge
 "ray s".  A series has no such structure; its rays are integrated with its
 arcs.
+
+Every pole lies on an even ray, so a region of n sectors takes n/2 of each
+pole circle inside its annulus (_poles_inside), and a census checks its
+annulus once.  A failed census is retried at nudged radii, unless a ray
+carries an alpha-point on the part every nudged annulus covers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +56,8 @@ _CHUNK = 256  # panels per integrand call; bounds the memory of one step
 _NOISE = 16 * np.finfo(float).eps  # a panel's rounding, in units of its noise scale (see _integrate)
 _REAL_POWER = 16 * np.finfo(float).eps  # |Im beta| / |beta| at most this: rounding of alpha's rotation onto a ray
 _ON_RAY = 1e-12  # |x - Re beta| / |beta| at most this counts as 0: x(t) carries a few eps of rounding per factor
+_POINT_ON_RAY = "alpha has a real-power direction on ray {}, and an alpha-point lies on it or next to it"
+_NUDGES = tuple(1.0 + (attempt * (attempt % 2 * 2 - 1)) * 3e-5 for attempt in range(6))  # a census's radius scales
 
 
 class InconclusiveRegion(RuntimeError):
@@ -82,6 +89,8 @@ class AnnularSector:
     s_from: int
     s_to: int
     k: int
+    span: int = field(init=False, repr=False, compare=False)  # sectors covered
+    full: bool = field(init=False, repr=False, compare=False)  # all 2k of them
 
     def __post_init__(self):
         if self.k < 1:
@@ -90,14 +99,8 @@ class AnnularSector:
             raise ValueError("require 0 <= r_in < r_out")
         object.__setattr__(self, "s_from", self.s_from % (2 * self.k))
         object.__setattr__(self, "s_to", self.s_to % (2 * self.k))
-
-    @property
-    def span(self) -> int:
-        return (self.s_to - self.s_from) % (2 * self.k) + 1
-
-    @property
-    def full(self) -> bool:
-        return self.span == 2 * self.k
+        object.__setattr__(self, "span", (self.s_to - self.s_from) % (2 * self.k) + 1)
+        object.__setattr__(self, "full", self.span == 2 * self.k)
 
     @property
     def theta_from(self) -> float:
@@ -412,7 +415,7 @@ def _ray_integrals(spec: StructuredFunction, alpha: complex, rays: dict[int, tup
                 cache[key] = (x_in, x_out), parts
             gap = parts - beta.real
             if (np.sign(gap[:, 0]) != np.sign(gap[:, 1])).any() or (np.abs(gap) <= _ON_RAY * abs(beta)).any():
-                out[j] = f"alpha has a real-power direction on ray {s}, and an alpha-point lies on it or next to it"
+                out[j] = _POINT_ON_RAY.format(s)
                 continue
 
         def angle(x: float) -> float:
@@ -428,18 +431,14 @@ def _ray_integrals(spec: StructuredFunction, alpha: complex, rays: dict[int, tup
 def _poles_inside(moduli, region: AnnularSector) -> float:
     """Poles (with multiplicity) inside the region, those on its rays counted half; `moduli` as _moduli gives.
 
-    All poles lie on even rays; a ray at angle 2t*pi/k is strictly inside the
-    angular span when both adjacent sectors 2t-1 and 2t belong to it.  The
-    principal value along a ray through a pole leaves half of it to each
-    region beside the ray (_ray_integrals).
+    All poles lie on the even rays, where the principal value along a ray
+    through a pole leaves half of it to each region beside the ray
+    (_ray_integrals).  A span of n sectors covers n/2 even rays so counted,
+    whatever the parity of its first ray: k for the full annulus, 1/2 for
+    each census slice.
     """
-    k = region.k
     inside = sum(1 for rho, is_pole in moduli if is_pole and region.r_in < rho < region.r_out)
-    if region.full:
-        return inside * k
-    interior = sum(1 for t in range(k) if 1 <= (2 * t - region.s_from) % (2 * k) <= region.span - 1)
-    edges = (region.s_from % 2 == 0) + ((region.s_to + 1) % 2 == 0)
-    return inside * (interior + 0.5 * edges)
+    return inside * region.k if region.full else inside * region.span / 2
 
 
 def _windings(spec, alpha: complex, regions, quad_tol: float) -> list:
@@ -489,14 +488,14 @@ def _count(spec, alpha: complex, regions, quad_tol: float) -> list[int]:
     # the zeros of G lie on the odd rays, which every census takes the integral along
     if isinstance(spec, StructuredFunction) and alpha == 0:
         raise ValueError("alpha must be nonzero for structured specs")
-    for _, region in regions:
+    for r_in, r_out, k in dict.fromkeys((region.r_in, region.r_out, region.k) for _, region in regions):
         if isinstance(spec, SeriesFunction):
-            if region.r_out > spec.trust_radius:
+            if r_out > spec.trust_radius:
                 raise ValueError("region exceeds the certified trust radius")
         elif isinstance(spec, StructuredFunction):
-            if region.r_in <= 0:
+            if r_in <= 0:
                 raise ValueError("structured specs need a punctured annulus (r_in > 0)")
-            if region.k != spec.k:
+            if k != spec.k:
                 raise ValueError("the region's k disagrees with the spec")
     counts = []
     for (label, _), entry in zip(regions, _windings(spec, alpha, regions, quad_tol)):
@@ -530,6 +529,21 @@ def count_in_contour(spec, alpha: complex, region: AnnularSector, quad_tol: floa
     return _count(spec, alpha, [(None, region)], quad_tol)[0]
 
 
+def _on_every_nudge(spec, alpha: complex, exc: InconclusiveRegion, r_in: float, r_out: float) -> bool:
+    """Whether exc is an alpha-point on a ray that the ray's part r_in < |z| < r_out still carries.
+
+    That part is what every nudged annulus of a census covers, so no nudge
+    clears the point.  Only a closed-form ray fails this way; an arc, a
+    series ray, or a ray whose ends are not finite may yet pass at another
+    radius.
+    """
+    edge = exc.edge
+    if not edge.startswith("ray ") or str(exc) != _POINT_ON_RAY.format(edge[4:]) or r_in >= r_out:
+        return False
+    with np.errstate(all="ignore"):
+        return _ray_integrals(spec, complex(alpha), {0: (int(edge[4:]), r_in, r_out)}, _moduli(spec))[0] == str(exc)
+
+
 def sector_census(
     spec,
     alpha: complex,
@@ -544,7 +558,12 @@ def sector_census(
     slice's count is a signed sum of its edges; each slice keeps its own
     guard.  Radii are auto-nudged (globally, so slices stay consistent) when
     a slice integral is inconclusive, e.g. because a boundary circle passes
-    through an alpha-point modulus.
+    through an alpha-point modulus; the last attempt's error is raised.  A
+    ray that carries an alpha-point where every nudged annulus covers it
+    ends the census at once, with that attempt's error: no nudge moves a
+    point off a ray.  Every other failure is retried: an arc's, a series
+    ray's, a ray whose ends are not finite, and a point on a ray that a
+    nudge may leave outside the annulus.
     """
     if isinstance(spec, StructuredFunction):
         k_eff = spec.k
@@ -553,11 +572,12 @@ def sector_census(
     if k is not None and isinstance(spec, StructuredFunction) and k != spec.k:
         raise ValueError("k disagrees with the spec")
     last: InconclusiveRegion | None = None
-    for attempt in range(6):
-        nudge = 1.0 + (attempt * (attempt % 2 * 2 - 1)) * 3e-5
+    for nudge in _NUDGES:
         ri, ro = r_in * nudge, r_out * nudge
         try:
             return _count(spec, alpha, [(s, AnnularSector(ri, ro, s, s, k_eff)) for s in range(2 * k_eff)], quad_tol)
         except InconclusiveRegion as exc:
             last = exc
+            if _on_every_nudge(spec, alpha, exc, r_in * max(_NUDGES), r_out * min(_NUDGES)):
+                break
     raise last

@@ -54,6 +54,12 @@ def test_classify_sector_rejects_zero_and_k_beyond_bound():
         classify_sector(1 + 1j, math.ceil(K_BOUND))
 
 
+@pytest.mark.parametrize("k", [0, -3, 2.5, True])
+def test_classify_sector_rejects_k_that_is_not_a_positive_integer(k):
+    with pytest.raises(ValueError, match=f"k must be a positive integer, got {k!r}$"):
+        classify_sector(1 + 1j, k)
+
+
 def test_sector_index_normalizes():
     assert SectorIndex(-1, 3).s == 5
     assert SectorIndex(7, 3).s == 1

@@ -189,6 +189,82 @@ def test_uncertifiable_detour_names_the_edge():
     assert (exc.value.slice_index, exc.value.edge) == (0, "ray 0")
 
 
+def _counted_census(monkeypatch, *args):
+    """sector_census(*args), or the (slice, edge, text) it raised, and the number of _count attempts it made."""
+    attempts, count = [], winding._count
+
+    def counted(*a):
+        attempts.append(1)
+        return count(*a)
+
+    monkeypatch.setattr(winding, "_count", counted)
+    try:
+        return sector_census(*args), len(attempts)
+    except InconclusiveRegion as exc:
+        return (exc.slice_index, exc.edge, str(exc)), len(attempts)
+
+
+def test_a_point_on_a_ray_inside_every_nudge_ends_the_census_at_once(monkeypatch):
+    # fig1 at alpha = 1 has alpha-points on ray 0 well inside 0.01 < |z| < 10: no radius
+    # nudge moves them, so one attempt raises what the sixth used to
+    got, attempts = _counted_census(monkeypatch, FIG1, 1, 0.01, 10.0)
+    reason = "alpha has a real-power direction on ray 0, and an alpha-point lies on it or next to it"
+    assert got == (0, "ray 0", reason)
+    assert attempts == 1
+
+
+def test_a_point_on_a_ray_inside_the_nudge_band_keeps_the_retries(monkeypatch):
+    # the only ray-0 point of fig1 at alpha = 1 below |z| = 0.66667 sits at |z| = 0.666632,
+    # which a nudge of the outer radius leaves outside: the census retries, and the third
+    # attempt counts no point
+    on_ray = [pt.modulus for pt in alpha_points(FIG1, 1, 1.0) if pt.boundary and pt.sector.s == 0]
+    assert [0.1 < rho < 0.66667 * 1.00015 for rho in on_ray].count(True) == 1
+    assert min(on_ray, key=lambda rho: abs(rho - 0.666632)) > 0.66667 * 0.99988
+    assert _counted_census(monkeypatch, FIG1, 1, 0.1, 0.66667) == ([0] * 6, 3)
+
+
+def _poles_on_rays(moduli, region: AnnularSector) -> float:
+    """The pole share of a region as counted ray by ray: its interior even rays, and each even edge ray half."""
+    k = region.k
+    inside = sum(1 for rho, is_pole in moduli if is_pole and region.r_in < rho < region.r_out)
+    if region.full:
+        return inside * k
+    interior = sum(1 for t in range(k) if 1 <= (2 * t - region.s_from) % (2 * k) <= region.span - 1)
+    edges = (region.s_from % 2 == 0) + ((region.s_to + 1) % 2 == 0)
+    return inside * (interior + 0.5 * edges)
+
+
+def test_pole_share_is_the_ray_by_ray_count():
+    moduli_sets = [
+        [],
+        [(1.0, True)],
+        [(0.5, True), (1.0, False), (1.5, True), (3.0, True)],
+        [(0.8, True), (0.8, True), (1.2, False), (0.1, True)],  # a double pole, and one outside
+    ]
+    regions = 0
+    for k in range(1, 17):
+        for s_from in range(2 * k):
+            for s_to in range(2 * k):
+                region = AnnularSector(0.3, 2.0, s_from, s_to, k)
+                for moduli in moduli_sets:
+                    got, expected = winding._poles_inside(moduli, region), _poles_on_rays(moduli, region)
+                    assert (got, type(got)) == (expected, type(expected)), (region, moduli)
+                    regions += 1
+    assert regions == 23936
+
+
+def test_census_at_k_64_matches_the_solver():
+    # 128 slices: each takes half of the pole circle |z| = 0.5^(1/64) inside the annulus
+    spec = StructuredFunction(p=1, k=64, a=(1.5,), b=(0.5,))
+    alpha = random_alpha_generic(np.random.default_rng(64), spec, margin=0.2 * math.pi / spec.k)
+    pts = alpha_points(spec, alpha, 3.0)
+    r_in, r_out = annulus_off_moduli(pts, pole_radii(spec) + [1.5 ** (1 / 64)])
+    assert r_in < 0.5 ** (1 / 64) < r_out
+    counts = sector_census(spec, alpha, r_in, r_out)
+    assert counts == points_census(pts, spec.k, r_in, r_out)
+    assert sum(counts) == len(pts) == 64
+
+
 def test_fig1_census_integrand_calls(monkeypatch):
     # panels of all edges share batched calls of the fused G, G'/G kernel;
     # one call per 12-point panel would be 1,056 calls here
