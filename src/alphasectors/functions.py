@@ -77,6 +77,8 @@ class StructuredFunction:
         object.__setattr__(self, "b", tuple(float(x) for x in self.b))
         object.__setattr__(self, "c", tuple(float(x) for x in self.c))
         object.__setattr__(self, "d", tuple(float(x) for x in self.d))
+        if type(self.k) is not int:  # classify_sector takes no other k
+            raise ValueError(f"k must be an int, got {self.k!r}")
         if self.k < 2:
             raise ValueError(f"k must be >= 2, got {self.k}")
         if not self.k < K_BOUND:  # classify_sector's bound on k

@@ -25,9 +25,9 @@ which alpha's direction is real is first certified free of alpha-points
 arcs.
 
 Every pole lies on an even ray, so a region of n sectors takes n/2 of each
-pole circle inside its annulus (_poles_inside), and a census checks its
-annulus once.  A failed census is retried at nudged radii, unless a ray
-carries an alpha-point on the part every nudged annulus covers.
+pole circle inside its annulus (_poles_inside).  A failed census is retried
+at nudged radii, unless a ray carries an alpha-point on the part every
+nudged annulus covers.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ _CHUNK = 256  # panels per integrand call; bounds the memory of one step
 _NOISE = 16 * np.finfo(float).eps  # a panel's rounding, in units of its noise scale (see _integrate)
 _REAL_POWER = 16 * np.finfo(float).eps  # |Im beta| / |beta| at most this: rounding of alpha's rotation onto a ray
 _ON_RAY = 1e-12  # |x - Re beta| / |beta| at most this counts as 0: x(t) carries a few eps of rounding per factor
-_POINT_ON_RAY = "alpha has a real-power direction on ray {}, and an alpha-point lies on it or next to it"
 _NUDGES = tuple(1.0 + (attempt * (attempt % 2 * 2 - 1)) * 3e-5 for attempt in range(6))  # a census's radius scales
 
 
@@ -64,16 +63,23 @@ class InconclusiveRegion(RuntimeError):
     """The winding integral did not resolve to an integer within the guard, or a ray carries an alpha-point.
 
     `slice_index` is the census slice at fault (None outside a census) and
-    `edge` names the contour piece, "ray 3" or "arc r=1.5".
+    `edge` names the contour piece, "ray 3" or "arc r=1.5".  `point_on_ray`
+    is s when the fault is an alpha-point on ray s, else None.
     """
 
     def __init__(
-        self, message: str, value: float | None = None, slice_index: int | None = None, edge: str | None = None
+        self,
+        message: str,
+        value: float | None = None,
+        slice_index: int | None = None,
+        edge: str | None = None,
+        point_on_ray: int | None = None,
     ):
         super().__init__(message)
         self.value = value
         self.slice_index = slice_index
         self.edge = edge
+        self.point_on_ray = point_on_ray
 
 
 @dataclass(frozen=True)
@@ -93,8 +99,8 @@ class AnnularSector:
     full: bool = field(init=False, repr=False, compare=False)  # all 2k of them
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be positive")
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not (0 <= self.r_in < self.r_out):
             raise ValueError("require 0 <= r_in < r_out")
         object.__setattr__(self, "s_from", self.s_from % (2 * self.k))
@@ -378,7 +384,7 @@ def _monotone_parts(spec: StructuredFunction, odd: bool, r_in: float, r_out: flo
 
 
 def _ray_integrals(spec: StructuredFunction, alpha: complex, rays: dict[int, tuple[int, float, float]], moduli) -> dict:
-    """Integral of d log(G - alpha) outward along each ray, in closed form, or the reason it has none.
+    """Integral of d log(G - alpha) outward along each ray in closed form, or (reason, s) or (reason, None).
 
     `rays` maps a piece to its (s, r_in, r_out).  On ray s,
     G - alpha = e^{ips pi/k} (x(t) - beta) with x real and
@@ -395,9 +401,10 @@ def _ray_integrals(spec: StructuredFunction, alpha: complex, rays: dict[int, tup
     Where |Im beta| is at rounding level (alpha on a real-power direction)
     x - beta may vanish on the ray.  The ray is kept only when x - Re beta
     keeps its sign, clear of rounding, on every piece where x is monotone
-    (_monotone_parts); otherwise an alpha-point lies on it, or next to it.
+    (_monotone_parts); otherwise an alpha-point lies on it, or next to it,
+    and the reason comes with s.  A ray with a non-finite end has None.
     """
-    out: dict[int, complex | str] = {}
+    out: dict[int, complex | tuple[str, int | None]] = {}
     cache: dict[tuple, tuple] = {}
     for j, (s, r_in, r_out) in rays.items():
         odd = s % 2 == 1
@@ -406,7 +413,7 @@ def _ray_integrals(spec: StructuredFunction, alpha: complex, rays: dict[int, tup
             cache[key] = tuple(float(x) for x in _x_on_ray(spec, np.array([r_in, r_out]), odd)), None
         (x_in, x_out), parts = cache[key]
         if not (math.isfinite(x_in) and math.isfinite(x_out)):
-            out[j] = f"G is not finite at an end of ray {s}"
+            out[j] = f"G is not finite at an end of ray {s}", None
             continue
         beta = alpha * unit_rotation(-spec.p * s, spec.k)
         if abs(beta.imag) <= _REAL_POWER * abs(beta):
@@ -415,7 +422,7 @@ def _ray_integrals(spec: StructuredFunction, alpha: complex, rays: dict[int, tup
                 cache[key] = (x_in, x_out), parts
             gap = parts - beta.real
             if (np.sign(gap[:, 0]) != np.sign(gap[:, 1])).any() or (np.abs(gap) <= _ON_RAY * abs(beta)).any():
-                out[j] = _POINT_ON_RAY.format(s)
+                out[j] = f"alpha has a real-power direction on ray {s}, and an alpha-point lies on it or next to it", s
                 continue
 
         def angle(x: float) -> float:
@@ -462,11 +469,11 @@ def _windings(spec, alpha: complex, regions, quad_tol: float) -> list:
         rays = {}
     quad = [j for j in range(len(pieces)) if j not in rays]
     values, errs = np.zeros(len(pieces), complex), np.zeros(len(pieces))
-    failed: dict[int, str] = {}
+    failed: dict[int, tuple[str, int | None]] = {}
     with np.errstate(all="ignore"):
         values[quad], errs[quad] = _integrate(_integrand(spec, alpha), [pieces[j] for j in quad], quad_tol)
         for j, value in _ray_integrals(spec, alpha, rays, moduli).items():
-            if isinstance(value, str):
+            if isinstance(value, tuple):
                 failed[j] = value
             else:
                 values[j] = value
@@ -474,7 +481,8 @@ def _windings(spec, alpha: complex, regions, quad_tol: float) -> list:
     for (label, region), ts in zip(regions, terms):
         bad = [j for j, _ in ts if j in failed]
         if bad:
-            out.append(InconclusiveRegion(failed[bad[0]], slice_index=label, edge=pieces[bad[0]].edge))
+            reason, ray = failed[bad[0]]
+            out.append(InconclusiveRegion(reason, slice_index=label, edge=pieces[bad[0]].edge, point_on_ray=ray))
             continue
         raw = sum(sign * values[j] for j, sign in ts) / (2j * math.pi)
         worst = max(ts, key=lambda term: errs[term[0]])[0]
@@ -488,14 +496,14 @@ def _count(spec, alpha: complex, regions, quad_tol: float) -> list[int]:
     # the zeros of G lie on the odd rays, which every census takes the integral along
     if isinstance(spec, StructuredFunction) and alpha == 0:
         raise ValueError("alpha must be nonzero for structured specs")
-    for r_in, r_out, k in dict.fromkeys((region.r_in, region.r_out, region.k) for _, region in regions):
+    for _, region in regions:
         if isinstance(spec, SeriesFunction):
-            if r_out > spec.trust_radius:
+            if region.r_out > spec.trust_radius:
                 raise ValueError("region exceeds the certified trust radius")
         elif isinstance(spec, StructuredFunction):
-            if r_in <= 0:
+            if region.r_in <= 0:
                 raise ValueError("structured specs need a punctured annulus (r_in > 0)")
-            if k != spec.k:
+            if region.k != spec.k:
                 raise ValueError("the region's k disagrees with the spec")
     counts = []
     for (label, _), entry in zip(regions, _windings(spec, alpha, regions, quad_tol)):
@@ -529,21 +537,6 @@ def count_in_contour(spec, alpha: complex, region: AnnularSector, quad_tol: floa
     return _count(spec, alpha, [(None, region)], quad_tol)[0]
 
 
-def _on_every_nudge(spec, alpha: complex, exc: InconclusiveRegion, r_in: float, r_out: float) -> bool:
-    """Whether exc is an alpha-point on a ray that the ray's part r_in < |z| < r_out still carries.
-
-    That part is what every nudged annulus of a census covers, so no nudge
-    clears the point.  Only a closed-form ray fails this way; an arc, a
-    series ray, or a ray whose ends are not finite may yet pass at another
-    radius.
-    """
-    edge = exc.edge
-    if not edge.startswith("ray ") or str(exc) != _POINT_ON_RAY.format(edge[4:]) or r_in >= r_out:
-        return False
-    with np.errstate(all="ignore"):
-        return _ray_integrals(spec, complex(alpha), {0: (int(edge[4:]), r_in, r_out)}, _moduli(spec))[0] == str(exc)
-
-
 def sector_census(
     spec,
     alpha: complex,
@@ -560,7 +553,8 @@ def sector_census(
     a slice integral is inconclusive, e.g. because a boundary circle passes
     through an alpha-point modulus; the last attempt's error is raised.  A
     ray that carries an alpha-point where every nudged annulus covers it
-    ends the census at once, with that attempt's error: no nudge moves a
+    ends the census at once, with that attempt's error, which may name
+    another slice or edge than the last attempt would: no nudge moves a
     point off a ray.  Every other failure is retried: an arc's, a series
     ray's, a ray whose ends are not finite, and a point on a ray that a
     nudge may leave outside the annulus.
@@ -578,6 +572,10 @@ def sector_census(
             return _count(spec, alpha, [(s, AnnularSector(ri, ro, s, s, k_eff)) for s in range(2 * k_eff)], quad_tol)
         except InconclusiveRegion as exc:
             last = exc
-            if _on_every_nudge(spec, alpha, exc, r_in * max(_NUDGES), r_out * min(_NUDGES)):
-                break
+            lo, hi = r_in * max(_NUDGES), r_out * min(_NUDGES)  # the part of the ray every attempt covers
+            if exc.point_on_ray is not None and lo < hi:
+                with np.errstate(all="ignore"):
+                    still = _ray_integrals(spec, complex(alpha), {0: (exc.point_on_ray, lo, hi)}, _moduli(spec))[0]
+                if isinstance(still, tuple) and still[1] is not None:
+                    break
     raise last

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -66,6 +67,13 @@ def test_growth_constants_must_be_nonnegative_and_finite(growth):
     # NaN compares false to everything, so `A < 0` alone lets it through
     with pytest.raises(ValueError, match=f"growth constant {next(iter(growth))} "):
         StructuredFunction(p=1, k=2, a=(1.0,), **growth)
+
+
+@pytest.mark.parametrize("k", [3.0, np.int64(3)])
+def test_k_must_be_an_int(k):
+    # classify_sector refuses any other k, so a spec that builds never fails there later
+    with pytest.raises(ValueError, match=re.escape(f"k must be an int, got {k!r}") + "$"):
+        StructuredFunction(p=1, k=k, a=(1.0,))
 
 
 @pytest.mark.parametrize(

@@ -119,6 +119,9 @@ def test_annular_sector_validation():
     region = AnnularSector(1.0, 2.0, 4, 1, 3)
     assert region.span == 4
     assert AnnularSector(1.0, 2.0, 0, 5, 3).full
+    for k in (0, 2.5, np.int64(3)):
+        with pytest.raises(ValueError, match="k must be a positive integer"):
+            AnnularSector(1.0, 2.0, 0, 0, k)
 
 
 def test_empty_alpha_set_census_is_zero():
@@ -190,7 +193,7 @@ def test_uncertifiable_detour_names_the_edge():
 
 
 def _counted_census(monkeypatch, *args):
-    """sector_census(*args), or the (slice, edge, text) it raised, and the number of _count attempts it made."""
+    """sector_census(*args), or the (slice, edge, point_on_ray, text) it raised, and its number of _count attempts."""
     attempts, count = [], winding._count
 
     def counted(*a):
@@ -201,7 +204,7 @@ def _counted_census(monkeypatch, *args):
     try:
         return sector_census(*args), len(attempts)
     except InconclusiveRegion as exc:
-        return (exc.slice_index, exc.edge, str(exc)), len(attempts)
+        return (exc.slice_index, exc.edge, exc.point_on_ray, str(exc)), len(attempts)
 
 
 def test_a_point_on_a_ray_inside_every_nudge_ends_the_census_at_once(monkeypatch):
@@ -209,8 +212,15 @@ def test_a_point_on_a_ray_inside_every_nudge_ends_the_census_at_once(monkeypatch
     # nudge moves them, so one attempt raises what the sixth used to
     got, attempts = _counted_census(monkeypatch, FIG1, 1, 0.01, 10.0)
     reason = "alpha has a real-power direction on ray 0, and an alpha-point lies on it or next to it"
-    assert got == (0, "ray 0", reason)
+    assert got == (0, "ray 0", 0, reason)
     assert attempts == 1
+
+
+def test_only_a_point_on_a_ray_ends_the_retries(monkeypatch):
+    # an arc that fails at every radius is no point on a ray: all six attempts run
+    spec = StructuredFunction(p=1, k=40, a=(1.2,), b=(0.8,))
+    (label, edge, point_on_ray, _), attempts = _counted_census(monkeypatch, spec, 1 + 1j, 0.5, 1e9)
+    assert (label, edge.startswith("arc r=1.000"), point_on_ray, attempts) == (0, True, None, 6)
 
 
 def test_a_point_on_a_ray_inside_the_nudge_band_keeps_the_retries(monkeypatch):
